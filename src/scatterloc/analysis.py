@@ -12,6 +12,7 @@ statistics that exhibit both facts.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -19,13 +20,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kernel import (
-    GAUSSIAN,
     PatternTable,
     ScatteringSetup,
     build_pattern_table,
     density_cdf,
-    density_quantile,
-    grid_quadrature,
     scatter_density,
     signature_groups,
 )
@@ -40,9 +38,7 @@ from .lattice import (
 )
 from .trajectory import (
     CONVERGENCE_THRESHOLD,
-    EventKind,
     RngStream,
-    TrajectoryRecord,
     trajectory_seed,
 )
 
@@ -177,12 +173,19 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
                  workers: int = 1) -> EnsembleStats:
     """Run n_traj independently seeded trajectories and aggregate.
 
-    Each trajectory evolves the squared magnitudes of the coefficients;
-    every recorded quantity (event kinds, angles, class weights) depends
-    on the state only through them, and both projections act on
-    magnitudes by state-independent positive factors, so nothing is lost
-    by dropping the phases.  Results are merged by trajectory index, so
-    they do not depend on the execution order or the worker count.
+    Every detection operator is diagonal in the class index and acts on
+    all members of a class by the same factor, so each recorded quantity
+    (event kinds, angles, class weights) depends on the state only
+    through its K class weights.  The runner therefore evolves a
+    (trajectories, K) array of class weights and advances every live
+    trajectory of a chunk one event per step, in lockstep.  Each
+    trajectory still draws from its own PCG64 stream in order, and every
+    reduction is an elementwise product summed along one row, never a
+    BLAS call whose rounding can depend on the batch shape, so a
+    trajectory's result does not depend, bit for bit, on how many
+    others share its chunk.  Results are merged by trajectory index, so
+    they do not depend on the execution order or the worker count
+    either.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -191,20 +194,23 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    group_arrays = [c.indices for c in classes]
+    w0 = class_weights(initial, classes)
+    tables = _class_tables(table, classes)
     snap_idx = _snapshot_indices(n_events, snapshot_stride)
     seeds = np.array([trajectory_seed(master_seed, i) for i in range(n_traj)],
                      dtype=np.uint64)
 
+    # chunk bounds follow the requested worker count, never the pool size
     starts = [(n_traj * w) // workers for w in range(workers + 1)]
     chunks = [(seeds[a:b]) for a, b in zip(starts, starts[1:]) if b > a]
 
-    args = [(initial.probabilities, table, group_arrays, chunk, n_events,
-             n_bins, snap_idx) for chunk in chunks]
-    if workers == 1 or len(chunks) <= 1:
+    args = [(w0, tables, chunk, n_events, n_bins, snap_idx)
+            for chunk in chunks]
+    n_procs = _pool_size(workers, len(chunks))
+    if n_procs == 1:
         parts = [_ensemble_chunk(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_procs) as pool:
             parts = list(pool.map(_ensemble_chunk_star, args))
 
     histogram = np.sum([p["histogram"] for p in parts], axis=0)
@@ -228,7 +234,7 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
         master_seed=master_seed, seeds=seeds,
         class_signatures=tuple(c.signature for c in classes),
         class_proportions=proportions,
-        class_proportions_predicted=class_weights(initial, classes),
+        class_proportions_predicted=w0,
         histogram=histogram,
         histogram_predicted=predicted_bin_masses(initial, table, n_bins),
         convergence_rate=n_conv / n_traj,
@@ -242,6 +248,11 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
         aborted_count=aborted)
 
 
+def _pool_size(workers: int, n_chunks: int) -> int:
+    """Processes worth starting: no more than chunks or CPUs."""
+    return min(workers, n_chunks, os.cpu_count() or 1)
+
+
 def _snapshot_indices(n_events: int, stride: int) -> np.ndarray:
     if stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
@@ -249,74 +260,154 @@ def _snapshot_indices(n_events: int, stride: int) -> np.ndarray:
     return np.array(idx, dtype=np.int64)
 
 
+# events of uniforms drawn per trajectory at a time
+_UNIFORM_BLOCK = 32
+
+
+@dataclass(frozen=True)
+class _ClassTables:
+    """Sampling tables of the K classes, one representative basis row each.
+
+    dens[i, k] is class k's detection density at grid angle i, with the
+    periodic wrap cell (row n_theta repeats row 0); cum[i, k] is its
+    trapezoid mass below grid angle i, so cum[n_theta] is its scattering
+    probability.  Rows are indexed by angle so a gather of one row per
+    trajectory stays (batch, K).
+    """
+
+    grid: np.ndarray
+    dens: np.ndarray
+    cum: np.ndarray
+    ns_prob: np.ndarray
+    occupations: np.ndarray
+    k0_a: float
+
+
+def _class_tables(table: PatternTable, classes) -> _ClassTables:
+    reps = np.array([c.indices[0] for c in classes], dtype=np.int64)
+    n = table.theta_grid.shape[0]
+    h = 2.0 * math.pi / n
+    f = table.weights[reps]
+    dens = np.ascontiguousarray(np.concatenate([f, f[:, :1]], axis=1).T)
+    cum = np.zeros_like(dens)
+    np.cumsum(0.5 * h * (dens[:-1] + dens[1:]), axis=0, out=cum[1:])
+    return _ClassTables(
+        grid=table.theta_grid, dens=dens, cum=cum,
+        ns_prob=table.ns_prob[reps].copy(),
+        occupations=table.basis.occupations[reps].astype(np.float64),
+        k0_a=table.setup.k0_a)
+
+
 def _ensemble_chunk_star(args):
     return _ensemble_chunk(*args)
 
 
-def _ensemble_chunk(p0, table, groups, seeds, n_events, n_bins, snap_idx):
-    """Run one contiguous block of trajectories in probability space."""
-    setup = table.setup
-    grid = table.theta_grid
-    weights = table.weights
-    ns_prob = table.ns_prob
-    occ = table.basis.occupations.astype(np.float64)
-    sites = np.arange(occ.shape[1], dtype=np.float64)
-    k0 = setup.k0_a
-    gaussian = setup.envelope == GAUSSIAN
-    env_width = (setup.k0_a * setup.sigma_a) ** 2 if gaussian else 0.0
+def _ensemble_chunk(w0, tables, seeds, n_events, n_bins, snap_idx):
+    """Run one contiguous block of trajectories on their class weights.
+
+    Every live trajectory advances one event per step.  A trajectory
+    whose update annihilates its weights keeps its last healthy state
+    and is reported as aborted rather than poisoning the statistics.
+    """
+    n_chunk = len(seeds)
+    streams = [RngStream(int(seed)) for seed in seeds]
+    uniforms = np.empty((n_chunk, _UNIFORM_BLOCK))
+    ns_prob = tables.ns_prob
     bin_scale = n_bins / (2.0 * math.pi)
 
-    n_chunk = len(seeds)
-    n_groups = len(groups)
     histogram = np.zeros(n_bins, dtype=np.int64)
-    final_weights = np.empty((n_chunk, n_groups))
-    snapshots = np.empty((n_chunk, len(snap_idx), n_groups))
+    snapshots = np.empty((n_chunk, len(snap_idx), len(w0)))
     scatter_counts = np.zeros(n_chunk, dtype=np.int64)
+    alive = np.ones(n_chunk, dtype=bool)
     aborted = 0
 
-    for t, seed in enumerate(seeds):
-        rng = RngStream(int(seed))
-        p = p0.copy()
-        si = 0
-        if snap_idx[si] == 0:
-            snapshots[t, si] = [p[ix].sum() for ix in groups]
+    w = np.tile(w0, (n_chunk, 1))
+    si = 0
+    if snap_idx[si] == 0:
+        snapshots[:, si] = w
+        si += 1
+    for m in range(1, n_events + 1):
+        col = (m - 1) % _UNIFORM_BLOCK
+        if col == 0:
+            for stream, row in zip(streams, uniforms):
+                stream.fill(row)
+        r = uniforms[:, col]
+        q = w * ns_prob
+        p_ns = q.sum(axis=1)
+        hit = r >= p_ns
+        if aborted:
+            hit &= alive
+        rows = np.flatnonzero(hit)
+        if rows.size:
+            wr = w[rows]
+            v = (r[rows] - p_ns[rows]) / (1.0 - p_ns[rows])
+            theta = _sample_angles(wr, v, tables)
+            b = ((theta + math.pi) * bin_scale).astype(np.int64)
+            np.add.at(histogram, np.clip(b, 0, n_bins - 1), 1)
+            scatter_counts[rows] += 1
+            q[rows] = wr * _scatter_multipliers(theta, tables)
+        s = q.sum(axis=1)
+        healthy = (s > 0.0) & np.isfinite(s)
+        if healthy.all() and not aborted:
+            w = q / s[:, None]
+        else:
+            dying = alive & ~healthy
+            aborted += int(np.count_nonzero(dying))
+            alive &= ~dying
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(alive[:, None], q / s[:, None], w)
+        if si < len(snap_idx) and m == snap_idx[si]:
+            snapshots[:, si] = w
             si += 1
-        dead = False
-        for m in range(1, n_events + 1):
-            if not dead:
-                p_ns = float(p @ ns_prob)
-                r = rng.uniform()
-                if r < p_ns:
-                    q = p * ns_prob
-                else:
-                    v = (r - p_ns) / (1.0 - p_ns)
-                    dens = p @ weights
-                    theta = density_quantile(grid, dens, v)
-                    b = int((theta + math.pi) * bin_scale)
-                    histogram[min(max(b, 0), n_bins - 1)] += 1
-                    scatter_counts[t] += 1
-                    amps = occ @ np.exp(-1j * (k0 * math.sin(theta)) * sites)
-                    mult = np.abs(amps) ** 2
-                    if gaussian:
-                        mult = mult * math.exp(
-                            -2.0 * env_width * (1.0 - math.cos(theta)))
-                    q = p * mult
-                s = q.sum()
-                if s > 0.0 and math.isfinite(s):
-                    p = q / s
-                else:
-                    # keep the last healthy state; the trajectory is
-                    # reported as aborted rather than poisoning the stats
-                    dead = True
-                    aborted += 1
-            if si < len(snap_idx) and m == snap_idx[si]:
-                snapshots[t, si] = [p[ix].sum() for ix in groups]
-                si += 1
-        final_weights[t] = [p[ix].sum() for ix in groups]
 
-    return {"histogram": histogram, "final_weights": final_weights,
+    return {"histogram": histogram, "final_weights": w,
             "snapshots": snapshots, "scatter_counts": scatter_counts,
             "aborted": aborted}
+
+
+def _sample_angles(w, v, tables: _ClassTables) -> np.ndarray:
+    """Inverse CDF of each row's piecewise-linear density at quantile v.
+
+    The mixture CDF at grid index i is the row dot product of the class
+    weights with cum[i].  Every term is monotone in i, so the rounded sum
+    is too, and the bisection finds the cell searchsorted(side="right")
+    would; inside it the quadratic CDF is inverted in the stable closed
+    form of kernel.density_quantile.
+    """
+    grid, dens, cum = tables.grid, tables.dens, tables.cum
+    n = grid.shape[0]
+    h = 2.0 * math.pi / n
+    target = v * (w * cum[n]).sum(axis=1)
+    lo = np.zeros(len(v), dtype=np.int64)
+    hi = np.full(len(v), n + 1, dtype=np.int64)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        below = (w * cum[mid]).sum(axis=1) <= target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    k = np.minimum(lo, n - 1)
+    s = target - (w * cum[k]).sum(axis=1)
+    f0 = (w * dens[k]).sum(axis=1)
+    f1 = (w * dens[k + 1]).sum(axis=1)
+    slope = (f1 - f0) / h
+    denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * s, 0.0))
+    x = np.divide(2.0 * s, denom, out=np.zeros_like(s), where=denom > 0.0)
+    theta = grid[k] + np.clip(x, 0.0, h)
+    return np.where(theta >= math.pi, theta - 2.0 * math.pi, theta)
+
+
+def _scatter_multipliers(theta, tables: _ClassTables) -> np.ndarray:
+    """|F_k(theta)|^2 of each class's occupation at every row's detected
+    angle: shape (len(theta), K).
+
+    The coupling prefactor and the envelope factor I(theta)^2 are common
+    to all classes at a given angle, so they cancel on renormalization
+    and are left out.
+    """
+    sites = np.arange(tables.occupations.shape[1], dtype=np.float64)
+    phases = np.exp(-1j * (tables.k0_a * np.sin(theta))[:, None] * sites)
+    amps = (phases[:, None, :] * tables.occupations).sum(axis=2)
+    return np.abs(amps) ** 2
 
 
 @dataclass(frozen=True)

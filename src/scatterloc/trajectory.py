@@ -74,6 +74,11 @@ class RngStream:
     def uniform(self) -> float:
         return float(self._gen.random())
 
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Fill a contiguous float64 array with the next out.size draws,
+        bit for bit the values of out.size successive uniform() calls."""
+        return self._gen.random(out=out)
+
 
 def apply_scatter(state: ManyBodyState, theta: float,
                   table: PatternTable) -> ManyBodyState:

@@ -7,12 +7,14 @@ against the full coefficient-evolving trajectory engine.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from scatterloc.analysis import (
     EquivalenceClass,
+    _pool_size,
     angle_histogram,
     bin_angles,
     bin_edges,
@@ -24,6 +26,7 @@ from scatterloc.analysis import (
     run_ensemble,
     sweep_uj,
 )
+from scatterloc import analysis
 from scatterloc.config import RunConfig
 from scatterloc.kernel import (
     ScatteringSetup,
@@ -54,6 +57,20 @@ def system33():
     table = build_pattern_table(basis, setup)
     H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0))
     energy, psi = ground_state(H, basis)
+    return basis, classes, table, psi
+
+
+@pytest.fixture(scope="module")
+def system55():
+    # strong probe at twelve times the dimension: many rows scatter on
+    # every event, so the batched scatter branch does most of the work
+    lat = LatticeSpec(M=5, N=5)
+    basis = enumerate_basis(lat)
+    classes = build_classes(basis)
+    table = build_pattern_table(
+        basis, ScatteringSetup(lattice=lat, gN=1.0, k0_a=math.pi))
+    _, psi = ground_state(
+        build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5)), basis)
     return basis, classes, table, psi
 
 
@@ -252,8 +269,9 @@ class TestRunEnsemble:
                                    stats.class_proportions_predicted,
                                    atol=1e-14)
 
-    def test_deterministic_and_worker_independent(self, system33):
-        _, classes, table, psi = system33
+    @pytest.mark.parametrize("system", ["system33", "system55"])
+    def test_deterministic_and_worker_independent(self, system, request):
+        _, classes, table, psi = request.getfixturevalue(system)
         a = run_ensemble(psi, 30, 80, table, classes, master_seed=5,
                          n_bins=20)
         b = run_ensemble(psi, 30, 80, table, classes, master_seed=5,
@@ -292,6 +310,44 @@ class TestRunEnsemble:
             np.testing.assert_allclose(stats.mean_class_weights[si],
                                        mean_at_m, atol=1e-9)
 
+    def test_gaussian_envelope_matches_full_trajectory_engine(self):
+        # the envelope branch of the ensemble multiplier against the
+        # coefficient engine; the horizon stays short because both
+        # engines amplify rounding along a trajectory
+        lat = LatticeSpec(M=4, N=4)
+        basis = enumerate_basis(lat)
+        classes = build_classes(basis)
+        table = build_pattern_table(basis, ScatteringSetup(
+            lattice=lat, gN=0.8, k0_a=math.pi, envelope="gaussian",
+            sigma_a=0.3))
+        _, psi = ground_state(
+            build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5)), basis)
+        master = 41
+        stats = run_ensemble(psi, 6, 300, table, classes, master_seed=master,
+                             n_bins=40)
+        hist = np.zeros(40, dtype=np.int64)
+        for i in range(6):
+            rec = run_trajectory(psi, table, 300,
+                                 seed=trajectory_seed(master, i),
+                                 class_indices=[c.indices for c in classes])
+            hist += bin_angles(rec.scatter_angles(), 40)
+            assert rec.n_scatter == stats.scatter_counts[i]
+            np.testing.assert_allclose(stats.final_class_weights[i],
+                                       rec.class_weights_final, atol=1e-9)
+        assert stats.n_scatter_total > 0
+        np.testing.assert_array_equal(stats.histogram, hist)
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        # the computed size only: no pool is started here
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _pool_size(1, 1) == 1
+        assert _pool_size(3, 3) == 3
+        assert _pool_size(64, 3) == 3
+        assert _pool_size(64, 1000) == 4
+        assert _pool_size(2, 1000) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(8, 8) == 1
+
     def test_absorption_along_trajectories(self, system33):
         # the dominant class weight is a bounded martingale, so a bare
         # 0.99 crossing often dips back below before settling (measured
@@ -315,6 +371,52 @@ class TestRunEnsemble:
                 assert np.all(peak[deep[0]:] > 0.99), i
         assert n_crossed == 30
         assert n_deep == 30
+
+    def test_annihilating_scatter_aborts_only_its_trajectory(
+            self, system33, monkeypatch):
+        # a multiplier forced to zero past theta = 3.0 annihilates the
+        # weights of any trajectory that scatters there: that trajectory
+        # stops with its last healthy weights and the rest of its chunk
+        # runs on as if nothing happened
+        _, classes, table, psi = system33
+        cut = 3.0
+        real = analysis._scatter_multipliers
+
+        def killing(theta, tables):
+            return np.where((theta > cut)[:, None], 0.0, real(theta, tables))
+
+        monkeypatch.setattr(analysis, "_scatter_multipliers", killing)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        master, n_traj, n_events = 23, 12, 150
+        stats = run_ensemble(psi, n_traj, n_events, table, classes,
+                             master_seed=master, n_bins=40)
+        split = run_ensemble(psi, n_traj, n_events, table, classes,
+                             master_seed=master, n_bins=40, workers=5)
+        np.testing.assert_array_equal(stats.final_class_weights,
+                                      split.final_class_weights)
+        np.testing.assert_array_equal(stats.scatter_counts,
+                                      split.scatter_counts)
+        assert stats.aborted_count == split.aborted_count
+
+        n_aborted = 0
+        for i in range(n_traj):
+            rec = run_trajectory(psi, table, n_events,
+                                 seed=trajectory_seed(master, i))
+            scatters = [e for e in rec.events if e.theta is not None]
+            fatal = [j for j, e in enumerate(scatters) if e.theta > cut]
+            if not fatal:
+                assert stats.scatter_counts[i] == len(scatters)
+                expected = rec.class_weights_final
+            else:
+                n_aborted += 1
+                # the fatal scatter is still counted
+                assert stats.scatter_counts[i] == fatal[0] + 1
+                expected = rec.class_weights[scatters[fatal[0]].index - 1]
+            np.testing.assert_allclose(stats.final_class_weights[i],
+                                       expected, atol=1e-9)
+        assert 0 < n_aborted < n_traj
+        assert stats.aborted_count == n_aborted
+        assert stats.histogram.sum() == stats.scatter_counts.sum()
 
     def test_input_validation(self, system33):
         _, classes, table, psi = system33

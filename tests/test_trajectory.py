@@ -72,6 +72,18 @@ class TestSeeding:
         assert all(0.0 <= x < 1.0 for x in xs)
         assert len(set(xs)) == 100
 
+    def test_fill_matches_single_draws(self):
+        # 1000 draws in blocks of 32: 31 full blocks and a partial one
+        a = RngStream(trajectory_seed(5, 3))
+        b = RngStream(trajectory_seed(5, 3))
+        single = np.array([a.uniform() for _ in range(1000)])
+        blocks = np.empty(1000)
+        for start in range(0, 1000, 32):
+            b.fill(blocks[start:start + 32])
+        np.testing.assert_array_equal(blocks, single)
+        # both streams are now at the same position
+        assert a.uniform() == b.uniform()
+
 
 class TestScatterBackaction:
     def test_pure_fock_state_is_fixed_point(self, table33):
