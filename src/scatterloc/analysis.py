@@ -28,12 +28,15 @@ from .kernel import (
     signature_groups,
 )
 from .lattice import (
+    _DENSE_MAX_DIM,
+    CapacityError,
     FockBasis,
     HubbardParams,
     LatticeSpec,
     ManyBodyState,
     build_hamiltonian,
     enumerate_basis,
+    fock_dimension,
     ground_state,
 )
 from .trajectory import (
@@ -410,6 +413,30 @@ def _scatter_multipliers(theta, tables: _ClassTables) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_memory(setup: ScatteringSetup) -> None:
+    """Raise CapacityError if the pattern table, plus the Hamiltonian
+    where it is built dense, would not fit in physical memory.
+
+    Called before anything of the basis' size is allocated, so that an
+    oversized run exits cleanly instead of being killed for memory.
+    """
+    dim = fock_dimension(setup.lattice.M, setup.lattice.N)
+    need = 8 * dim * setup.n_theta
+    if dim <= _DENSE_MAX_DIM:
+        need += 8 * dim * dim
+    have = _physical_memory()
+    if need > have:
+        raise CapacityError(
+            f"Fock dimension {dim} at n_theta={setup.n_theta} needs "
+            f"{need / 2**30:.1f} GiB of tables, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One ground state along the interaction sweep."""
@@ -429,7 +456,8 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
 
     Each U/J value prepares its own ground state with J = 1 as the energy
     unit; math.inf is accepted as the hard-interaction limit and realized
-    as J = 0, U = 1.  Every row derives its trajectory seeds from
+    as J = 0, U = 1, whose ground state is taken in the J -> 0+ limit
+    (see lattice.ground_state).  Every row derives its trajectory seeds from
     (master_seed, row index), so rows are independent and the whole sweep
     is reproducible.
     """
@@ -438,6 +466,7 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
         if not (uj >= 0):
             raise ValueError(f"U/J values must be >= 0, got {uj}")
 
+    _check_memory(setup)
     basis = enumerate_basis(lattice)
     classes = build_classes(basis)
     table = build_pattern_table(basis, setup)
@@ -476,9 +505,11 @@ def prepare_system(cfg: "RunConfig") -> PreparedSystem:
     """Diagonalize and tabulate everything a run needs from its config."""
     lattice = cfg.lattice_spec()
     params = cfg.hubbard_params()
+    setup = cfg.scattering_setup()
+    _check_memory(setup)
     basis = enumerate_basis(lattice)
     classes = build_classes(basis)
-    table = build_pattern_table(basis, cfg.scattering_setup())
+    table = build_pattern_table(basis, setup)
     energy, state = ground_state(build_hamiltonian(basis, params), basis)
     return PreparedSystem(basis=basis, classes=classes, table=table,
                           params=params, energy=energy, initial_state=state)

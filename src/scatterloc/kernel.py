@@ -20,6 +20,10 @@ from .lattice import FockBasis, LatticeSpec, ManyBodyState
 UNIFORM = "uniform"
 GAUSSIAN = "gaussian"
 
+# Rows of the pattern table computed per block: the block's complex
+# amplitudes take 32 x n_theta x 16 bytes (1 MB at n_theta = 2048).
+_TABLE_BLOCK_ROWS = 32
+
 
 class CouplingTooStrong(Exception):
     """Probe coupling violates the weak-scattering assumption.
@@ -180,11 +184,19 @@ def build_pattern_table(basis: FockBasis, setup: ScatteringSetup) -> PatternTabl
 
     sites = np.arange(basis.spec.M)
     phases = np.exp(-1j * setup.k0_a * np.outer(sites, np.sin(grid)))
-    amps = basis.occupations @ phases                      # (D, n_theta)
-    env = envelope_factor(grid, setup)
-
+    env_sq = envelope_factor(grid, setup) ** 2
     prefac = setup.g ** 2 / (2.0 * math.pi)
-    weights = prefac * (np.abs(amps) ** 2) * env ** 2
+
+    # prefac * |F|^2 * env^2, written in place a block of rows at a time so
+    # that no complex (D, n_theta) array is ever held
+    occ = basis.occupations
+    weights = np.empty((basis.dimension, setup.n_theta))
+    for a in range(0, basis.dimension, _TABLE_BLOCK_ROWS):
+        blk = weights[a:a + _TABLE_BLOCK_ROWS]
+        np.abs(occ[a:a + _TABLE_BLOCK_ROWS] @ phases, out=blk)
+        np.square(blk, out=blk)
+        np.multiply(prefac, blk, out=blk)
+        np.multiply(blk, env_sq, out=blk)
 
     h = 2.0 * math.pi / setup.n_theta
     scatter_prob = h * np.sum(weights, axis=1)

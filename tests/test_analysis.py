@@ -36,6 +36,7 @@ from scatterloc.kernel import (
     structure_amplitude,
 )
 from scatterloc.lattice import (
+    CapacityError,
     HubbardParams,
     LatticeSpec,
     ManyBodyState,
@@ -474,3 +475,21 @@ class TestPrepareSystem:
         assert sys.energy == pytest.approx(-3 * math.sqrt(2), abs=1e-12)
         assert sys.table.weights.shape == (10, 2048)
         assert sys.initial_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+    def test_memory_guard_fires_before_allocation(self, monkeypatch):
+        # M=N=3 at n_theta=2048: a 10 x 2048 table and a dense 10 x 10 H
+        need = 8 * 10 * 2048 + 8 * 10 * 10
+        built = []
+        monkeypatch.setattr(analysis, "enumerate_basis",
+                            lambda spec: built.append(spec))
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: need - 1)
+        cfg = RunConfig(M=3, N=3, U=0.0, J=1.0, gN=0.5, k0_a=math.pi)
+        with pytest.raises(CapacityError):
+            prepare_system(cfg)
+        with pytest.raises(CapacityError):
+            sweep_uj([1.0], LAT33, cfg.scattering_setup(), n_traj=2,
+                     n_events=5, master_seed=0)
+        assert built == []
+        monkeypatch.undo()
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: need)
+        assert prepare_system(cfg).basis.dimension == 10

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatterloc import cli
+from scatterloc import analysis, cli
 from scatterloc.config import ConfigError, config_to_mapping, parse_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -121,6 +121,15 @@ class TestParsing:
         code = run_cli("predict", "--out", str(target / "sub"),
                        "--set", "M=2", "--set", "N=2")
         assert code == 4
+
+    def test_tables_beyond_physical_memory_are_exit_4(self, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: 1 << 16)
+        code = run_cli("predict", "--out", str(tmp_path / "x"),
+                       "--set", "M=3", "--set", "N=3")
+        assert code == 4
+        assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_sweep_without_values_is_exit_2(self, tmp_path, capsys):
         code = run_cli("sweep", "--out", str(tmp_path / "x"),

@@ -222,6 +222,27 @@ class TestPatternTable:
             ref = setup.g ** 2 / (2 * math.pi) * abs(f) ** 2
             assert table.weights[u, i] == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("envelope,sigma_a", [("uniform", 0.0),
+                                                  ("gaussian", 0.3)])
+    def test_blocked_table_matches_whole_array_expression_bitwise(
+            self, envelope, sigma_a):
+        # D = 126 spans several row blocks; the reference holds the whole
+        # complex (D, n_theta) amplitude array and evaluates the same
+        # expression in the same order
+        lattice = LatticeSpec(M=5, N=5)
+        basis = enumerate_basis(lattice)
+        setup = make_setup(lattice=lattice, gN=0.5, n_theta=256,
+                           envelope=envelope, sigma_a=sigma_a)
+        grid = theta_grid(setup.n_theta)
+        phases = np.exp(-1j * setup.k0_a
+                        * np.outer(np.arange(lattice.M), np.sin(grid)))
+        amps = basis.occupations @ phases
+        env = envelope_factor(grid, setup)
+        ref = setup.g ** 2 / (2.0 * math.pi) * (np.abs(amps) ** 2) * env ** 2
+        weights = build_pattern_table(basis, setup).weights
+        np.testing.assert_array_equal(weights.view(np.uint64),
+                                      ref.view(np.uint64))
+
     def test_basis_setup_mismatch(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=2))
         with pytest.raises(ValueError):

@@ -1,19 +1,28 @@
 """Tests for the Fock basis and Bose-Hubbard Hamiltonian.
 
 Ground-state checks use independent oracles: brute-force enumeration for
-basis counts, and the closed-form condensate wavefunction (a multinomial
-over the lowest single-particle orbital) for the non-interacting chain.
+basis counts, the closed-form condensate wavefunction (a multinomial
+over the lowest single-particle orbital) for the non-interacting chain,
+a per-hop loop with a dictionary index for the Hamiltonian, and the
+dense eigensolver for the sparse one.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scatterloc
+from scatterloc import lattice
 from scatterloc.lattice import (
+    _DENSE_MAX_DIM,
     Boundary,
     CapacityError,
     EigensolverError,
@@ -34,6 +43,31 @@ def brute_force_occupations(M, N):
     """All occupation tuples by exhaustive search, independent of the library."""
     return [occ for occ in itertools.product(range(N + 1), repeat=M)
             if sum(occ) == N]
+
+
+def reference_hamiltonian(basis, params):
+    """Dense H from one dictionary lookup per hop, independent of ranking."""
+    index = {occ: i for i, occ in enumerate(basis.states)}
+    dim = basis.dimension
+    H = np.zeros((dim, dim), dtype=np.float64)
+    n = basis.occupations.astype(np.float64)
+    H[np.diag_indices(dim)] = 0.5 * params.U * np.sum(n * (n - 1.0), axis=1)
+    if params.J != 0.0:
+        for i, occ in enumerate(basis.states):
+            for (s, t) in basis.spec.bonds:
+                for src, dst in ((s, t), (t, s)):
+                    if occ[src] == 0:
+                        continue
+                    hopped = list(occ)
+                    hopped[src] -= 1
+                    hopped[dst] += 1
+                    j = index[tuple(hopped)]
+                    H[j, i] -= params.J * math.sqrt(occ[src] * (occ[dst] + 1))
+    return H
+
+
+PARAMS = [HubbardParams(J=1.0, U=0.0), HubbardParams(J=0.7, U=1.3),
+          HubbardParams(J=0.3, U=-2.1), HubbardParams(J=0.0, U=1.0)]
 
 
 class TestBasis:
@@ -65,6 +99,21 @@ class TestBasis:
             assert basis.index_of(occ) == i
         with pytest.raises(ValueError):
             basis.index_of((3, 1, 0))  # wrong particle number
+
+    @pytest.mark.parametrize("M,N", [(1, 4), (3, 3), (5, 5), (7, 7),
+                                     (60, 2), (2, 60)])
+    def test_rank_round_trip(self, M, N):
+        # a base-(N+1) integer key would overflow int64 at M=60, N=2 and
+        # M=2, N=60; ranks stay below the dimension
+        basis = enumerate_basis(LatticeSpec(M=M, N=N))
+        np.testing.assert_array_equal(basis.rank(basis.occupations),
+                                      np.arange(basis.dimension))
+
+    def test_index_of_rejects_non_basis_occupations(self):
+        basis = enumerate_basis(LatticeSpec(M=3, N=3))
+        for occ in [(3, 0), (3, 0, 0, 0), (4, -1, 0), (1, 1, 0)]:
+            with pytest.raises(ValueError):
+                basis.index_of(occ)
 
     def test_occupations_array_is_readonly(self):
         basis = enumerate_basis(LatticeSpec(M=3, N=2))
@@ -141,6 +190,31 @@ class TestHamiltonian:
             H = build_hamiltonian(basis, HubbardParams(J=0.7, U=1.3))
             assert np.array_equal(H, H.T)
 
+    @pytest.mark.parametrize("M,N,bc", [
+        (1, 4, Boundary.OPEN), (2, 5, Boundary.OPEN), (3, 3, Boundary.OPEN),
+        (3, 4, Boundary.PERIODIC), (4, 4, Boundary.OPEN),
+        (5, 5, Boundary.PERIODIC), (6, 6, Boundary.OPEN)])
+    def test_dense_matches_per_hop_reference_bitwise(self, M, N, bc):
+        basis = enumerate_basis(LatticeSpec(M=M, N=N, boundary=bc))
+        assert basis.dimension <= _DENSE_MAX_DIM
+        for params in PARAMS:
+            H = build_hamiltonian(basis, params)
+            ref = reference_hamiltonian(basis, params)
+            assert isinstance(H, np.ndarray)
+            np.testing.assert_array_equal(H.view(np.uint64),
+                                          ref.view(np.uint64))
+
+    @pytest.mark.parametrize("bc", [Boundary.OPEN, Boundary.PERIODIC])
+    def test_sparse_matches_per_hop_reference(self, bc):
+        basis = enumerate_basis(LatticeSpec(M=7, N=6, boundary=bc))
+        assert basis.dimension > _DENSE_MAX_DIM
+        for params in PARAMS:
+            H = build_hamiltonian(basis, params)
+            assert H.format == "csr"
+            # equal values; toarray() may turn a stored -0.0 into 0.0
+            np.testing.assert_array_equal(H.toarray(),
+                                          reference_hamiltonian(basis, params))
+
     def test_offdiagonals_are_single_neighbour_hops(self):
         spec = LatticeSpec(M=3, N=2)
         basis = enumerate_basis(spec)
@@ -208,6 +282,111 @@ class TestGroundState:
         bad = np.full((2, 2), np.nan)
         with pytest.raises(EigensolverError):
             ground_state(bad, basis)
+
+    def test_non_finite_input_is_never_certified(self, monkeypatch):
+        # hopping-free dense H with a NaN diagonal entry
+        basis = enumerate_basis(LatticeSpec(M=3, N=3))
+        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0))
+        H[2, 2] = np.nan
+        with pytest.raises(EigensolverError):
+            ground_state(H, basis)
+        # sparse H above the cutoff with a NaN diagonal
+        basis = enumerate_basis(LatticeSpec(M=7, N=6))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
+        diag = H.diagonal()
+        diag[5] = np.nan
+        H.setdiag(diag)
+        with pytest.raises(EigensolverError):
+            ground_state(H, basis)
+        # a solver that returns a NaN energy must fail the residual check
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
+        v = np.full((basis.dimension, 1), basis.dimension ** -0.5)
+        monkeypatch.setattr(lattice, "_eigensolve",
+                            lambda H, k: (np.array([np.nan]), v, 1.0))
+        with pytest.raises(EigensolverError, match="residual"):
+            ground_state(H, basis)
+
+
+class TestSparseGroundState:
+    def test_sparse_against_dense(self):
+        basis = enumerate_basis(LatticeSpec(M=7, N=7))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.3))
+        assert H.format == "csr"
+        energy, state = ground_state(H, basis)
+        energy_d, state_d = ground_state(H.toarray(), basis)
+        assert abs(energy - energy_d) < 1e-12
+        np.testing.assert_allclose(state.coeffs, state_d.coeffs, rtol=0,
+                                   atol=1e-12)
+
+    def test_free_bosons_energy_at_m9_n9(self):
+        # D = 24310, where a dense H would take 4.7 GB; U = 0 puts all
+        # atoms in the lowest orbital, of energy -2 cos(pi / (M + 1))
+        basis = enumerate_basis(LatticeSpec(M=9, N=9))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0))
+        energy, state = ground_state(H, basis)
+        assert energy == pytest.approx(-2 * 9 * math.cos(math.pi / 10),
+                                       abs=1e-9)
+        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+    def test_dense_runs_never_import_scipy_sparse(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from scatterloc import cli, lattice\n"
+            f"code = cli.main(['predict', '--out', {str(tmp_path)!r},\n"
+            "                 '--set', 'M=6', '--set', 'N=6'])\n"
+            "print(code, 'scipy.sparse' in sys.modules)\n"
+            "basis = lattice.enumerate_basis(lattice.LatticeSpec(M=7, N=6))\n"
+            "params = lattice.HubbardParams(J=1.0, U=0.0)\n"
+            "lattice.build_hamiltonian(basis, params)\n"
+            "print('scipy.sparse' in sys.modules)\n")
+        src = str(Path(scatterloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "True"]
+
+
+class TestHardCoreLimit:
+    def test_degenerate_minimum_follows_j_to_zero(self):
+        # M=3, N=4: (2,1,1), (1,2,1), (1,1,2) all cost U; hopping inside
+        # the manifold is -2 between neighbours, whose lowest
+        # eigenvector is (1/2, 1/sqrt(2), 1/2)
+        basis = enumerate_basis(LatticeSpec(M=3, N=4))
+        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0))
+        energy, state = ground_state(H, basis)
+        assert energy == 1.0
+        expected = np.zeros(basis.dimension)
+        for occ, amp in [((2, 1, 1), 0.5), ((1, 2, 1), 1 / math.sqrt(2)),
+                         ((1, 1, 2), 0.5)]:
+            expected[basis.index_of(occ)] = amp
+        np.testing.assert_allclose(state.coeffs, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("M,N", [(3, 4), (4, 2), (4, 6)])
+    def test_agrees_with_small_hopping(self, M, N):
+        basis = enumerate_basis(LatticeSpec(M=M, N=N))
+        _, limit = ground_state(
+            build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0)), basis)
+        _, small = ground_state(
+            build_hamiltonian(basis, HubbardParams(J=1e-7, U=1.0)), basis)
+        assert abs(overlap(limit, small)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_unique_minimum_is_the_exact_fock_state(self):
+        basis = enumerate_basis(LatticeSpec(M=5, N=5))
+        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0))
+        energy, state = ground_state(H, basis)
+        assert energy == 0.0
+        assert np.array_equal(state.coeffs,
+                              fock_state(basis, (1,) * 5).coeffs)
+
+    def test_unresolved_degeneracy_raises(self):
+        # U < 0 piles all atoms on one site; no single hop stays inside
+        # that manifold, so the J -> 0+ limit picks no state
+        basis = enumerate_basis(LatticeSpec(M=3, N=2))
+        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=-1.0))
+        with pytest.raises(EigensolverError):
+            ground_state(H, basis)
 
 
 class TestStatesAndOverlap:
