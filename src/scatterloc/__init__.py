@@ -1,10 +1,12 @@
 """Measurement-induced localization of lattice bosons under light scattering.
 
 The package splits into four layers: ``lattice`` (Fock basis, Hamiltonian,
-ground states), ``kernel`` (scattering amplitudes, detection probabilities,
-angle sampling), ``trajectory`` (single stochastic measurement records), and
-``analysis`` (equivalence classes, ensembles, sweeps).  ``config`` and
-``cli`` wrap them for batch runs.
+ground states), ``kernel`` (scattering amplitudes, the per-signature-class
+pattern table, and the one angle sampler), ``trajectory`` (single stochastic
+measurement records on complex coefficients), and ``analysis``
+(equivalence classes, and ensembles and sweeps on class weights).  Both
+engines read the same class table and draw angles from the same sampler.
+``config`` and ``cli`` wrap them for batch runs.
 """
 
 from .analysis import (

@@ -24,6 +24,7 @@ from .kernel import (
     ScatteringSetup,
     build_pattern_table,
     density_cdf,
+    sample_angles,
     scatter_density,
     signature_groups,
 )
@@ -78,16 +79,17 @@ def build_classes(basis: FockBasis) -> tuple[EquivalenceClass, ...]:
 
 
 def class_weights(state: ManyBodyState, classes) -> np.ndarray:
-    """Summed probability of each equivalence class in the given state."""
+    """Summed probability of each equivalence class in the given state.
+
+    Measurement preserves these in expectation, so the class weights of
+    the prepared state are the predicted end-state proportions.  They
+    are summed per class by np.sum, once per run; for classes of eight or
+    more members its pairwise order can differ in the last bit from the
+    running sum of PatternTable.class_weights, which the trajectory
+    engine takes after every event.
+    """
     probs = state.probabilities
     return np.array([float(np.sum(probs[c.indices])) for c in classes])
-
-
-def class_probabilities_initial(state: ManyBodyState, classes) -> np.ndarray:
-    """Predicted end-state proportions: the class weights of the prepared
-    state.  Measurement preserves these in expectation, so they are what
-    a large ensemble of trajectories converges to."""
-    return class_weights(state, classes)
 
 
 def bin_edges(n_bins: int) -> np.ndarray:
@@ -198,7 +200,6 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     w0 = class_weights(initial, classes)
-    tables = _class_tables(table, classes)
     snap_idx = _snapshot_indices(n_events, snapshot_stride)
     seeds = np.array([trajectory_seed(master_seed, i) for i in range(n_traj)],
                      dtype=np.uint64)
@@ -207,7 +208,7 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     starts = [(n_traj * w) // workers for w in range(workers + 1)]
     chunks = [(seeds[a:b]) for a, b in zip(starts, starts[1:]) if b > a]
 
-    args = [(w0, tables, chunk, n_events, n_bins, snap_idx)
+    args = [(w0, table, chunk, n_events, n_bins, snap_idx)
             for chunk in chunks]
     n_procs = _pool_size(workers, len(chunks))
     if n_procs == 1:
@@ -267,45 +268,11 @@ def _snapshot_indices(n_events: int, stride: int) -> np.ndarray:
 _UNIFORM_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class _ClassTables:
-    """Sampling tables of the K classes, one representative basis row each.
-
-    dens[i, k] is class k's detection density at grid angle i, with the
-    periodic wrap cell (row n_theta repeats row 0); cum[i, k] is its
-    trapezoid mass below grid angle i, so cum[n_theta] is its scattering
-    probability.  Rows are indexed by angle so a gather of one row per
-    trajectory stays (batch, K).
-    """
-
-    grid: np.ndarray
-    dens: np.ndarray
-    cum: np.ndarray
-    ns_prob: np.ndarray
-    occupations: np.ndarray
-    k0_a: float
-
-
-def _class_tables(table: PatternTable, classes) -> _ClassTables:
-    reps = np.array([c.indices[0] for c in classes], dtype=np.int64)
-    n = table.theta_grid.shape[0]
-    h = 2.0 * math.pi / n
-    f = table.weights[reps]
-    dens = np.ascontiguousarray(np.concatenate([f, f[:, :1]], axis=1).T)
-    cum = np.zeros_like(dens)
-    np.cumsum(0.5 * h * (dens[:-1] + dens[1:]), axis=0, out=cum[1:])
-    return _ClassTables(
-        grid=table.theta_grid, dens=dens, cum=cum,
-        ns_prob=table.ns_prob[reps].copy(),
-        occupations=table.basis.occupations[reps].astype(np.float64),
-        k0_a=table.setup.k0_a)
-
-
 def _ensemble_chunk_star(args):
     return _ensemble_chunk(*args)
 
 
-def _ensemble_chunk(w0, tables, seeds, n_events, n_bins, snap_idx):
+def _ensemble_chunk(w0, table, seeds, n_events, n_bins, snap_idx):
     """Run one contiguous block of trajectories on their class weights.
 
     Every live trajectory advances one event per step.  A trajectory
@@ -315,7 +282,7 @@ def _ensemble_chunk(w0, tables, seeds, n_events, n_bins, snap_idx):
     n_chunk = len(seeds)
     streams = [RngStream(int(seed)) for seed in seeds]
     uniforms = np.empty((n_chunk, _UNIFORM_BLOCK))
-    ns_prob = tables.ns_prob
+    ns_prob = table.ns_prob
     bin_scale = n_bins / (2.0 * math.pi)
 
     histogram = np.zeros(n_bins, dtype=np.int64)
@@ -344,11 +311,11 @@ def _ensemble_chunk(w0, tables, seeds, n_events, n_bins, snap_idx):
         if rows.size:
             wr = w[rows]
             v = (r[rows] - p_ns[rows]) / (1.0 - p_ns[rows])
-            theta = _sample_angles(wr, v, tables)
+            theta = sample_angles(wr, v, table)
             b = ((theta + math.pi) * bin_scale).astype(np.int64)
             np.add.at(histogram, np.clip(b, 0, n_bins - 1), 1)
             scatter_counts[rows] += 1
-            q[rows] = wr * _scatter_multipliers(theta, tables)
+            q[rows] = wr * _scatter_multipliers(theta, table)
         s = q.sum(axis=1)
         healthy = (s > 0.0) & np.isfinite(s)
         if healthy.all() and not aborted:
@@ -368,38 +335,7 @@ def _ensemble_chunk(w0, tables, seeds, n_events, n_bins, snap_idx):
             "aborted": aborted}
 
 
-def _sample_angles(w, v, tables: _ClassTables) -> np.ndarray:
-    """Inverse CDF of each row's piecewise-linear density at quantile v.
-
-    The mixture CDF at grid index i is the row dot product of the class
-    weights with cum[i].  Every term is monotone in i, so the rounded sum
-    is too, and the bisection finds the cell searchsorted(side="right")
-    would; inside it the quadratic CDF is inverted in the stable closed
-    form of kernel.density_quantile.
-    """
-    grid, dens, cum = tables.grid, tables.dens, tables.cum
-    n = grid.shape[0]
-    h = 2.0 * math.pi / n
-    target = v * (w * cum[n]).sum(axis=1)
-    lo = np.zeros(len(v), dtype=np.int64)
-    hi = np.full(len(v), n + 1, dtype=np.int64)
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) >> 1
-        below = (w * cum[mid]).sum(axis=1) <= target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    k = np.minimum(lo, n - 1)
-    s = target - (w * cum[k]).sum(axis=1)
-    f0 = (w * dens[k]).sum(axis=1)
-    f1 = (w * dens[k + 1]).sum(axis=1)
-    slope = (f1 - f0) / h
-    denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * s, 0.0))
-    x = np.divide(2.0 * s, denom, out=np.zeros_like(s), where=denom > 0.0)
-    theta = grid[k] + np.clip(x, 0.0, h)
-    return np.where(theta >= math.pi, theta - 2.0 * math.pi, theta)
-
-
-def _scatter_multipliers(theta, tables: _ClassTables) -> np.ndarray:
+def _scatter_multipliers(theta, table: PatternTable) -> np.ndarray:
     """|F_k(theta)|^2 of each class's occupation at every row's detected
     angle: shape (len(theta), K).
 
@@ -407,9 +343,9 @@ def _scatter_multipliers(theta, tables: _ClassTables) -> np.ndarray:
     to all classes at a given angle, so they cancel on renormalization
     and are left out.
     """
-    sites = np.arange(tables.occupations.shape[1], dtype=np.float64)
-    phases = np.exp(-1j * (tables.k0_a * np.sin(theta))[:, None] * sites)
-    amps = (phases[:, None, :] * tables.occupations).sum(axis=2)
+    sites = np.arange(table.occupations.shape[1], dtype=np.float64)
+    phases = np.exp(-1j * (table.setup.k0_a * np.sin(theta))[:, None] * sites)
+    amps = (phases[:, None, :] * table.occupations).sum(axis=2)
     return np.abs(amps) ** 2
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .kernel import GAUSSIAN, UNIFORM, ScatteringSetup
 from .lattice import Boundary, HubbardParams, LatticeSpec
@@ -231,8 +231,3 @@ def config_to_mapping(cfg: RunConfig) -> dict:
         out[f.name] = value
     return out
 
-
-def with_overrides(cfg: RunConfig, **kw) -> RunConfig:
-    """Copy of cfg with the given fields replaced (and revalidated)."""
-    coerced = {k: _coerce(k, v) for k, v in kw.items()}
-    return replace(cfg, **coerced)

@@ -2,10 +2,13 @@
 
 The lattice lies along the y-axis and the probe comes in along x with
 wave-number k0, so a detection at angle theta transfers momentum
-k0*(1-cos(theta), -sin(theta)) to the system.  Everything here is
-precomputed on a uniform angular grid once per configuration; the
-trajectory engine then reuses the tables for every event of every
-trajectory.
+k0*(1-cos(theta), -sin(theta)) to the system.
+
+Basis states with equal pattern signatures scatter identically, so the
+detection densities are tabulated once per signature class on a uniform
+angular grid, once per configuration.  Both engines read the one table
+through the class weights of their state, and both draw scatter angles
+from the one inverse-CDF sampler, sample_angles.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .lattice import FockBasis, LatticeSpec, ManyBodyState
 UNIFORM = "uniform"
 GAUSSIAN = "gaussian"
 
-# Rows of the pattern table computed per block: the block's complex
+# Classes of the pattern table computed per block: the block's complex
 # amplitudes take 32 x n_theta x 16 bytes (1 MB at n_theta = 2048).
 _TABLE_BLOCK_ROWS = 32
 
@@ -91,11 +94,6 @@ class ScatteringSetup:
         return self.gN / self.lattice.N
 
 
-def momentum_transfer(theta) -> np.ndarray:
-    """In-plane momentum transfer (1-cos(theta), -sin(theta)), in units of k0."""
-    return np.array([1.0 - np.cos(theta), -np.sin(theta)])
-
-
 def envelope_factor(theta, setup: ScatteringSetup):
     """On-site density envelope evaluated at the detection angle.
 
@@ -108,12 +106,6 @@ def envelope_factor(theta, setup: ScatteringSetup):
         return np.ones_like(theta) if theta.ndim else 1.0
     val = np.exp(-((setup.k0_a * setup.sigma_a) ** 2) * (1.0 - np.cos(theta)))
     return val if theta.ndim else float(val)
-
-
-def structure_amplitude(occ, theta: float, setup: ScatteringSetup) -> complex:
-    """Phase sum F(theta) = sum_j n_j exp(-i (j-1) k0_a sin(theta))."""
-    phase = -setup.k0_a * math.sin(theta)
-    return complex(sum(n * np.exp(1j * phase * j) for j, n in enumerate(occ)))
 
 
 def structure_amplitudes(basis: FockBasis, theta: float,
@@ -142,90 +134,140 @@ def signature_groups(basis: FockBasis):
 
     Returns ((signature, index_array), ...) sorted by signature in
     descending lexicographic order, which puts the most sharply peaked
-    patterns (largest C_0) first.
+    patterns (largest C_0) first.  The signatures are those of
+    pattern_signature, computed for all basis states at once; each index
+    array is ascending.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, occ in enumerate(basis.states):
-        groups.setdefault(pattern_signature(occ), []).append(i)
-    return tuple((sig, np.array(groups[sig], dtype=np.int64))
-                 for sig in sorted(groups, reverse=True))
+    occ = basis.occupations
+    m = occ.shape[1]
+    sigs = np.stack([np.sum(occ[:, :m - d] * occ[:, d:], axis=1)
+                     for d in range(m)], axis=1)
+    # np.unique sorts rows in ascending lexicographic order
+    uniq, inverse = np.unique(sigs, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    parts = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
+    return tuple((tuple(sig), idx)
+                 for sig, idx in zip(uniq.tolist()[::-1], parts[::-1]))
 
 
 @dataclass(frozen=True)
 class PatternTable:
-    """Per-basis-state angular densities and non-scatter amplitudes.
+    """Angular densities and non-scatter amplitudes of the signature classes.
 
-    weights[u, i] is the detection density of basis state u at grid angle
-    theta_grid[i]; scatter_prob[u] is its quadrature over the full circle,
-    and ns_prob = 1 - scatter_prob with ns_amp its (real, non-negative)
-    square root.  Depends only on (basis, setup), never on the state, and
-    is immutable, so one table serves every trajectory of an ensemble.
+    Basis states with equal pattern signatures scatter identically, so
+    the table holds one column per class k, in the order of
+    signature_groups, and class_of[u] is the class of basis state u.
+    weights[i, k] is class k's detection density at grid angle
+    theta_grid[i], with the periodic wrap row weights[n_theta] =
+    weights[0]; cum[i, k] is its trapezoid mass below grid angle i.  Rows
+    are indexed by angle, so a gather of one row per trajectory stays
+    (trajectories, K).  scatter_prob[k] is the grid quadrature of the
+    density, ns_prob = 1 - scatter_prob and ns_amp its (real,
+    non-negative) square root; occupations[k] is the occupation of the
+    class's first basis state.  Depends only on (basis, setup), never on
+    the state, and is immutable, so one table serves every trajectory of
+    every engine.
     """
 
     basis: FockBasis
     setup: ScatteringSetup
     theta_grid: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    cum: np.ndarray = field(repr=False)
     scatter_prob: np.ndarray = field(repr=False)
     ns_prob: np.ndarray = field(repr=False)
     ns_amp: np.ndarray = field(repr=False)
+    class_of: np.ndarray = field(repr=False)
+    occupations: np.ndarray = field(repr=False)
+
+    def class_weights(self, probs: np.ndarray) -> np.ndarray:
+        """Summed probability of each class, from per-basis-state
+        probabilities."""
+        return np.bincount(self.class_of, weights=probs,
+                           minlength=self.ns_prob.shape[0])
 
 
 def build_pattern_table(basis: FockBasis, setup: ScatteringSetup) -> PatternTable:
-    """Precompute angular densities W_u and non-scatter amplitudes A_u.
+    """Precompute class densities W_k and non-scatter amplitudes A_k.
 
-    W_u(theta) = (g^2 / 2 pi) |I(theta) F_u(theta)|^2 on the grid, and
-    |A_u|^2 = 1 - quadrature(W_u) on the same grid, which makes the
-    per-state sum rule quadrature(W_u) + |A_u|^2 = 1 hold to rounding.
+    W_k(theta) = (g^2 / 2 pi) |I(theta) F_k(theta)|^2 on the grid, from
+    one representative occupation per class, and |A_k|^2 = 1 -
+    quadrature(W_k) on the same grid, which makes the per-class sum rule
+    quadrature(W_k) + |A_k|^2 = 1 hold to rounding.
     """
     if basis.spec != setup.lattice:
         raise ValueError("basis and setup refer to different lattices")
-    grid = theta_grid(setup.n_theta)
+    groups = [idx for _, idx in signature_groups(basis)]
+    class_of = np.empty(basis.dimension, dtype=np.int64)
+    for k, idx in enumerate(groups):
+        class_of[idx] = k
+    occ = basis.occupations[[idx[0] for idx in groups]]
+    n, n_classes = setup.n_theta, len(groups)
+    grid = theta_grid(n)
+    h = 2.0 * math.pi / n
 
     sites = np.arange(basis.spec.M)
     phases = np.exp(-1j * setup.k0_a * np.outer(sites, np.sin(grid)))
     env_sq = envelope_factor(grid, setup) ** 2
     prefac = setup.g ** 2 / (2.0 * math.pi)
 
-    # prefac * |F|^2 * env^2, written in place a block of rows at a time so
-    # that no complex (D, n_theta) array is ever held
-    occ = basis.occupations
-    weights = np.empty((basis.dimension, setup.n_theta))
-    for a in range(0, basis.dimension, _TABLE_BLOCK_ROWS):
-        blk = weights[a:a + _TABLE_BLOCK_ROWS]
-        np.abs(occ[a:a + _TABLE_BLOCK_ROWS] @ phases, out=blk)
+    # prefac * |F|^2 * env^2 for a block of classes at a time, in a
+    # class-major buffer whose row sums are the quadratures, then copied
+    # into the angle-major table: neither a complex (K, n_theta) array nor
+    # a second full-size table is ever held
+    weights = np.empty((n + 1, n_classes))
+    scatter_prob = np.empty(n_classes)
+    buf = np.empty((min(n_classes, _TABLE_BLOCK_ROWS), n))
+    for a in range(0, n_classes, _TABLE_BLOCK_ROWS):
+        blk = buf[:min(_TABLE_BLOCK_ROWS, n_classes - a)]
+        b = a + blk.shape[0]
+        np.abs(occ[a:b] @ phases, out=blk)
         np.square(blk, out=blk)
         np.multiply(prefac, blk, out=blk)
         np.multiply(blk, env_sq, out=blk)
+        scatter_prob[a:b] = h * np.sum(blk, axis=1)
+        weights[:n, a:b] = blk.T
+    weights[n] = weights[0]
 
-    h = 2.0 * math.pi / setup.n_theta
-    scatter_prob = h * np.sum(weights, axis=1)
+    # trapezoid cell masses, summed down the angle axis
+    cum = np.empty_like(weights)
+    cum[0] = 0.0
+    np.add(weights[:-1], weights[1:], out=cum[1:])
+    np.multiply(0.5 * h, cum[1:], out=cum[1:])
+    np.cumsum(cum[1:], axis=0, out=cum[1:])
+
     ns_prob = 1.0 - scatter_prob
     if np.min(ns_prob) < -1e-12:
+        k = int(np.argmin(ns_prob))
         raise CouplingTooStrong(
-            f"basis state {int(np.argmin(ns_prob))} has scattering "
-            f"probability {float(np.max(scatter_prob)):.6f} > 1 at gN={setup.gN}")
+            f"basis state {tuple(int(x) for x in occ[k])} has scattering "
+            f"probability {float(scatter_prob[k]):.6f} > 1 at gN={setup.gN}")
     ns_prob = np.maximum(ns_prob, 0.0)
-
-    for arr in (grid, weights, scatter_prob, ns_prob):
-        arr.setflags(write=False)
     ns_amp = np.sqrt(ns_prob)
-    ns_amp.setflags(write=False)
-    return PatternTable(basis, setup, grid, weights, scatter_prob, ns_prob, ns_amp)
+    occupations = occ.astype(np.float64)
+
+    arrays = (grid, weights, cum, scatter_prob, ns_prob, ns_amp, class_of,
+              occupations)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return PatternTable(basis, setup, *arrays)
 
 
 def scatter_density(state: ManyBodyState, table: PatternTable) -> np.ndarray:
-    """Detection density P(theta_i) = sum_u |c_u|^2 W_u(theta_i).
+    """Detection density P(theta_i) = sum_k w_k W_k(theta_i) over the
+    state's class weights w_k = sum_{u in k} |c_u|^2.
 
-    The sum is diagonal in the basis index: relative phases between basis
-    states never show up in the angular distribution.
+    Relative phases between basis states never show up in the angular
+    distribution.
     """
-    return state.probabilities @ table.weights
+    return table.weights[:-1] @ table.class_weights(state.probabilities)
 
 
 def nonscatter_prob(state: ManyBodyState, table: PatternTable) -> float:
-    """Probability sum_u |c_u|^2 |A_u|^2 that the probe passes unscattered."""
-    return float(state.probabilities @ table.ns_prob)
+    """Probability sum_k w_k |A_k|^2 that the probe passes unscattered."""
+    w = table.class_weights(state.probabilities)
+    return float(np.sum(w * table.ns_prob))
 
 
 def density_cdf(grid: np.ndarray, density: np.ndarray,
@@ -250,28 +292,36 @@ def density_cdf(grid: np.ndarray, density: np.ndarray,
     return cum[k] + f[k] * x + 0.5 * slope * x * x
 
 
-def density_quantile(grid: np.ndarray, density: np.ndarray, q: float) -> float:
-    """Inverse CDF of the piecewise-linear density for one q in [0, 1).
+def sample_angles(w: np.ndarray, v: np.ndarray,
+                  table: PatternTable) -> np.ndarray:
+    """Scatter angle of each row of class weights w, shape (rows, K), at
+    its quantile v in [0, 1) of the piecewise-linear mixture density.
 
-    Exact for densities that really are piecewise linear on the grid;
-    inside a cell the quadratic CDF is inverted in the numerically stable
-    form x = 2 s / (f_k + sqrt(f_k^2 + 2 slope s)).
+    The mixture CDF at grid index i is the row dot product of w with
+    cum[i].  Every term is monotone in i, so the rounded sum is too, and
+    the bisection finds the cell searchsorted(side="right") would; inside
+    it the quadratic CDF is inverted in the numerically stable form
+    x = 2 s / (f_k + sqrt(f_k^2 + 2 slope s)).  Every reduction is an
+    elementwise product summed along one row, never a BLAS call, so a
+    row's angle does not depend on the other rows, bit for bit.
     """
+    grid, dens, cum = table.theta_grid, table.weights, table.cum
     n = grid.shape[0]
     h = 2.0 * math.pi / n
-    f = np.concatenate([density, density[:1]])
-    cell_mass = 0.5 * h * (f[:-1] + f[1:])
-    cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
-
-    target = q * cum[-1]
-    k = int(np.searchsorted(cum, target, side="right")) - 1
-    k = min(max(k, 0), n - 1)
-    s = target - cum[k]
-    slope = (f[k + 1] - f[k]) / h
-    denom = f[k] + math.sqrt(max(f[k] * f[k] + 2.0 * slope * s, 0.0))
-    x = 2.0 * s / denom if denom > 0.0 else 0.0
-    x = min(max(x, 0.0), h)
-    theta = grid[k] + x
-    if theta >= math.pi:
-        theta -= 2.0 * math.pi
-    return float(theta)
+    target = v * (w * cum[n]).sum(axis=1)
+    lo = np.zeros(len(v), dtype=np.int64)
+    hi = np.full(len(v), n + 1, dtype=np.int64)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        below = (w * cum[mid]).sum(axis=1) <= target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    k = np.minimum(lo, n - 1)
+    s = target - (w * cum[k]).sum(axis=1)
+    f0 = (w * dens[k]).sum(axis=1)
+    f1 = (w * dens[k + 1]).sum(axis=1)
+    slope = (f1 - f0) / h
+    denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * s, 0.0))
+    x = np.divide(2.0 * s, denom, out=np.zeros_like(s), where=denom > 0.0)
+    theta = grid[k] + np.clip(x, 0.0, h)
+    return np.where(theta >= math.pi, theta - 2.0 * math.pi, theta)

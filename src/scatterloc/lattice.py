@@ -1,8 +1,8 @@
 """Bosonic Fock basis on a 1D lattice, Bose-Hubbard Hamiltonian, ground state.
 
 Sites sit on a line at positions (j-1)*a for j = 1..M; the site spacing a
-is fixed to 1 internally and all energies are in units of the tunneling J
-unless stated otherwise.
+enters only through the probe's dimensionless k0_a, and all energies are
+in units of the tunneling J unless stated otherwise.
 
 Up to _DENSE_MAX_DIM basis states the Hamiltonian is a dense array and
 the ground state comes from LAPACK's full symmetric eigensolver; above
@@ -55,7 +55,6 @@ class LatticeSpec:
     M: int
     N: int
     boundary: Boundary = Boundary.OPEN
-    a: float = 1.0
 
     def __post_init__(self):
         if self.M < 1:
@@ -65,8 +64,6 @@ class LatticeSpec:
         if self.boundary == Boundary.PERIODIC and self.M <= 2:
             # the wrap-around bond would duplicate an open bond
             raise ValueError("periodic boundary requires M >= 3")
-        if not (self.a > 0):
-            raise ValueError(f"site spacing must be positive, got {self.a}")
 
     @property
     def bonds(self) -> tuple[tuple[int, int], ...]:

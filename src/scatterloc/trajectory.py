@@ -10,7 +10,12 @@ a proper probability amplitude vector.
 One uniform draw decides each event.  If it falls below the current
 non-scatter probability the probe passed; otherwise the excess,
 rescaled to [0, 1), is pushed through the inverse CDF of the current
-angular density to give the detection angle.
+angular density to give the detection angle.  Both depend on the state
+only through its signature-class weights: they are read off the
+kernel's class table, and the angle comes from kernel.sample_angles,
+the sampler the ensemble engine uses too.  The backaction keeps the
+complex per-basis structure amplitudes, whose phases overlaps and
+snapshots need.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ import numpy as np
 
 from .kernel import (
     PatternTable,
-    density_quantile,
     envelope_factor,
-    signature_groups,
+    sample_angles,
     structure_amplitudes,
 )
 from .lattice import ManyBodyState, overlap
@@ -104,7 +108,7 @@ def apply_nonscatter(state: ManyBodyState, table: PatternTable) -> ManyBodyState
     all coefficient phases alone and reweights towards weakly scattering
     basis states.
     """
-    c = state.coeffs * table.ns_amp
+    c = state.coeffs * table.ns_amp[table.class_of]
     norm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
     if not math.isfinite(norm) or norm < 1e-300:
         raise ZeroNormProjectionError("non-scatter projection annihilated "
@@ -118,17 +122,17 @@ def sample_event(state: ManyBodyState, table: PatternTable, rng: RngStream,
 
     Below the non-scatter probability the probe passed; otherwise the
     excess, rescaled to [0, 1), picks the angle through the inverse CDF
-    of the current angular density.
+    of the current angular density, both computed from the state's class
+    weights.
     """
-    probs = state.probabilities
-    p_ns = float(probs @ table.ns_prob)
+    w = table.class_weights(state.probabilities)
+    p_ns = float(np.sum(w * table.ns_prob))
     r = rng.uniform()
     if r < p_ns:
         return DetectionEvent(index, EventKind.NONSCATTER)
     v = (r - p_ns) / (1.0 - p_ns)
-    density = probs @ table.weights
-    theta = density_quantile(table.theta_grid, density, v)
-    return DetectionEvent(index, EventKind.SCATTER, theta)
+    theta = sample_angles(w[None, :], np.array([v]), table)[0]
+    return DetectionEvent(index, EventKind.SCATTER, float(theta))
 
 
 def step(state: ManyBodyState, table: PatternTable, rng: RngStream,
@@ -177,27 +181,25 @@ class TrajectoryRecord:
 
 
 def run_trajectory(initial_state: ManyBodyState, table: PatternTable,
-                   n_events: int, seed: int, class_indices=None,
+                   n_events: int, seed: int,
                    snapshot_stride: int | None = None) -> TrajectoryRecord:
     """Run n_events detection events from the given initial state.
 
-    class_indices is a sequence of basis-index arrays defining the groups
-    whose summed probability is tracked; by default the basis is grouped
-    by pattern signature.  A zero-norm projection aborts the trajectory
-    early and sets the aborted flag instead of raising.
+    Row m of the record's class_weights holds the state's summed
+    probability in each signature class of the table, in the order of
+    build_classes, after the m-th detection.  A zero-norm projection aborts the
+    trajectory early and sets the aborted flag instead of raising.
     """
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
     if snapshot_stride is not None and snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    if class_indices is None:
-        class_indices = [ix for _, ix in signature_groups(initial_state.basis)]
 
     rng = RngStream(seed)
     state = initial_state
     events: list[DetectionEvent] = []
     overlaps = [1.0]
-    rows = [_group_weights(state.probabilities, class_indices)]
+    rows = [table.class_weights(state.probabilities)]
     snaps = [(0, initial_state.coeffs.copy())] if snapshot_stride else None
 
     aborted = False
@@ -209,7 +211,7 @@ def run_trajectory(initial_state: ManyBodyState, table: PatternTable,
             break
         events.append(event)
         overlaps.append(abs(overlap(initial_state, state)) ** 2)
-        rows.append(_group_weights(state.probabilities, class_indices))
+        rows.append(table.class_weights(state.probabilities))
         if snapshot_stride and (m % snapshot_stride == 0 or m == n_events):
             snaps.append((m, state.coeffs.copy()))
 
@@ -219,7 +221,3 @@ def run_trajectory(initial_state: ManyBodyState, table: PatternTable,
         class_weights=np.array(rows),
         snapshots=tuple(snaps) if snaps is not None else None,
         aborted=aborted)
-
-
-def _group_weights(probs: np.ndarray, class_indices) -> np.ndarray:
-    return np.array([float(np.sum(probs[ix])) for ix in class_indices])

@@ -363,13 +363,13 @@ class TestCoherenceOracle:
         off = overlaps[~np.eye(len(classes), dtype=bool)]
         assert np.all((off > 0.0) & (off < 1.0))
 
-        # same overlaps from the engine's per-state table, one member
-        # per class, on its own 2048-point grid
+        # same overlaps from the engine's class table, on its own
+        # 2048-point grid
         table = build_pattern_table(
             basis, ScatteringSetup(lattice=lat, gN=0.1, k0_a=math.pi,
                                    n_theta=2048))
-        rows = [int(cls.indices[0]) for cls in classes]
-        root = np.sqrt(table.weights[rows])
+        rows = [int(table.class_of[cls.indices[0]]) for cls in classes]
+        root = np.sqrt(table.weights[:-1, rows].T)
         ns_prob = table.ns_prob[rows]
         from_table = (2.0 * math.pi / 2048) * (root @ root.T) \
             + np.sqrt(np.outer(ns_prob, ns_prob))

@@ -19,7 +19,6 @@ from scatterloc.analysis import (
     bin_angles,
     bin_edges,
     build_classes,
-    class_probabilities_initial,
     class_weights,
     predicted_bin_masses,
     prepare_system,
@@ -28,12 +27,12 @@ from scatterloc.analysis import (
 )
 from scatterloc import analysis
 from scatterloc.config import RunConfig
+from oracles import structure_amplitude
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
     density_cdf,
     pattern_signature,
-    structure_amplitude,
 )
 from scatterloc.lattice import (
     CapacityError,
@@ -117,6 +116,18 @@ class TestBuildClasses:
             ((3, 2, 1), {(1, 1, 1)}),
         ]
 
+    def test_table_class_index_follows_build_classes(self):
+        # the pattern table's class k is build_classes' class k
+        for M, N in [(3, 3), (4, 3), (5, 5)]:
+            lattice = LatticeSpec(M=M, N=N)
+            basis = enumerate_basis(lattice)
+            table = build_pattern_table(basis, ScatteringSetup(
+                lattice=lattice, gN=0.5, n_theta=64))
+            classes = build_classes(basis)
+            assert table.ns_prob.shape == (len(classes),)
+            for k, c in enumerate(classes):
+                assert np.all(table.class_of[c.indices] == k)
+
     def test_single_site_lattice_is_one_class(self):
         basis = enumerate_basis(LatticeSpec(M=1, N=4))
         classes = build_classes(basis)
@@ -124,12 +135,19 @@ class TestBuildClasses:
         assert classes[0].members == ((4,),)
 
     def test_partition_covers_basis(self):
-        for M, N in [(3, 3), (4, 3), (2, 4)]:
+        for M, N in [(3, 3), (4, 3), (2, 4), (5, 5), (1, 3)]:
             basis = enumerate_basis(LatticeSpec(M=M, N=N))
             classes = build_classes(basis)
             all_idx = np.concatenate([c.indices for c in classes])
             assert sorted(all_idx) == list(range(len(basis)))
             assert sum(len(c.members) for c in classes) == len(basis)
+            # one signature per class, descending, each the scalar
+            # pattern_signature of every member
+            sigs = [c.signature for c in classes]
+            assert sigs == sorted(set(sigs), reverse=True)
+            for c in classes:
+                assert all(pattern_signature(occ) == c.signature
+                           for occ in c.members)
 
     def test_members_share_pattern_at_random_angles(self):
         # 64 random angles: |F|^2 agrees within every class, and matches
@@ -177,7 +195,7 @@ class TestClassWeights:
         np.testing.assert_allclose(oracle,
                                    [0.15625, 0.5625, 0.09375, 0.1875],
                                    atol=1e-12)
-        got = class_probabilities_initial(psi, classes)
+        got = class_weights(psi, classes)
         np.testing.assert_allclose(got, oracle, atol=1e-8)
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -329,8 +347,7 @@ class TestRunEnsemble:
         hist = np.zeros(40, dtype=np.int64)
         for i in range(6):
             rec = run_trajectory(psi, table, 300,
-                                 seed=trajectory_seed(master, i),
-                                 class_indices=[c.indices for c in classes])
+                                 seed=trajectory_seed(master, i))
             hist += bin_angles(rec.scatter_angles(), 40)
             assert rec.n_scatter == stats.scatter_counts[i]
             np.testing.assert_allclose(stats.final_class_weights[i],
@@ -473,7 +490,8 @@ class TestPrepareSystem:
         assert sys.basis.dimension == 10
         assert len(sys.classes) == 4
         assert sys.energy == pytest.approx(-3 * math.sqrt(2), abs=1e-12)
-        assert sys.table.weights.shape == (10, 2048)
+        per_state = sys.table.weights[:-1, sys.table.class_of].T
+        assert per_state.shape == (10, 2048)
         assert sys.initial_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_memory_guard_fires_before_allocation(self, monkeypatch):

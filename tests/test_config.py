@@ -2,17 +2,24 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from scatterloc.config import (
     ConfigError,
     RunConfig,
+    _coerce,
     config_to_mapping,
     load_config_file,
     parse_config,
-    with_overrides,
 )
+
+
+def with_overrides(cfg: RunConfig, **kw) -> RunConfig:
+    """Copy of cfg with the given fields replaced (and revalidated)."""
+    coerced = {k: _coerce(k, v) for k, v in kw.items()}
+    return replace(cfg, **coerced)
 
 
 class TestDefaults:

@@ -12,18 +12,18 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from oracles import density_quantile, momentum_transfer, structure_amplitude
 from scatterloc.kernel import (
     CouplingTooStrong,
     ScatteringSetup,
     build_pattern_table,
     density_cdf,
-    density_quantile,
     envelope_factor,
     grid_quadrature,
-    momentum_transfer,
     nonscatter_prob,
+    sample_angles,
     scatter_density,
-    structure_amplitude,
+    signature_groups,
     structure_amplitudes,
     theta_grid,
 )
@@ -150,9 +150,11 @@ class TestPatternTable:
     def test_sum_rule_on_grid(self):
         basis = enumerate_basis(LAT33)
         table = build_pattern_table(basis, make_setup(gN=0.5))
-        total = np.array([grid_quadrature(w) for w in table.weights])
-        np.testing.assert_allclose(total + table.ns_prob, 1.0, atol=1e-12)
-        np.testing.assert_allclose(table.ns_amp ** 2, table.ns_prob,
+        total = np.array([grid_quadrature(table.weights[:-1, k])
+                          for k in table.class_of])
+        ns_prob = table.ns_prob[table.class_of]
+        np.testing.assert_allclose(total + ns_prob, 1.0, atol=1e-12)
+        np.testing.assert_allclose(table.ns_amp[table.class_of] ** 2, ns_prob,
                                    atol=1e-15)
 
     def test_single_site_nonscatter_prob(self):
@@ -160,15 +162,15 @@ class TestPatternTable:
         # gN^2 of the probe: ns_prob = 1 - 0.25 at gN = 0.5
         basis = enumerate_basis(LAT33)
         table = build_pattern_table(basis, make_setup(gN=0.5))
-        u = basis.index_of((3, 0, 0))
-        assert table.scatter_prob[u] == pytest.approx(0.25, rel=1e-13)
-        assert table.ns_prob[u] == pytest.approx(0.75, rel=1e-13)
+        k = table.class_of[basis.index_of((3, 0, 0))]
+        assert table.scatter_prob[k] == pytest.approx(0.25, rel=1e-13)
+        assert table.ns_prob[k] == pytest.approx(0.75, rel=1e-13)
 
     def test_scatter_prob_against_adaptive_quadrature(self):
         basis = enumerate_basis(LAT33)
         setup = make_setup(gN=0.5, k0_a=math.pi)
         table = build_pattern_table(basis, setup)
-        u = basis.index_of((1, 1, 1))
+        k = table.class_of[basis.index_of((1, 1, 1))]
 
         def integrand(theta):
             f = structure_amplitude((1, 1, 1), theta, setup)
@@ -177,7 +179,7 @@ class TestPatternTable:
         ref, err = scipy.integrate.quad(integrand, -math.pi, math.pi,
                                         limit=200)
         assert err < 1e-10
-        assert table.scatter_prob[u] == pytest.approx(ref, abs=1e-8)
+        assert table.scatter_prob[k] == pytest.approx(ref, abs=1e-8)
 
     def test_scatter_prob_bessel_closed_form(self):
         # mean of |F|^2 over angle: C_0 + 2 sum_d C_d J_0(d k0_a)
@@ -193,8 +195,8 @@ class TestPatternTable:
             (3, 0, 0): g2 * 9,
         }
         for occ, ref in expected.items():
-            assert table.scatter_prob[basis.index_of(occ)] == \
-                pytest.approx(ref, abs=1e-8), occ
+            k = table.class_of[basis.index_of(occ)]
+            assert table.scatter_prob[k] == pytest.approx(ref, abs=1e-8), occ
 
     def test_gaussian_envelope_table_against_quad(self):
         basis = enumerate_basis(LAT33)
@@ -208,8 +210,8 @@ class TestPatternTable:
             return setup.g ** 2 / (2 * math.pi) * (env * abs(f)) ** 2
 
         ref, _ = scipy.integrate.quad(integrand, -math.pi, math.pi, limit=200)
-        assert table.scatter_prob[basis.index_of(occ)] == \
-            pytest.approx(ref, abs=1e-8)
+        k = table.class_of[basis.index_of(occ)]
+        assert table.scatter_prob[k] == pytest.approx(ref, abs=1e-8)
 
     def test_weights_match_pointwise_definition(self):
         basis = enumerate_basis(LAT33)
@@ -220,15 +222,18 @@ class TestPatternTable:
         for u, occ in enumerate(basis.states):
             f = structure_amplitude(occ, theta, setup)
             ref = setup.g ** 2 / (2 * math.pi) * abs(f) ** 2
-            assert table.weights[u, i] == pytest.approx(ref, rel=1e-12)
+            k = table.class_of[u]
+            assert table.weights[i, k] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("envelope,sigma_a", [("uniform", 0.0),
                                                   ("gaussian", 0.3)])
     def test_blocked_table_matches_whole_array_expression_bitwise(
             self, envelope, sigma_a):
-        # D = 126 spans several row blocks; the reference holds the whole
-        # complex (D, n_theta) amplitude array and evaluates the same
-        # expression in the same order
+        # K = 38 classes span several blocks; the reference holds the
+        # whole complex (D, n_theta) amplitude array and evaluates the
+        # same expression in the same order.  Each class column is the
+        # reference row of the class's first basis state, and the wrap
+        # row repeats the first angle
         lattice = LatticeSpec(M=5, N=5)
         basis = enumerate_basis(lattice)
         setup = make_setup(lattice=lattice, gN=0.5, n_theta=256,
@@ -240,8 +245,11 @@ class TestPatternTable:
         env = envelope_factor(grid, setup)
         ref = setup.g ** 2 / (2.0 * math.pi) * (np.abs(amps) ** 2) * env ** 2
         weights = build_pattern_table(basis, setup).weights
-        np.testing.assert_array_equal(weights.view(np.uint64),
-                                      ref.view(np.uint64))
+        reps = [idx[0] for _, idx in signature_groups(basis)]
+        np.testing.assert_array_equal(weights[:-1].T.view(np.uint64),
+                                      ref[reps].view(np.uint64))
+        np.testing.assert_array_equal(weights[-1].view(np.uint64),
+                                      weights[0].view(np.uint64))
 
     def test_basis_setup_mismatch(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=2))
@@ -251,8 +259,9 @@ class TestPatternTable:
     def test_tables_are_readonly(self):
         basis = enumerate_basis(LAT33)
         table = build_pattern_table(basis, make_setup())
-        for arr in (table.theta_grid, table.weights, table.scatter_prob,
-                    table.ns_prob, table.ns_amp):
+        for arr in (table.theta_grid, table.weights, table.cum,
+                    table.scatter_prob, table.ns_prob, table.ns_amp,
+                    table.class_of, table.occupations):
             assert not arr.flags.writeable
 
 
@@ -260,12 +269,12 @@ class TestStateDensities:
     def test_fock_state_density_is_table_row(self):
         basis = enumerate_basis(LAT33)
         table = build_pattern_table(basis, make_setup(gN=0.5))
-        u = basis.index_of((2, 1, 0))
+        k = table.class_of[basis.index_of((2, 1, 0))]
         state = fock_state(basis, (2, 1, 0))
         np.testing.assert_array_equal(scatter_density(state, table),
-                                      table.weights[u])
+                                      table.weights[:-1, k])
         assert nonscatter_prob(state, table) == pytest.approx(
-            table.ns_prob[u], abs=1e-15)
+            table.ns_prob[k], abs=1e-15)
 
     def test_density_ignores_relative_phase(self):
         basis = enumerate_basis(LAT33)
@@ -290,6 +299,34 @@ class TestStateDensities:
         total = grid_quadrature(scatter_density(state, table)) + \
             nonscatter_prob(state, table)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSharedSampler:
+    """sample_angles, the one angle sampler of both engines, against the
+    single-density oracle density_quantile on the mixture density."""
+
+    @pytest.mark.parametrize("M,N,mix", [
+        # the (1, 1, 1) density dips to 1.5e-8 at four grid points
+        (3, 3, {(1, 1, 1): 1.0}),
+        (3, 3, {(1, 1, 1): 0.6, (2, 1, 0): 0.3, (3, 0, 0): 0.1}),
+        # (1, 1) vanishes to rounding at theta = +-pi/2
+        (2, 2, {(1, 1): 0.9, (2, 0): 0.1}),
+    ])
+    def test_matches_density_quantile_oracle(self, M, N, mix):
+        lattice = LatticeSpec(M=M, N=N)
+        basis = enumerate_basis(lattice)
+        table = build_pattern_table(basis, make_setup(
+            lattice=lattice, gN=0.5, k0_a=math.pi))
+        w = np.zeros(table.ns_prob.shape[0])
+        for occ, p in mix.items():
+            w[table.class_of[basis.index_of(occ)]] += p
+        dens = table.weights[:-1] @ w
+        qs = np.concatenate([[0.0], np.random.default_rng(8).random(1200)])
+        for q in qs:
+            got = sample_angles(w[None, :], np.array([q]), table)[0]
+            ref = density_quantile(table.theta_grid, dens, float(q))
+            assert -math.pi <= got < math.pi
+            assert abs(math.remainder(got - ref, 2 * math.pi)) < 1e-12, q
 
 
 class TestTabulatedSampler:
@@ -332,8 +369,8 @@ class TestTabulatedSampler:
         # must reproduce the bin masses of that density
         basis = enumerate_basis(LAT33)
         table = build_pattern_table(basis, make_setup(gN=0.5))
-        u = basis.index_of((1, 1, 1))
-        dens = table.weights[u]
+        k = table.class_of[basis.index_of((1, 1, 1))]
+        dens = table.weights[:-1, k]
         total = grid_quadrature(dens)
 
         rng = np.random.default_rng(42)

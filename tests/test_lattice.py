@@ -143,8 +143,6 @@ class TestLatticeSpec:
             LatticeSpec(M=2, N=0)
         with pytest.raises(ValueError):
             LatticeSpec(M=2, N=2, boundary=Boundary.PERIODIC)
-        with pytest.raises(ValueError):
-            LatticeSpec(M=2, N=2, a=0.0)
 
     def test_bonds(self):
         assert LatticeSpec(M=4, N=1).bonds == ((0, 1), (1, 2), (2, 3))

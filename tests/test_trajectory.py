@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import density_quantile
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
     density_cdf,
-    density_quantile,
     grid_quadrature,
     scatter_density,
     nonscatter_prob,
@@ -131,8 +131,8 @@ class TestNonScatterBackaction:
         i1 = basis.index_of((1, 1, 1))
         assert out.probabilities[i1] > out.probabilities[i3]
         # exact reweighting by the tabulated survival probabilities
-        expected = 0.5 * table33.ns_prob[i3] / (
-            0.5 * table33.ns_prob[i3] + 0.5 * table33.ns_prob[i1])
+        ns_prob = table33.ns_prob[table33.class_of]
+        expected = 0.5 * ns_prob[i3] / (0.5 * ns_prob[i3] + 0.5 * ns_prob[i1])
         assert out.probabilities[i3] == pytest.approx(expected, abs=1e-12)
         # the imaginary phase on the second branch survives
         assert out.coeffs[i1].real == pytest.approx(0.0, abs=1e-15)
@@ -268,34 +268,27 @@ class TestRunTrajectory:
         assert run_trajectory(state, table33, 10, seed=4).snapshots is None
 
     def test_class_weight_recording(self, table33):
+        # a one-site state (signature class 1) and unit filling (class 4)
         basis = table33.basis
-        groups = [
-            np.array([basis.index_of(o) for o in ((3, 0, 0), (0, 3, 0),
-                                                  (0, 0, 3))]),
-            np.array([basis.index_of((1, 1, 1))]),
-        ]
         c = np.zeros(10, dtype=complex)
-        c[groups[0][0]] = 1.0
-        c[groups[1][0]] = 1.0
+        c[basis.index_of((3, 0, 0))] = 1.0
+        c[basis.index_of((1, 1, 1))] = 1.0
         state = ManyBodyState.from_coefficients(basis, c)
-        rec = run_trajectory(state, table33, 40, seed=9,
-                             class_indices=groups)
-        assert rec.class_weights.shape == (41, 2)
-        np.testing.assert_allclose(rec.class_weights[0], [0.5, 0.5],
+        rec = run_trajectory(state, table33, 40, seed=9)
+        assert rec.class_weights.shape == (41, 4)
+        np.testing.assert_allclose(rec.class_weights[0], [0.5, 0, 0, 0.5],
                                    atol=1e-14)
         np.testing.assert_allclose(rec.class_weights.sum(axis=1), 1.0,
                                    atol=1e-10)
 
     def test_support_inside_one_pattern_group_is_absorbing(self, table33):
         # all one-site states share |F|, so a superposition of them is
-        # never reweighted between its members: the group keeps weight 1
+        # never reweighted between its members: their signature class 1
+        # keeps weight 1
         basis = table33.basis
-        group = np.array([basis.index_of(o) for o in ((3, 0, 0), (0, 3, 0),
-                                                      (0, 0, 3))])
         c = np.zeros(10, dtype=complex)
-        c[group[0]] = 1.0
-        c[group[1]] = 1.0
+        c[basis.index_of((3, 0, 0))] = 1.0
+        c[basis.index_of((0, 3, 0))] = 1.0
         state = ManyBodyState.from_coefficients(basis, c)
-        rec = run_trajectory(state, table33, 200, seed=5,
-                             class_indices=[group])
+        rec = run_trajectory(state, table33, 200, seed=5)
         np.testing.assert_allclose(rec.class_weights[:, 0], 1.0, atol=1e-10)
