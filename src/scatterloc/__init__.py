@@ -2,11 +2,12 @@
 
 The package splits into four layers: ``lattice`` (Fock basis, Hamiltonian,
 ground states), ``kernel`` (scattering amplitudes, the per-signature-class
-pattern table, and the one angle sampler), ``trajectory`` (single stochastic
-measurement records on complex coefficients), and ``analysis``
-(equivalence classes, and ensembles and sweeps on class weights).  Both
-engines read the same class table and draw angles from the same sampler.
-``config`` and ``cli`` wrap them for batch runs.
+pattern table, and the one angle sampler), ``trajectory`` (the one event
+step on signature-class weights, and measurement records that add the
+per-basis phases of the scatter events), and ``analysis`` (equivalence
+classes, and ensembles and sweeps on class weights alone).  Both engines
+advance their trajectories through the same event step.  ``config`` and
+``cli`` wrap them for batch runs.
 """
 
 from .analysis import (
@@ -52,6 +53,7 @@ from .trajectory import (
     RngStream,
     TrajectoryRecord,
     ZeroNormProjectionError,
+    run_trajectories,
     run_trajectory,
     step,
     trajectory_seed,
@@ -97,6 +99,7 @@ __all__ = [
     "predicted_bin_masses",
     "prepare_system",
     "run_ensemble",
+    "run_trajectories",
     "run_trajectory",
     "scatter_density",
     "step",

@@ -24,7 +24,6 @@ from .kernel import (
     ScatteringSetup,
     build_pattern_table,
     density_cdf,
-    sample_angles,
     scatter_density,
     signature_groups,
 )
@@ -42,7 +41,8 @@ from .lattice import (
 )
 from .trajectory import (
     CONVERGENCE_THRESHOLD,
-    RngStream,
+    _event_step,
+    _uniform_columns,
     trajectory_seed,
 )
 
@@ -183,7 +183,8 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     (event kinds, angles, class weights) depends on the state only
     through its K class weights.  The runner therefore evolves a
     (trajectories, K) array of class weights and advances every live
-    trajectory of a chunk one event per step, in lockstep.  Each
+    trajectory of a chunk one event per step, in lockstep, through the
+    event step of the trajectory engine without its phases.  Each
     trajectory still draws from its own PCG64 stream in order, and every
     reduction is an elementwise product summed along one row, never a
     BLAS call whose rounding can depend on the batch shape, so a
@@ -264,10 +265,6 @@ def _snapshot_indices(n_events: int, stride: int) -> np.ndarray:
     return np.array(idx, dtype=np.int64)
 
 
-# events of uniforms drawn per trajectory at a time
-_UNIFORM_BLOCK = 32
-
-
 def _ensemble_chunk_star(args):
     return _ensemble_chunk(*args)
 
@@ -275,78 +272,38 @@ def _ensemble_chunk_star(args):
 def _ensemble_chunk(w0, table, seeds, n_events, n_bins, snap_idx):
     """Run one contiguous block of trajectories on their class weights.
 
-    Every live trajectory advances one event per step.  A trajectory
-    whose update annihilates its weights keeps its last healthy state
-    and is reported as aborted rather than poisoning the statistics.
+    Every live trajectory advances one event per step, through the
+    trajectory engine's event step.  A trajectory whose update
+    annihilates its weights keeps its last healthy state and is reported
+    as aborted rather than poisoning the statistics; its fatal scatter
+    is still counted.
     """
     n_chunk = len(seeds)
-    streams = [RngStream(int(seed)) for seed in seeds]
-    uniforms = np.empty((n_chunk, _UNIFORM_BLOCK))
-    ns_prob = table.ns_prob
     bin_scale = n_bins / (2.0 * math.pi)
 
     histogram = np.zeros(n_bins, dtype=np.int64)
     snapshots = np.empty((n_chunk, len(snap_idx), len(w0)))
     scatter_counts = np.zeros(n_chunk, dtype=np.int64)
     alive = np.ones(n_chunk, dtype=bool)
-    aborted = 0
 
     w = np.tile(w0, (n_chunk, 1))
     si = 0
     if snap_idx[si] == 0:
         snapshots[:, si] = w
         si += 1
-    for m in range(1, n_events + 1):
-        col = (m - 1) % _UNIFORM_BLOCK
-        if col == 0:
-            for stream, row in zip(streams, uniforms):
-                stream.fill(row)
-        r = uniforms[:, col]
-        q = w * ns_prob
-        p_ns = q.sum(axis=1)
-        hit = r >= p_ns
-        if aborted:
-            hit &= alive
-        rows = np.flatnonzero(hit)
+    for m, r in enumerate(_uniform_columns(seeds, n_events), start=1):
+        w, rows, theta, _ = _event_step(w, r, alive, table)
         if rows.size:
-            wr = w[rows]
-            v = (r[rows] - p_ns[rows]) / (1.0 - p_ns[rows])
-            theta = sample_angles(wr, v, table)
             b = ((theta + math.pi) * bin_scale).astype(np.int64)
             np.add.at(histogram, np.clip(b, 0, n_bins - 1), 1)
             scatter_counts[rows] += 1
-            q[rows] = wr * _scatter_multipliers(theta, table)
-        s = q.sum(axis=1)
-        healthy = (s > 0.0) & np.isfinite(s)
-        if healthy.all() and not aborted:
-            w = q / s[:, None]
-        else:
-            dying = alive & ~healthy
-            aborted += int(np.count_nonzero(dying))
-            alive &= ~dying
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(alive[:, None], q / s[:, None], w)
         if si < len(snap_idx) and m == snap_idx[si]:
             snapshots[:, si] = w
             si += 1
 
     return {"histogram": histogram, "final_weights": w,
             "snapshots": snapshots, "scatter_counts": scatter_counts,
-            "aborted": aborted}
-
-
-def _scatter_multipliers(theta, table: PatternTable) -> np.ndarray:
-    """|F_k(theta)|^2 of each class's occupation at every row's detected
-    angle: shape (len(theta), K).
-
-    The coupling prefactor and the envelope factor I(theta)^2 are common
-    to all classes at a given angle, so they cancel on renormalization
-    and are left out.
-    """
-    sites = np.arange(table.occupations.shape[1], dtype=np.float64)
-    phases = np.exp(-1j * (table.setup.k0_a * np.sin(theta))[:, None] * sites)
-    amps = (phases[:, None, :] * table.occupations).sum(axis=2)
-    return np.abs(amps) ** 2
+            "aborted": int(np.count_nonzero(~alive))}
 
 
 def _physical_memory() -> int:

@@ -41,7 +41,7 @@ from .analysis import (
 from .config import ConfigError, RunConfig, config_to_mapping, load_config_file, parse_config
 from .kernel import CouplingTooStrong, scatter_density
 from .lattice import CapacityError, EigensolverError
-from .trajectory import ZeroNormProjectionError, run_trajectory, trajectory_seed
+from .trajectory import run_trajectory, trajectory_seed
 
 
 def _fmt(x: float) -> str:
@@ -313,8 +313,7 @@ def main(argv=None) -> int:
     except CouplingTooStrong as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, EigensolverError, CapacityError,
-            ZeroNormProjectionError, ValueError) as exc:
+    except (OSError, EigensolverError, CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0

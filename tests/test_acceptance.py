@@ -48,7 +48,12 @@ from scatterloc.lattice import (
     ground_state,
     overlap,
 )
-from scatterloc.trajectory import EventKind, run_trajectory, trajectory_seed
+from scatterloc.trajectory import (
+    EventKind,
+    run_trajectories,
+    run_trajectory,
+    trajectory_seed,
+)
 
 MASTER_SEED = 0
 
@@ -137,9 +142,9 @@ def weak_probe_records():
         basis, ScatteringSetup(lattice=lat, gN=0.1, k0_a=math.pi))
     _, psi = ground_state(
         build_hamiltonian(basis, HubbardParams(J=1.0, U=0.05)), basis)
-    return [run_trajectory(psi, table, 5000,
-                           seed=trajectory_seed(MASTER_SEED, i))
-            for i in range(200)]
+    return run_trajectories(psi, table, 5000,
+                            [trajectory_seed(MASTER_SEED, i)
+                             for i in range(200)])
 
 
 class TestAcceptance:

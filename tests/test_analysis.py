@@ -2,8 +2,8 @@
 
 The end-state class probabilities are checked against an independently
 recomputed multinomial oracle, ensemble means against the initial
-weights (preservation in expectation), and the reduced ensemble runner
-against the full coefficient-evolving trajectory engine.
+weights (preservation in expectation), and the ensemble runner against
+the per-basis, coefficient-evolving trajectory loop in oracles.py.
 """
 
 import math
@@ -25,9 +25,9 @@ from scatterloc.analysis import (
     run_ensemble,
     sweep_uj,
 )
-from scatterloc import analysis
+from scatterloc import analysis, trajectory
 from scatterloc.config import RunConfig
-from oracles import structure_amplitude
+from oracles import per_basis_trajectory, structure_amplitude
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
@@ -44,7 +44,11 @@ from scatterloc.lattice import (
     fock_state,
     ground_state,
 )
-from scatterloc.trajectory import run_trajectory, trajectory_seed
+from scatterloc.trajectory import (
+    run_trajectories,
+    run_trajectory,
+    trajectory_seed,
+)
 
 LAT33 = LatticeSpec(M=3, N=3)
 
@@ -308,13 +312,13 @@ class TestRunEnsemble:
 
     def test_reduced_runner_matches_full_trajectory_engine(self, system33):
         # the ensemble loop drops coefficient phases; it must still draw
-        # exactly the same events as the coefficient-evolving engine
+        # exactly the same events as the coefficient-evolving reference
         _, classes, table, psi = system33
         master = 31
         stats = run_ensemble(psi, 3, 500, table, classes, master_seed=master,
                              n_bins=40, snapshot_stride=100)
-        recs = [run_trajectory(psi, table, 500,
-                               seed=trajectory_seed(master, i))
+        recs = [per_basis_trajectory(psi, table, 500,
+                                     seed=trajectory_seed(master, i))
                 for i in range(3)]
         hist = np.zeros(40, dtype=np.int64)
         for i, rec in enumerate(recs):
@@ -329,10 +333,28 @@ class TestRunEnsemble:
             np.testing.assert_allclose(stats.mean_class_weights[si],
                                        mean_at_m, atol=1e-9)
 
+    def test_shares_the_event_step_with_run_trajectories(self, system33):
+        # both engines advance through one event step, so the ensemble's
+        # class weights and angles are those of run_trajectories on the
+        # same seeds, bit for bit
+        _, classes, table, psi = system33
+        master = 31
+        stats = run_ensemble(psi, 5, 400, table, classes, master_seed=master,
+                             n_bins=40)
+        recs = run_trajectories(psi, table, 400,
+                                [trajectory_seed(master, i) for i in range(5)])
+        np.testing.assert_array_equal(
+            stats.final_class_weights,
+            np.array([rec.class_weights_final for rec in recs]))
+        np.testing.assert_array_equal(stats.scatter_counts,
+                                      [rec.n_scatter for rec in recs])
+        np.testing.assert_array_equal(stats.histogram,
+                                      angle_histogram(recs, 40))
+
     def test_gaussian_envelope_matches_full_trajectory_engine(self):
         # the envelope branch of the ensemble multiplier against the
-        # coefficient engine; the horizon stays short because both
-        # engines amplify rounding along a trajectory
+        # coefficient-evolving reference; the horizon stays short because
+        # both amplify rounding along a trajectory
         lat = LatticeSpec(M=4, N=4)
         basis = enumerate_basis(lat)
         classes = build_classes(basis)
@@ -346,8 +368,8 @@ class TestRunEnsemble:
                              n_bins=40)
         hist = np.zeros(40, dtype=np.int64)
         for i in range(6):
-            rec = run_trajectory(psi, table, 300,
-                                 seed=trajectory_seed(master, i))
+            rec = per_basis_trajectory(psi, table, 300,
+                                       seed=trajectory_seed(master, i))
             hist += bin_angles(rec.scatter_angles(), 40)
             assert rec.n_scatter == stats.scatter_counts[i]
             np.testing.assert_allclose(stats.final_class_weights[i],
@@ -375,9 +397,9 @@ class TestRunEnsemble:
         _, _, table, psi = system33
         n_crossed = 0
         n_deep = 0
-        for i in range(30):
-            rec = run_trajectory(psi, table, 1200,
-                                 seed=trajectory_seed(77, i))
+        records = run_trajectories(psi, table, 1200,
+                                   [trajectory_seed(77, i) for i in range(30)])
+        for i, rec in enumerate(records):
             peak = rec.class_weights.max(axis=1)
             crossed = np.nonzero(peak > 0.99)[0]
             if crossed.size:
@@ -398,12 +420,12 @@ class TestRunEnsemble:
         # runs on as if nothing happened
         _, classes, table, psi = system33
         cut = 3.0
-        real = analysis._scatter_multipliers
+        real = trajectory._scatter_multipliers
 
         def killing(theta, tables):
             return np.where((theta > cut)[:, None], 0.0, real(theta, tables))
 
-        monkeypatch.setattr(analysis, "_scatter_multipliers", killing)
+        monkeypatch.setattr(trajectory, "_scatter_multipliers", killing)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         master, n_traj, n_events = 23, 12, 150
         stats = run_ensemble(psi, n_traj, n_events, table, classes,
@@ -418,8 +440,8 @@ class TestRunEnsemble:
 
         n_aborted = 0
         for i in range(n_traj):
-            rec = run_trajectory(psi, table, n_events,
-                                 seed=trajectory_seed(master, i))
+            rec = per_basis_trajectory(psi, table, n_events,
+                                       seed=trajectory_seed(master, i))
             scatters = [e for e in rec.events if e.theta is not None]
             fatal = [j for j, e in enumerate(scatters) if e.theta > cut]
             if not fatal:

@@ -1,11 +1,20 @@
-"""Tests for single-trajectory detection dynamics."""
+"""Tests for single-trajectory detection dynamics.
+
+The event step that both engines share is driven here with chosen
+uniforms, one row at a time through step and many rows at once through
+_event_step.  Whole records are checked against the per-basis,
+coefficient-evolving loop in oracles.py: along its recorded events
+without any sampling, and over full runs at the criterion-8 working
+point.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from oracles import density_quantile
+from oracles import density_quantile, per_basis_trajectory
+from scatterloc import trajectory
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
@@ -15,20 +24,24 @@ from scatterloc.kernel import (
     nonscatter_prob,
 )
 from scatterloc.lattice import (
+    HubbardParams,
     LatticeSpec,
     ManyBodyState,
+    build_hamiltonian,
     enumerate_basis,
     fock_state,
+    ground_state,
 )
 from scatterloc.trajectory import (
-    DetectionEvent,
     EventKind,
     RngStream,
     ZeroNormProjectionError,
-    apply_nonscatter,
-    apply_scatter,
+    _amplitude_ratios,
+    _event_step,
+    _phase_kicks,
+    _scatter_multipliers,
+    run_trajectories,
     run_trajectory,
-    sample_event,
     step,
     trajectory_seed,
 )
@@ -85,10 +98,31 @@ class TestSeeding:
         assert a.uniform() == b.uniform()
 
 
+def zero_multipliers(theta, table):
+    return np.zeros((len(theta), table.ns_prob.shape[0]))
+
+
+def uniform_for_angle(state, table, theta):
+    """The uniform draw whose excess lands on a scatter at theta."""
+    dens = scatter_density(state, table)
+    cdf = density_cdf(table.theta_grid, dens, np.array([theta, math.pi]))
+    p_ns = nonscatter_prob(state, table)
+    return p_ns + cdf[0] / cdf[1] * (1.0 - p_ns)
+
+
+def scatter_near(state, table, theta):
+    """step with the draw that scatters at theta, up to rounding."""
+    r = uniform_for_angle(state, table, theta)
+    out, event = step(state, table, ScriptedRng([r]), 1)
+    assert event.kind is EventKind.SCATTER
+    assert event.theta == pytest.approx(theta, abs=1e-9)
+    return out
+
+
 class TestScatterBackaction:
     def test_pure_fock_state_is_fixed_point(self, table33):
         state = fock_state(table33.basis, (1, 1, 1))
-        out = apply_scatter(state, math.pi / 2, table33)
+        out = scatter_near(state, table33, math.pi / 2)
         # F(pi/2) = 1 for unit filling at k0_a = pi, so nothing changes
         np.testing.assert_allclose(out.coeffs, state.coeffs, atol=1e-14)
 
@@ -98,7 +132,7 @@ class TestScatterBackaction:
         for occ in [(3, 0, 0), (0, 3, 0), (0, 0, 3)]:
             c[basis.index_of(occ)] = 1.0 / math.sqrt(3.0)
         state = ManyBodyState.from_coefficients(basis, c)
-        out = apply_scatter(state, math.pi / 2, table33)
+        out = scatter_near(state, table33, math.pi / 2)
         # at theta = pi/2 the three one-site amplitudes are 3, -3, 3:
         # magnitudes stay equal, the middle coefficient flips sign
         expected = c.copy()
@@ -113,10 +147,48 @@ class TestScatterBackaction:
         c[basis.index_of((1, 1, 1))] = 1.0
         state = ManyBodyState.from_coefficients(basis, c)
         # |F| = 3 for the one-site state vs 1 for unit filling at pi/2
-        out = apply_scatter(state, math.pi / 2, table33)
+        out = scatter_near(state, table33, math.pi / 2)
         p = out.probabilities
         assert p[basis.index_of((3, 0, 0))] == pytest.approx(0.9, abs=1e-12)
         assert p[basis.index_of((1, 1, 1))] == pytest.approx(0.1, abs=1e-12)
+
+    def test_vanishing_amplitude_keeps_phase_and_empties_its_class(self):
+        # M=N=2 at k0_a = pi: F of (1,1) is 1 + exp(-i pi sin(theta)),
+        # zero at pi/2 up to rounding, where the one-site class of (2,0)
+        # and (0,2) has |F| = 2
+        lat = LatticeSpec(M=2, N=2)
+        table = build_pattern_table(enumerate_basis(lat), ScatteringSetup(
+            lattice=lat, gN=0.5, k0_a=math.pi))
+        basis = table.basis
+        i20, i11 = basis.index_of((2, 0)), basis.index_of((1, 1))
+        c = np.zeros(3, dtype=complex)
+        c[i20], c[i11] = 1.0, 1.0j
+        state = ManyBodyState.from_coefficients(basis, c)
+        r = uniform_for_angle(state, table, math.pi / 2)
+        out, event = step(state, table, ScriptedRng([r]), 1)
+        assert event.theta == pytest.approx(math.pi / 2, abs=1e-9)
+        assert _phase_kicks(np.array([event.theta]), table)[0, i11] == 1.0
+        assert out.probabilities[i11] < 1e-30
+        assert out.probabilities[i20] == pytest.approx(1.0, abs=1e-15)
+        if out.coeffs[i11] != 0.0:
+            assert np.angle(out.coeffs[i11]) == np.angle(c[i11])
+
+    def test_empty_class_stays_exactly_empty(self):
+        # a class without weight at the start keeps none, and its
+        # members keep zero amplitude, through every event
+        lat = LatticeSpec(M=2, N=2)
+        table = build_pattern_table(enumerate_basis(lat), ScatteringSetup(
+            lattice=lat, gN=0.5, k0_a=math.pi))
+        basis = table.basis
+        i11 = basis.index_of((1, 1))
+        c = np.zeros(3, dtype=complex)
+        c[basis.index_of((2, 0))], c[basis.index_of((0, 2))] = 1.0, 1.0j
+        state = ManyBodyState.from_coefficients(basis, c)
+        rec = run_trajectory(state, table, 300, seed=2, snapshot_stride=10)
+        assert rec.n_scatter > 0
+        assert np.all(rec.class_weights[:, table.class_of[i11]] == 0.0)
+        assert all(snap[i11] == 0.0 for _, snap in rec.snapshots)
+        assert rec.final_state.coeffs[i11] == 0.0
 
 
 class TestNonScatterBackaction:
@@ -126,7 +198,9 @@ class TestNonScatterBackaction:
         c[basis.index_of((3, 0, 0))] = 1.0 / math.sqrt(2.0)
         c[basis.index_of((1, 1, 1))] = 1.0j / math.sqrt(2.0)
         state = ManyBodyState.from_coefficients(basis, c)
-        out = apply_nonscatter(state, table33)
+        # a draw of 0 is below every non-scatter probability
+        out, event = step(state, table33, ScriptedRng([0.0]), 1)
+        assert event.kind is EventKind.NONSCATTER
         i3 = basis.index_of((3, 0, 0))
         i1 = basis.index_of((1, 1, 1))
         assert out.probabilities[i1] > out.probabilities[i3]
@@ -145,13 +219,29 @@ class TestNonScatterBackaction:
         table = build_pattern_table(enumerate_basis(lat), setup)
         np.testing.assert_allclose(table.ns_prob, 0.0, atol=1e-12)
 
-    def test_zero_norm_projection_raises(self, table33):
-        import dataclasses
-        zeroed = np.zeros_like(table33.ns_amp)
-        broken = dataclasses.replace(table33, ns_amp=zeroed)
+    def test_zero_norm_projection_raises(self, table33, monkeypatch):
+        # a non-scatter event renormalizes by p_ns > r >= 0, so only a
+        # scatter can annihilate: multipliers forced to zero do
+        monkeypatch.setattr(trajectory, "_scatter_multipliers",
+                            zero_multipliers)
         state = fock_state(table33.basis, (1, 1, 1))
         with pytest.raises(ZeroNormProjectionError):
-            apply_nonscatter(state, broken)
+            step(state, table33, ScriptedRng([1.0 - 1e-12]), 1)
+
+        # in the batched step the annihilated row dies with its last
+        # weights and stays frozen, while the other row goes on
+        w = np.tile(table33.class_weights(
+            fock_state(table33.basis, (2, 1, 0)).probabilities), (2, 1))
+        r = np.array([0.0, 1.0 - 1e-12])
+        alive = np.ones(2, dtype=bool)
+        new, rows, _, dying = _event_step(w, r, alive, table33)
+        assert rows.tolist() == [1]
+        assert dying.tolist() == [False, True]
+        assert alive.tolist() == [True, False]
+        np.testing.assert_array_equal(new[1], w[1])
+        again, rows, _, dying = _event_step(new, r, alive, table33)
+        assert rows.size == 0 and not dying.any()
+        np.testing.assert_array_equal(again[1], w[1])
 
 
 class TestStep:
@@ -159,11 +249,11 @@ class TestStep:
         state = fock_state(table33.basis, (1, 1, 1))
         p_ns = nonscatter_prob(state, table33)
 
-        event = sample_event(state, table33, ScriptedRng([p_ns - 1e-6]), 1)
+        _, event = step(state, table33, ScriptedRng([p_ns - 1e-6]), 1)
         assert event.kind is EventKind.NONSCATTER
         assert event.theta is None
 
-        event = sample_event(state, table33, ScriptedRng([p_ns + 1e-6]), 1)
+        _, event = step(state, table33, ScriptedRng([p_ns + 1e-6]), 1)
         assert event.kind is EventKind.SCATTER
         assert -math.pi <= event.theta < math.pi
 
@@ -187,20 +277,18 @@ class TestStep:
         assert event.index == 1
 
     def test_scatter_fraction_and_angles(self, table33):
-        # repeated draws from a frozen state: scatter fraction and the
-        # angle histogram must match the state's own density tables
+        # one draw each for many rows of a frozen state through the
+        # shared event step: the scatter fraction and the angle
+        # histogram must match the state's own density tables
         state = fock_state(table33.basis, (1, 1, 1))
         p_scatter = 1.0 - nonscatter_prob(state, table33)
         dens = scatter_density(state, table33)
         total = grid_quadrature(dens)
 
-        rng = RngStream(2024)
         n = 60_000
-        thetas = []
-        for _ in range(n):
-            event = sample_event(state, table33, rng, 1)
-            if event.kind is EventKind.SCATTER:
-                thetas.append(event.theta)
+        r = RngStream(2024).fill(np.empty(n))
+        w = np.tile(table33.class_weights(state.probabilities), (n, 1))
+        _, _, thetas, _ = _event_step(w, r, np.ones(n, dtype=bool), table33)
 
         frac = len(thetas) / n
         sigma = math.sqrt(p_scatter * (1 - p_scatter) / n)
@@ -292,3 +380,132 @@ class TestRunTrajectory:
         state = ManyBodyState.from_coefficients(basis, c)
         rec = run_trajectory(state, table33, 200, seed=5)
         np.testing.assert_allclose(rec.class_weights[:, 0], 1.0, atol=1e-10)
+
+
+def ground_state_system(M, N, U, gN):
+    lattice = LatticeSpec(M=M, N=N)
+    basis = enumerate_basis(lattice)
+    table = build_pattern_table(
+        basis, ScatteringSetup(lattice=lattice, gN=gN, k0_a=math.pi))
+    _, psi = ground_state(
+        build_hamiltonian(basis, HubbardParams(J=1.0, U=U)), basis)
+    return table, psi
+
+
+class TestRunTrajectories:
+    def test_record_is_batch_independent(self, table33):
+        # every reduction runs along one trajectory's row, so a record
+        # is bit for bit the same alone and inside a batch of 200
+        _, psi = ground_state(build_hamiltonian(
+            table33.basis, HubbardParams(J=1.0, U=0.0)), table33.basis)
+        seeds = [trajectory_seed(12, i) for i in range(200)]
+        batch = run_trajectories(psi, table33, 300, seeds,
+                                 snapshot_stride=100)
+        assert [rec.seed for rec in batch] == seeds
+        for i in (0, 117, 199):
+            alone = run_trajectory(psi, table33, 300, seeds[i],
+                                   snapshot_stride=100)
+            rec = batch[i]
+            assert rec.n_scatter > 0
+            assert rec.events == alone.events
+            np.testing.assert_array_equal(rec.class_weights,
+                                          alone.class_weights)
+            np.testing.assert_array_equal(rec.overlap_sq_series,
+                                          alone.overlap_sq_series)
+            np.testing.assert_array_equal(rec.final_state.coeffs,
+                                          alone.final_state.coeffs)
+            assert [m for m, _ in rec.snapshots] == [0, 100, 200, 300]
+            for (_, a), (_, b) in zip(rec.snapshots, alone.snapshots):
+                np.testing.assert_array_equal(a, b)
+
+    def test_annihilating_scatter_ends_the_record(self, table33,
+                                                  monkeypatch):
+        # multipliers forced to zero: each record stops before its first
+        # scatter and keeps the state that scatter would have annihilated,
+        # whose coefficients keep the real ground state's phases
+        monkeypatch.setattr(trajectory, "_scatter_multipliers",
+                            zero_multipliers)
+        _, psi = ground_state(build_hamiltonian(
+            table33.basis, HubbardParams(J=1.0, U=0.0)), table33.basis)
+        seeds = [trajectory_seed(4, i) for i in range(5)]
+        for rec in run_trajectories(psi, table33, 200, seeds,
+                                    snapshot_stride=1):
+            n = len(rec.events)
+            assert rec.aborted and n < 200
+            assert all(e.kind is EventKind.NONSCATTER for e in rec.events)
+            assert rec.class_weights.shape == (n + 1, 4)
+            assert rec.overlap_sq_series.shape == (n + 1,)
+            assert [m for m, _ in rec.snapshots] == list(range(n + 1))
+            np.testing.assert_array_equal(rec.final_state.coeffs,
+                                          rec.snapshots[-1][1])
+            np.testing.assert_array_equal(rec.final_state.coeffs.imag, 0.0)
+            np.testing.assert_allclose(
+                table33.class_weights(rec.final_state.probabilities),
+                rec.class_weights[-1], atol=1e-12)
+
+    def test_input_validation(self, table33):
+        state = fock_state(table33.basis, (2, 1, 0))
+        with pytest.raises(ValueError):
+            run_trajectories(state, table33, 0, [1, 2])
+        with pytest.raises(ValueError):
+            run_trajectories(state, table33, 10, [1, 2], snapshot_stride=0)
+        assert run_trajectories(state, table33, 10, []) == []
+
+
+class TestAgainstPerBasisLoop:
+    def test_criterion_8_point_matches(self):
+        # criterion 8's working point: the same event kinds, and angles,
+        # class weights and overlaps within 1e-9 over 5000 events.  Event
+        # kinds are compared only here: elsewhere rounding, which both
+        # engines amplify along a trajectory, can move an angle far
+        # enough to flip a later event
+        table, psi = ground_state_system(3, 3, U=0.05, gN=0.1)
+        seeds = [trajectory_seed(0, i) for i in range(3)]
+        recs = run_trajectories(psi, table, 5000, seeds, snapshot_stride=500)
+        for seed, rec in zip(seeds, recs):
+            ref = per_basis_trajectory(psi, table, 5000, seed,
+                                       snapshot_stride=500)
+            assert [e.kind for e in rec.events] == \
+                [e.kind for e in ref.events]
+            np.testing.assert_allclose(rec.scatter_angles(),
+                                       ref.scatter_angles(), atol=1e-9)
+            np.testing.assert_allclose(rec.class_weights, ref.class_weights,
+                                       atol=1e-9)
+            np.testing.assert_allclose(rec.overlap_sq_series,
+                                       ref.overlap_sq_series, atol=1e-9)
+            for (_, a), (_, b) in zip(rec.snapshots, ref.snapshots):
+                np.testing.assert_allclose(a, b, atol=1e-9)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_replay_of_recorded_events(self, index):
+        # the reference's own (kind, theta) sequence at M=N=6 fed through
+        # the engine's multipliers and phase kicks: no sampling, so no
+        # rounding can flip an event, and every event is compared
+        table, psi = ground_state_system(6, 6, U=0.05, gN=0.5)
+        ref = per_basis_trajectory(psi, table, 2000,
+                                   trajectory_seed(0, index),
+                                   snapshot_stride=1)
+        assert ref.n_scatter > 50
+        assert not ref.aborted
+        c0 = psi.coeffs
+        big_p = table.class_weights(psi.probabilities)
+        w = big_p[None, :]
+        z = np.ones_like(c0)
+        weights, overlap_sq, coeffs = [w[0]], [1.0], [c0]
+        for event in ref.events:
+            if event.kind is EventKind.SCATTER:
+                theta = np.array([event.theta])
+                q = w * _scatter_multipliers(theta, table)
+                z = z * _phase_kicks(theta, table)[0]
+            else:
+                q = w * table.ns_prob
+            w = q / q.sum(axis=1)[:, None]
+            c = c0 * _amplitude_ratios(w, big_p)[0, table.class_of] * z
+            weights.append(w[0])
+            overlap_sq.append(abs(np.vdot(c0, c)) ** 2)
+            coeffs.append(c)
+        np.testing.assert_allclose(weights, ref.class_weights, atol=1e-9)
+        np.testing.assert_allclose(overlap_sq, ref.overlap_sq_series,
+                                   atol=1e-9)
+        np.testing.assert_allclose(coeffs, [c for _, c in ref.snapshots],
+                                   atol=1e-9)
