@@ -16,9 +16,7 @@ manifest last, so a manifest always describes complete outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -44,23 +42,14 @@ from .lattice import CapacityError, EigensolverError
 from .trajectory import run_trajectory, trajectory_seed
 
 
-def _fmt(x: float) -> str:
-    """Floats at 17 significant digits: round-trips IEEE doubles exactly."""
-    return format(float(x), ".17g")
-
-
-def _occ_str(occ) -> str:
-    return " ".join(str(int(n)) for n in occ)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     # temp file in the same directory so os.replace stays within one
     # filesystem and is atomic; unlink on any failure so a crash leaves
     # no partial file behind
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
         tmp = None
     finally:
@@ -81,14 +70,21 @@ class OutputWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.checksums: dict[str, str] = {}
 
-    def write_csv(self, name: str, header, rows) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-        _atomic_write_text(self.out_dir / name, text)
-        self.checksums[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    def write_csv(self, name: str, header, lines) -> None:
+        """Write the header and the formatted lines, each ending in a
+        newline.
+
+        Each command formats its rows with one %-template per file:
+        floats as %.17g, which round-trips IEEE doubles exactly and is
+        the text format(x, ".17g") gives, integers as %d.  No field ever
+        needs CSV quoting: fields are numbers, inf, nan, event kinds, the
+        empty angle of a non-scatter event and occupation lists of
+        digits, spaces and "|", none of which holds a comma, a quote or
+        a line break.
+        """
+        data = "\n".join([",".join(header), *lines, ""]).encode("utf-8")
+        _atomic_write(self.out_dir / name, data)
+        self.checksums[name] = hashlib.sha256(data).hexdigest()
 
     def write_manifest(self) -> None:
         manifest = {
@@ -103,7 +99,7 @@ class OutputWriter:
             "checksums": dict(sorted(self.checksums.items())),
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        _atomic_write_text(self.out_dir / "manifest.json", text)
+        _atomic_write(self.out_dir / "manifest.json", text.encode("utf-8"))
 
 
 def cmd_predict(cfg: RunConfig) -> None:
@@ -111,34 +107,33 @@ def cmd_predict(cfg: RunConfig) -> None:
     system = prepare_system(cfg)
     writer = OutputWriter("predict", cfg)
     psi = system.initial_state
+    occ = " ".join(["%d"] * cfg.M)
 
-    rows = [
-        [i, _occ_str(occ), _fmt(c.real), _fmt(c.imag), _fmt(p), _fmt(system.energy)]
-        for i, (occ, c, p) in enumerate(
-            zip(system.basis.occupations, psi.coeffs, psi.probabilities))
-    ]
+    row = f"%d,{occ},%.17g,%.17g,%.17g,%.17g"
     writer.write_csv(
         "ground_state.csv",
         ["basis_index", "occupation", "coeff_re", "coeff_im", "probability",
          "energy"],
-        rows)
+        [row % (i, *n, c.real, c.imag, p, system.energy)
+         for i, (n, c, p) in enumerate(zip(
+             system.basis.occupations.tolist(), psi.coeffs.tolist(),
+             psi.probabilities.tolist()))])
 
     density = scatter_density(psi, system.table)
     writer.write_csv(
         "scatter_density.csv",
         ["theta", "density"],
-        [[_fmt(t), _fmt(d)] for t, d in zip(system.table.theta_grid, density)])
+        ["%.17g,%.17g" % td
+         for td in zip(system.table.theta_grid.tolist(), density.tolist())])
 
-    probs = class_weights(psi, system.classes)
-    rows = [
-        [k + 1, _occ_str(cls.signature), len(cls.members),
-         "|".join(_occ_str(m) for m in cls.members), _fmt(probs[k])]
-        for k, cls in enumerate(system.classes)
-    ]
+    probs = class_weights(psi, system.classes).tolist()
+    row = f"%d,{occ},%d,%s,%.17g"
     writer.write_csv(
         "classes.csv",
         ["class_index", "signature", "size", "members", "probability"],
-        rows)
+        [row % (k + 1, *cls.signature, len(cls.members),
+                "|".join([occ % m for m in cls.members]), probs[k])
+         for k, cls in enumerate(system.classes)])
     writer.write_manifest()
 
 
@@ -154,24 +149,23 @@ def cmd_trajectory(cfg: RunConfig) -> None:
     n_classes = len(system.classes)
     header = (["m", "kind", "theta", "overlap_sq"]
               + [f"weight_{k + 1}" for k in range(n_classes)])
-    rows = [["0", "start", "", _fmt(record.overlap_sq_series[0]),
-             *(_fmt(w) for w in record.class_weights[0])]]
-    for event in record.events:
-        m = event.index
-        rows.append([
-            str(m), event.kind.value,
-            "" if event.theta is None else _fmt(event.theta),
-            _fmt(record.overlap_sq_series[m]),
-            *(_fmt(w) for w in record.class_weights[m]),
-        ])
-    writer.write_csv("events.csv", header, rows)
+    # row m: overlap_sq, then the class weights, after the m-th event
+    series = np.column_stack(
+        [record.overlap_sq_series, record.class_weights]).tolist()
+    row = "%d,%s,%s" + ",%.17g" * (n_classes + 1)
+    lines = [row % (0, "start", "", *series[0])]
+    lines += [row % (e.index, e.kind.value,
+                     "" if e.theta is None else "%.17g" % e.theta,
+                     *series[e.index])
+              for e in record.events]
+    writer.write_csv("events.csv", header, lines)
 
-    rows = []
+    lines = []
     for m, coeffs in record.snapshots or ():
-        for i, c in enumerate(coeffs):
-            rows.append([str(m), str(i), _fmt(c.real), _fmt(c.imag)])
+        lines += ["%d,%d,%.17g,%.17g" % (m, i, c.real, c.imag)
+                  for i, c in enumerate(coeffs.tolist())]
     writer.write_csv(
-        "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"], rows)
+        "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"], lines)
     writer.write_manifest()
 
 
@@ -184,34 +178,31 @@ def cmd_ensemble(cfg: RunConfig) -> None:
         snapshot_stride=cfg.snapshot_stride, workers=cfg.workers)
     writer = OutputWriter("ensemble", cfg)
 
-    rows = [
-        [k + 1, _occ_str(sig), _fmt(stats.class_proportions[k]),
-         _fmt(stats.class_proportions_predicted[k])]
-        for k, sig in enumerate(stats.class_signatures)
-    ]
+    row = "%d," + " ".join(["%d"] * cfg.M) + ",%.17g,%.17g"
     writer.write_csv(
         "class_proportions.csv",
         ["class_index", "signature", "empirical", "predicted"],
-        rows)
+        [row % (k + 1, *sig, emp, pred)
+         for k, (sig, emp, pred) in enumerate(zip(
+             stats.class_signatures, stats.class_proportions.tolist(),
+             stats.class_proportions_predicted.tolist()))])
 
     width = 2.0 * math.pi / cfg.n_bins
-    rows = [
-        [_fmt(center), str(int(count)), _fmt(mass / width)]
-        for center, count, mass in zip(
-            bin_centers(cfg.n_bins), stats.histogram,
-            stats.histogram_predicted)
-    ]
     writer.write_csv(
-        "histogram.csv", ["bin_center", "count", "predicted_density"], rows)
+        "histogram.csv", ["bin_center", "count", "predicted_density"],
+        ["%.17g,%d,%.17g" % row for row in zip(
+            bin_centers(cfg.n_bins).tolist(), stats.histogram.tolist(),
+            (stats.histogram_predicted / width).tolist())])
 
     n_converged = int(np.count_nonzero(stats.converged_mask))
     writer.write_csv(
         "convergence.csv",
         ["n_traj", "n_events", "n_converged", "convergence_rate", "aborted",
          "total_scatter_events"],
-        [[stats.n_traj, stats.n_events, n_converged,
-          _fmt(stats.convergence_rate), stats.aborted_count,
-          stats.n_scatter_total]])
+        ["%d,%d,%d,%.17g,%d,%d" % (
+            stats.n_traj, stats.n_events, n_converged,
+            stats.convergence_rate, stats.aborted_count,
+            stats.n_scatter_total)])
     writer.write_manifest()
 
 
@@ -231,16 +222,11 @@ def cmd_sweep(cfg: RunConfig) -> None:
               + [f"empirical_{k + 1}" for k in range(n_classes)]
               + [f"predicted_{k + 1}" for k in range(n_classes)]
               + ["convergence_rate"])
-    rows = []
-    for row in rows_out:
-        rows.append([
-            "inf" if math.isinf(row.uj) else _fmt(row.uj),
-            _fmt(row.energy),
-            *(_fmt(x) for x in row.proportions),
-            *(_fmt(x) for x in row.predicted),
-            _fmt(row.convergence_rate),
-        ])
-    writer.write_csv("sweep.csv", header, rows)
+    row = ",".join(["%.17g"] * len(header))
+    writer.write_csv("sweep.csv", header, [
+        row % (r.uj, r.energy, *r.proportions.tolist(),
+               *r.predicted.tolist(), r.convergence_rate)
+        for r in rows_out])
     writer.write_manifest()
 
 

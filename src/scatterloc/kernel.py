@@ -299,23 +299,34 @@ def sample_angles(w: np.ndarray, v: np.ndarray,
 
     The mixture CDF at grid index i is the row dot product of w with
     cum[i].  Every term is monotone in i, so the rounded sum is too, and
-    the bisection finds the cell searchsorted(side="right") would; inside
-    it the quadratic CDF is inverted in the numerically stable form
-    x = 2 s / (f_k + sqrt(f_k^2 + 2 slope s)).  Every reduction is an
-    elementwise product summed along one row, never a BLAS call, so a
-    row's angle does not depend on the other rows, bit for bit.
+    a branchless power-of-two search finds the largest i <= n - 1 with
+    CDF(i) <= target: the cell searchsorted(side="right") would find.
+    Candidates past the wrap row n read it (mode="clip"), so at v * total
+    = total the search may end past n - 1, and min(lo, n - 1) is still
+    that cell.  Inside it the quadratic CDF is inverted in the
+    numerically stable form x = 2 s / (f_k + sqrt(f_k^2 + 2 slope s)).
+    Every reduction is an elementwise product summed along one row,
+    never a BLAS call, so a row's angle does not depend on the other
+    rows, bit for bit.
     """
     grid, dens, cum = table.theta_grid, table.weights, table.cum
     n = grid.shape[0]
     h = 2.0 * math.pi / n
     target = v * (w * cum[n]).sum(axis=1)
     lo = np.zeros(len(v), dtype=np.int64)
-    hi = np.full(len(v), n + 1, dtype=np.int64)
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) >> 1
-        below = (w * cum[mid]).sum(axis=1) <= target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    cand = np.empty_like(lo)
+    cdf = np.empty(len(v))
+    below = np.empty(len(v), dtype=bool)
+    prod = np.empty(w.shape)
+    step = 1 << ((n - 1).bit_length() - 1)
+    while step:
+        np.add(lo, step, out=cand)
+        cum.take(cand, axis=0, out=prod, mode="clip")
+        np.multiply(w, prod, out=prod)
+        np.add.reduce(prod, axis=1, out=cdf)
+        np.less_equal(cdf, target, out=below)
+        np.copyto(lo, cand, where=below)
+        step >>= 1
     k = np.minimum(lo, n - 1)
     s = target - (w * cum[k]).sum(axis=1)
     f0 = (w * dens[k]).sum(axis=1)

@@ -2,18 +2,30 @@
 
 Each one computes its quantity for one input at a time, straight from
 its definition, and never reads the package's pattern table; the
-per-basis trajectory loop at the end reads only its class densities and
-angle sampler, and evolves the complex coefficients themselves.
+per-basis trajectory loop reads only its class densities and angle
+sampler, and evolves the complex coefficients themselves.  The CSV
+oracle at the end builds each command's files field by field through
+csv.writer.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
+from scatterloc.analysis import (
+    bin_centers,
+    class_weights,
+    prepare_system,
+    run_ensemble,
+    sweep_uj,
+)
 from scatterloc.kernel import (
     PatternTable,
     envelope_factor,
     sample_angles,
+    scatter_density,
     structure_amplitudes,
 )
 from scatterloc.lattice import ManyBodyState, overlap
@@ -23,6 +35,8 @@ from scatterloc.trajectory import (
     RngStream,
     TrajectoryRecord,
     ZeroNormProjectionError,
+    run_trajectory,
+    trajectory_seed,
 )
 
 
@@ -62,6 +76,34 @@ def density_quantile(grid: np.ndarray, density: np.ndarray, q: float) -> float:
     if theta >= math.pi:
         theta -= 2.0 * math.pi
     return float(theta)
+
+
+def bisection_angles(w: np.ndarray, v: np.ndarray,
+                     table: PatternTable) -> np.ndarray:
+    """kernel.sample_angles with its grid search as a plain bisection
+    over the n + 1 CDF rows, n.bit_length() passes, each an np.where
+    pair; the package's sampler before its power-of-two search.
+    """
+    grid, dens, cum = table.theta_grid, table.weights, table.cum
+    n = grid.shape[0]
+    h = 2.0 * math.pi / n
+    target = v * (w * cum[n]).sum(axis=1)
+    lo = np.zeros(len(v), dtype=np.int64)
+    hi = np.full(len(v), n + 1, dtype=np.int64)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        below = (w * cum[mid]).sum(axis=1) <= target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    k = np.minimum(lo, n - 1)
+    s = target - (w * cum[k]).sum(axis=1)
+    f0 = (w * dens[k]).sum(axis=1)
+    f1 = (w * dens[k + 1]).sum(axis=1)
+    slope = (f1 - f0) / h
+    denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * s, 0.0))
+    x = np.divide(2.0 * s, denom, out=np.zeros_like(s), where=denom > 0.0)
+    theta = grid[k] + np.clip(x, 0.0, h)
+    return np.where(theta >= math.pi, theta - 2.0 * math.pi, theta)
 
 
 # The per-basis trajectory engine the package ran before its class-weight
@@ -169,3 +211,161 @@ def per_basis_trajectory(initial_state: ManyBodyState, table: PatternTable,
         class_weights=np.array(rows),
         snapshots=tuple(snaps) if snaps is not None else None,
         aborted=aborted)
+
+
+# The CLI's CSV rows as it built them before its one-template-per-file
+# format: every field formatted on its own, then csv.writer.  Each
+# function runs one command's pipeline on a RunConfig and returns
+# {file name: text} for its CSVs.
+
+def _fmt(x: float) -> str:
+    """Floats at 17 significant digits: round-trips IEEE doubles exactly."""
+    return format(float(x), ".17g")
+
+
+def _occ_str(occ) -> str:
+    return " ".join(str(int(n)) for n in occ)
+
+
+class _CsvFiles:
+    def __init__(self):
+        self.files: dict[str, str] = {}
+
+    def write_csv(self, name: str, header, rows) -> None:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        self.files[name] = buf.getvalue()
+
+
+def predict_csvs(cfg) -> dict[str, str]:
+    system = prepare_system(cfg)
+    writer = _CsvFiles()
+    psi = system.initial_state
+
+    rows = [
+        [i, _occ_str(occ), _fmt(c.real), _fmt(c.imag), _fmt(p), _fmt(system.energy)]
+        for i, (occ, c, p) in enumerate(
+            zip(system.basis.occupations, psi.coeffs, psi.probabilities))
+    ]
+    writer.write_csv(
+        "ground_state.csv",
+        ["basis_index", "occupation", "coeff_re", "coeff_im", "probability",
+         "energy"],
+        rows)
+
+    density = scatter_density(psi, system.table)
+    writer.write_csv(
+        "scatter_density.csv",
+        ["theta", "density"],
+        [[_fmt(t), _fmt(d)] for t, d in zip(system.table.theta_grid, density)])
+
+    probs = class_weights(psi, system.classes)
+    rows = [
+        [k + 1, _occ_str(cls.signature), len(cls.members),
+         "|".join(_occ_str(m) for m in cls.members), _fmt(probs[k])]
+        for k, cls in enumerate(system.classes)
+    ]
+    writer.write_csv(
+        "classes.csv",
+        ["class_index", "signature", "size", "members", "probability"],
+        rows)
+    return writer.files
+
+
+def trajectory_csvs(cfg) -> dict[str, str]:
+    system = prepare_system(cfg)
+    record = run_trajectory(
+        system.initial_state, system.table, cfg.n_events,
+        seed=trajectory_seed(cfg.master_seed, 0),
+        snapshot_stride=cfg.snapshot_stride)
+    writer = _CsvFiles()
+
+    n_classes = len(system.classes)
+    header = (["m", "kind", "theta", "overlap_sq"]
+              + [f"weight_{k + 1}" for k in range(n_classes)])
+    rows = [["0", "start", "", _fmt(record.overlap_sq_series[0]),
+             *(_fmt(w) for w in record.class_weights[0])]]
+    for event in record.events:
+        m = event.index
+        rows.append([
+            str(m), event.kind.value,
+            "" if event.theta is None else _fmt(event.theta),
+            _fmt(record.overlap_sq_series[m]),
+            *(_fmt(w) for w in record.class_weights[m]),
+        ])
+    writer.write_csv("events.csv", header, rows)
+
+    rows = []
+    for m, coeffs in record.snapshots or ():
+        for i, c in enumerate(coeffs):
+            rows.append([str(m), str(i), _fmt(c.real), _fmt(c.imag)])
+    writer.write_csv(
+        "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"], rows)
+    return writer.files
+
+
+def ensemble_csvs(cfg) -> dict[str, str]:
+    system = prepare_system(cfg)
+    stats = run_ensemble(
+        system.initial_state, cfg.n_traj, cfg.n_events, system.table,
+        system.classes, master_seed=cfg.master_seed, n_bins=cfg.n_bins,
+        snapshot_stride=cfg.snapshot_stride, workers=cfg.workers)
+    writer = _CsvFiles()
+
+    rows = [
+        [k + 1, _occ_str(sig), _fmt(stats.class_proportions[k]),
+         _fmt(stats.class_proportions_predicted[k])]
+        for k, sig in enumerate(stats.class_signatures)
+    ]
+    writer.write_csv(
+        "class_proportions.csv",
+        ["class_index", "signature", "empirical", "predicted"],
+        rows)
+
+    width = 2.0 * math.pi / cfg.n_bins
+    rows = [
+        [_fmt(center), str(int(count)), _fmt(mass / width)]
+        for center, count, mass in zip(
+            bin_centers(cfg.n_bins), stats.histogram,
+            stats.histogram_predicted)
+    ]
+    writer.write_csv(
+        "histogram.csv", ["bin_center", "count", "predicted_density"], rows)
+
+    n_converged = int(np.count_nonzero(stats.converged_mask))
+    writer.write_csv(
+        "convergence.csv",
+        ["n_traj", "n_events", "n_converged", "convergence_rate", "aborted",
+         "total_scatter_events"],
+        [[stats.n_traj, stats.n_events, n_converged,
+          _fmt(stats.convergence_rate), stats.aborted_count,
+          stats.n_scatter_total]])
+    return writer.files
+
+
+def sweep_csvs(cfg) -> dict[str, str]:
+    rows_out = sweep_uj(
+        cfg.uj_values, cfg.lattice_spec(), cfg.scattering_setup(),
+        n_traj=cfg.n_traj, n_events=cfg.n_events,
+        master_seed=cfg.master_seed, n_bins=cfg.n_bins,
+        snapshot_stride=cfg.snapshot_stride, workers=cfg.workers)
+    writer = _CsvFiles()
+
+    n_classes = len(rows_out[0].predicted)
+    header = (["uj", "energy"]
+              + [f"empirical_{k + 1}" for k in range(n_classes)]
+              + [f"predicted_{k + 1}" for k in range(n_classes)]
+              + ["convergence_rate"])
+    rows = []
+    for row in rows_out:
+        rows.append([
+            "inf" if math.isinf(row.uj) else _fmt(row.uj),
+            _fmt(row.energy),
+            *(_fmt(x) for x in row.proportions),
+            *(_fmt(x) for x in row.predicted),
+            _fmt(row.convergence_rate),
+        ])
+    writer.write_csv("sweep.csv", header, rows)
+    return writer.files

@@ -10,6 +10,7 @@ cannot explain.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -19,7 +20,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from scatterloc import analysis, cli
 from scatterloc.config import ConfigError, config_to_mapping, parse_config
 
@@ -157,16 +161,16 @@ class TestAtomicity:
         # downstream mistakes the partial run for a complete one
         out = tmp_path / "out"
         cfg = parse_config({"M": 2, "N": 2, "output_path": str(out)})
-        real_write = cli._atomic_write_text
+        real_write = cli._atomic_write
         calls = []
 
-        def counting(path, text):
+        def counting(path, data):
             calls.append(path.name)
             if len(calls) == 3:
                 raise OSError("injected write failure")
-            real_write(path, text)
+            real_write(path, data)
 
-        monkeypatch.setattr(cli, "_atomic_write_text", counting)
+        monkeypatch.setattr(cli, "_atomic_write", counting)
         with pytest.raises(OSError):
             cli.cmd_predict(cfg)
         names = {p.name for p in out.iterdir()}
@@ -209,7 +213,6 @@ class TestDeterminism:
         out = tmp_path / "out"
         assert run_cli("predict", "--out", str(out),
                        "--set", "M=3", "--set", "N=2") == 0
-        import hashlib
         for name, digest in read_manifest(out)["checksums"].items():
             actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert actual == digest, name
@@ -315,6 +318,44 @@ class TestOutputs:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").exists()
+
+
+class TestCsvFormat:
+    """Every CSV of every command, byte for byte, against the oracle that
+    formats field by field and writes through csv.writer."""
+
+    @pytest.mark.parametrize("command,extra", [
+        ("predict", []),
+        ("trajectory", ["--events", "300", "--set", "snapshot_stride=40"]),
+        ("ensemble", ["--traj", "40", "--events", "200", "--bins", "32"]),
+        ("sweep", ["--traj", "20", "--events", "100", "--bins", "32",
+                   "--set", "uj_values=0,2,inf"]),
+    ])
+    def test_matches_field_by_field_oracle(self, tmp_path, command, extra):
+        argv = [command, "--out", str(tmp_path), "--seed", "5",
+                "--set", "M=4", "--set", "N=4", "--set", "gN=0.5",
+                "--set", "U=0.3", *extra]
+        assert run_cli(*argv) == 0
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+        expected = getattr(oracles, f"{command}_csvs")(cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted([*expected, "manifest.json"])
+        checksums = read_manifest(tmp_path)["checksums"]
+        for name, text in expected.items():
+            data = text.encode("utf-8")
+            assert (tmp_path / name).read_bytes() == data, name
+            assert checksums[name] == hashlib.sha256(data).hexdigest(), name
+        # the rows cover every kind of field
+        if command == "trajectory":
+            assert ",scatter," in expected["events.csv"]
+            assert ",nonscatter,," in expected["events.csv"]
+            assert "\n300,0," in expected["snapshots.csv"]
+        if command == "sweep":
+            assert "\ninf," in expected["sweep.csv"]
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_percent_17g_is_format_17g(self, x):
+        assert "%.17g" % x == format(x, ".17g")
 
 
 def _golden_argv(command: str, out: Path) -> list[str]:

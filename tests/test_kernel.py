@@ -12,7 +12,12 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from oracles import density_quantile, momentum_transfer, structure_amplitude
+from oracles import (
+    bisection_angles,
+    density_quantile,
+    momentum_transfer,
+    structure_amplitude,
+)
 from scatterloc.kernel import (
     CouplingTooStrong,
     ScatteringSetup,
@@ -329,6 +334,46 @@ class TestSharedSampler:
             assert abs(math.remainder(got - ref, 2 * math.pi)) < 1e-12, q
 
 
+class TestSamplerSearch:
+    """sample_angles' power-of-two search against the bisection it
+    replaced: the same cell, so the same angle, bit for bit."""
+
+    @pytest.mark.parametrize("M,n_theta,envelope,sigma_a", [
+        (3, 66, "uniform", 0.0),
+        (3, 2048, "gaussian", 0.3),
+        (4, 1000, "uniform", 0.0),
+        (5, 2048, "uniform", 0.0),
+        (6, 1000, "gaussian", 0.2),
+        (7, 2048, "uniform", 0.0),
+    ])
+    def test_matches_bisection_bitwise(self, M, n_theta, envelope, sigma_a):
+        lattice = LatticeSpec(M=M, N=M)
+        table = build_pattern_table(enumerate_basis(lattice), make_setup(
+            lattice=lattice, gN=0.5, n_theta=n_theta, envelope=envelope,
+            sigma_a=sigma_a))
+        n_classes = table.ns_prob.shape[0]
+        rng = np.random.default_rng(M * n_theta)
+        # random mixtures, some concentrated on a few classes, and every
+        # one-hot row, each at random quantiles and at the edge values
+        mixtures = rng.random((200, n_classes)) ** rng.integers(1, 9, (200, 1))
+        mixtures /= mixtures.sum(axis=1, keepdims=True)
+        rows = np.concatenate([mixtures, np.eye(n_classes)])
+        edges = [0.0, 1.0 - 2.0 ** -53, 1.0]
+        # one-hot quantiles at the CDF of a grid angle, mostly hit
+        # exactly: the search must take the cell to the right of a tie
+        i = rng.integers(1, n_theta, n_classes)
+        classes = np.arange(n_classes)
+        ties = np.concatenate([
+            rng.random(len(mixtures)),
+            table.cum[i, classes] / table.cum[n_theta, classes]])
+        for v in [rng.random(len(rows)), ties,
+                  *(np.full(len(rows), e) for e in edges)]:
+            got = sample_angles(rows, v, table)
+            ref = bisection_angles(rows, v, table)
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          ref.view(np.int64))
+
+
 class TestTabulatedSampler:
     def test_uniform_density_quantile_is_linear(self):
         grid = theta_grid(64)
@@ -365,8 +410,8 @@ class TestTabulatedSampler:
         assert all(a <= b for a, b in zip(thetas, thetas[1:]))
 
     def test_sampled_histogram_matches_density(self):
-        # inverse-CDF draws from the tabulated density of a lattice state
-        # must reproduce the bin masses of that density
+        # inverse-CDF draws of sample_angles from the tabulated density
+        # of a lattice state must reproduce the bin masses of that density
         basis = enumerate_basis(LAT33)
         table = build_pattern_table(basis, make_setup(gN=0.5))
         k = table.class_of[basis.index_of((1, 1, 1))]
@@ -375,8 +420,9 @@ class TestTabulatedSampler:
 
         rng = np.random.default_rng(42)
         n_draws = 200_000
-        draws = np.array([density_quantile(table.theta_grid, dens, r)
-                          for r in rng.random(n_draws)])
+        one_hot = np.zeros((n_draws, table.ns_prob.shape[0]))
+        one_hot[:, k] = 1.0
+        draws = sample_angles(one_hot, rng.random(n_draws), table)
 
         edges = np.linspace(-math.pi, math.pi, 25)
         counts, _ = np.histogram(draws, bins=edges)
