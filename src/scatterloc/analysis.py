@@ -25,7 +25,6 @@ from .kernel import (
     build_pattern_table,
     density_cdf,
     scatter_density,
-    signature_groups,
 )
 from .lattice import (
     _DENSE_MAX_DIM,
@@ -68,28 +67,26 @@ def build_classes(basis: FockBasis) -> tuple[EquivalenceClass, ...]:
 
     Classes are ordered by signature, descending lexicographically, so
     the single-site (most sharply diffracting) class comes first and the
-    flattest pattern last.  The partition depends only on the occupation
-    lists, never on probe parameters.
+    flattest pattern last.  The partition is the basis' signature_groups,
+    which depends only on the occupations, never on probe parameters.
     """
-    classes = []
-    for sig, idx in signature_groups(basis):
-        members = tuple(basis.states[i] for i in idx)
-        classes.append(EquivalenceClass(sig, members, idx))
-    return tuple(classes)
+    states = basis.states
+    return tuple(EquivalenceClass(sig, tuple(states[i] for i in idx), idx)
+                 for sig, idx in basis.signature_groups)
 
 
 def class_weights(state: ManyBodyState, classes) -> np.ndarray:
     """Summed probability of each equivalence class in the given state.
 
     Measurement preserves these in expectation, so the class weights of
-    the prepared state are the predicted end-state proportions.  They
-    are summed per class by np.sum, once per run; for classes of eight or
-    more members its pairwise order can differ in the last bit from the
-    running sum of PatternTable.class_weights, which the trajectory
-    engine takes after every event.
+    the prepared state are the predicted end-state proportions.  Each
+    class is summed in ascending index order, as PatternTable.class_weights
+    sums it, so the two agree bit for bit.
     """
-    probs = state.probabilities
-    return np.array([float(np.sum(probs[c.indices])) for c in classes])
+    idx = np.concatenate([c.indices for c in classes])
+    k = np.repeat(np.arange(len(classes)), [len(c.indices) for c in classes])
+    return np.bincount(k, weights=state.probabilities[idx],
+                       minlength=len(classes))
 
 
 def bin_edges(n_bins: int) -> np.ndarray:
@@ -199,8 +196,11 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
         raise ValueError(f"n_events must be >= 1, got {n_events}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    k = len(classes)
+    if k != len(table.ns_prob):
+        raise ValueError(f"{k} classes for a table of {len(table.ns_prob)}")
 
-    w0 = class_weights(initial, classes)
+    w0 = table.class_weights(initial.probabilities)
     snap_idx = _snapshot_indices(n_events, snapshot_stride)
     seeds = np.array([trajectory_seed(master_seed, i) for i in range(n_traj)],
                      dtype=np.uint64)
@@ -226,7 +226,6 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
 
     converged = np.max(final_w, axis=1) > CONVERGENCE_THRESHOLD
     end_class = np.argmax(final_w, axis=1)
-    k = len(classes)
     n_conv = int(np.count_nonzero(converged))
     if n_conv > 0:
         proportions = np.bincount(end_class[converged],
@@ -279,7 +278,6 @@ def _ensemble_chunk(w0, table, seeds, n_events, n_bins, snap_idx):
     is still counted.
     """
     n_chunk = len(seeds)
-    bin_scale = n_bins / (2.0 * math.pi)
 
     histogram = np.zeros(n_bins, dtype=np.int64)
     snapshots = np.empty((n_chunk, len(snap_idx), len(w0)))
@@ -294,8 +292,7 @@ def _ensemble_chunk(w0, table, seeds, n_events, n_bins, snap_idx):
     for m, r in enumerate(_uniform_columns(seeds, n_events), start=1):
         w, rows, theta, _ = _event_step(w, r, alive, table)
         if rows.size:
-            b = ((theta + math.pi) * bin_scale).astype(np.int64)
-            np.add.at(histogram, np.clip(b, 0, n_bins - 1), 1)
+            np.add.at(histogram, _bin_index(theta, n_bins), 1)
             scatter_counts[rows] += 1
         if si < len(snap_idx) and m == snap_idx[si]:
             snapshots[:, si] = w

@@ -31,7 +31,6 @@ import scipy
 from . import __version__
 from .analysis import (
     bin_centers,
-    class_weights,
     prepare_system,
     run_ensemble,
     sweep_uj,
@@ -126,7 +125,7 @@ def cmd_predict(cfg: RunConfig) -> None:
         ["%.17g,%.17g" % td
          for td in zip(system.table.theta_grid.tolist(), density.tolist())])
 
-    probs = class_weights(psi, system.classes).tolist()
+    probs = system.table.class_weights(psi.probabilities).tolist()
     row = f"%d,{occ},%d,%s,%.17g"
     writer.write_csv(
         "classes.csv",

@@ -129,34 +129,12 @@ def pattern_signature(occ) -> tuple[int, ...]:
                  for d in range(m))
 
 
-def signature_groups(basis: FockBasis):
-    """Partition of basis indices by pattern signature.
-
-    Returns ((signature, index_array), ...) sorted by signature in
-    descending lexicographic order, which puts the most sharply peaked
-    patterns (largest C_0) first.  The signatures are those of
-    pattern_signature, computed for all basis states at once; each index
-    array is ascending.
-    """
-    occ = basis.occupations
-    m = occ.shape[1]
-    sigs = np.stack([np.sum(occ[:, :m - d] * occ[:, d:], axis=1)
-                     for d in range(m)], axis=1)
-    # np.unique sorts rows in ascending lexicographic order
-    uniq, inverse = np.unique(sigs, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
-    parts = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
-    return tuple((tuple(sig), idx)
-                 for sig, idx in zip(uniq.tolist()[::-1], parts[::-1]))
-
-
 @dataclass(frozen=True)
 class PatternTable:
     """Angular densities and non-scatter amplitudes of the signature classes.
 
     Basis states with equal pattern signatures scatter identically, so
-    the table holds one column per class k, in the order of
+    the table holds one column per class k, in the order of the basis's
     signature_groups, and class_of[u] is the class of basis state u.
     weights[i, k] is class k's detection density at grid angle
     theta_grid[i], with the periodic wrap row weights[n_theta] =
@@ -182,8 +160,8 @@ class PatternTable:
     occupations: np.ndarray = field(repr=False)
 
     def class_weights(self, probs: np.ndarray) -> np.ndarray:
-        """Summed probability of each class, from per-basis-state
-        probabilities."""
+        """Summed probability of each class from per-basis-state
+        probabilities, a running sum in ascending basis order."""
         return np.bincount(self.class_of, weights=probs,
                            minlength=self.ns_prob.shape[0])
 
@@ -198,7 +176,7 @@ def build_pattern_table(basis: FockBasis, setup: ScatteringSetup) -> PatternTabl
     """
     if basis.spec != setup.lattice:
         raise ValueError("basis and setup refer to different lattices")
-    groups = [idx for _, idx in signature_groups(basis)]
+    groups = [idx for _, idx in basis.signature_groups]
     class_of = np.empty(basis.dimension, dtype=np.int64)
     for k, idx in enumerate(groups):
         class_of[idx] = k

@@ -14,6 +14,7 @@ degenerate minimum resolved by the J -> 0+ limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -126,6 +127,28 @@ class FockBasis:
         self._beyond = np.array(
             [[math.comb(s + M - j - 2, M - j - 1) for j in range(M - 1)]
              for s in range(N + 1)], dtype=np.int64)
+
+    @functools.cached_property
+    def signature_groups(self):
+        """Partition of basis indices by pattern signature, computed once.
+
+        ((signature, index_array), ...) in descending lexicographic order
+        of signature, most sharply peaked pattern (largest C_0) first.
+        The signatures are kernel.pattern_signature's, computed for all
+        states at once; each index array is ascending and read-only, as
+        the classes and the pattern table share it.
+        """
+        occ, m = self.occupations, self.spec.M
+        sigs = np.stack([np.sum(occ[:, :m - d] * occ[:, d:], axis=1)
+                         for d in range(m)], axis=1)
+        # np.unique sorts rows in ascending lexicographic order
+        uniq, inverse = np.unique(sigs, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        order = np.argsort(inverse, kind="stable")
+        order.setflags(write=False)
+        parts = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
+        return tuple((tuple(sig), idx)
+                     for sig, idx in zip(uniq.tolist()[::-1], parts[::-1]))
 
     def rank(self, occ: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of an (n, M) array of valid

@@ -6,6 +6,7 @@ weights (preservation in expectation), and the ensemble runner against
 the per-basis, coefficient-evolving trajectory loop in oracles.py.
 """
 
+import functools
 import math
 import os
 
@@ -36,6 +37,7 @@ from scatterloc.kernel import (
 )
 from scatterloc.lattice import (
     CapacityError,
+    FockBasis,
     HubbardParams,
     LatticeSpec,
     ManyBodyState,
@@ -51,6 +53,22 @@ from scatterloc.trajectory import (
 )
 
 LAT33 = LatticeSpec(M=3, N=3)
+
+
+@pytest.fixture
+def partitions(monkeypatch):
+    """Lattices of the signature partitions computed while active."""
+    computed = []
+    compute = FockBasis.signature_groups.func
+
+    def counting(basis):
+        computed.append(basis.spec)
+        return compute(basis)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(FockBasis, "signature_groups")
+    monkeypatch.setattr(FockBasis, "signature_groups", prop)
+    return computed
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +150,22 @@ class TestBuildClasses:
             for k, c in enumerate(classes):
                 assert np.all(table.class_of[c.indices] == k)
 
+    def test_prepare_system_computes_one_partition(self, partitions):
+        cfg = RunConfig(M=4, N=4, U=0.0, J=1.0, gN=0.5, k0_a=math.pi)
+        system = prepare_system(cfg)
+        assert partitions == [cfg.lattice_spec()]
+        # the classes hold the partition's own index arrays
+        for c, (sig, idx) in zip(system.classes,
+                                 system.basis.signature_groups,
+                                 strict=True):
+            assert c.signature == sig and c.indices is idx
+
+    def test_sweep_computes_one_partition(self, partitions):
+        setup = ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi)
+        sweep_uj([0.0, 5.0, math.inf], LAT33, setup, n_traj=3, n_events=5,
+                 master_seed=0)
+        assert partitions == [LAT33]
+
     def test_single_site_lattice_is_one_class(self):
         basis = enumerate_basis(LatticeSpec(M=1, N=4))
         classes = build_classes(basis)
@@ -202,6 +236,23 @@ class TestClassWeights:
         got = class_weights(psi, classes)
         np.testing.assert_allclose(got, oracle, atol=1e-8)
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
+    def test_bitwise_equal_to_the_table_sum(self, m):
+        # the per-class sum runs in the table's order, so the predicted
+        # proportions and a trajectory's row 0 agree in every bit
+        lattice = LatticeSpec(M=m, N=m)
+        basis = enumerate_basis(lattice)
+        classes = build_classes(basis)
+        table = build_pattern_table(basis, ScatteringSetup(
+            lattice=lattice, gN=0.5, n_theta=64))
+        rng = np.random.default_rng(m)
+        for _ in range(10):
+            c = rng.normal(size=(len(basis), 2)) @ [1.0, 1j]
+            state = ManyBodyState.from_coefficients(basis, c)
+            np.testing.assert_array_equal(
+                class_weights(state, classes).view(np.int64),
+                table.class_weights(state.probabilities).view(np.int64))
 
 
 class TestHistograms:
@@ -467,6 +518,14 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(psi, 1, 10, table, classes, master_seed=1,
                          workers=0)
+
+    def test_classes_of_another_lattice_are_rejected(self, system33):
+        # the initial weights come from the table, so a class list of the
+        # wrong size would only mislabel the proportions
+        _, _, table, psi = system33
+        classes22 = build_classes(enumerate_basis(LatticeSpec(M=2, N=2)))
+        with pytest.raises(ValueError, match="2 classes for a table of 4"):
+            run_ensemble(psi, 1, 10, table, classes22, master_seed=1)
 
 
 class TestSweep:

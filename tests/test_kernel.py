@@ -28,7 +28,6 @@ from scatterloc.kernel import (
     nonscatter_prob,
     sample_angles,
     scatter_density,
-    signature_groups,
     structure_amplitudes,
     theta_grid,
 )
@@ -250,7 +249,7 @@ class TestPatternTable:
         env = envelope_factor(grid, setup)
         ref = setup.g ** 2 / (2.0 * math.pi) * (np.abs(amps) ** 2) * env ** 2
         weights = build_pattern_table(basis, setup).weights
-        reps = [idx[0] for _, idx in signature_groups(basis)]
+        reps = [idx[0] for _, idx in basis.signature_groups]
         np.testing.assert_array_equal(weights[:-1].T.view(np.uint64),
                                       ref[reps].view(np.uint64))
         np.testing.assert_array_equal(weights[-1].view(np.uint64),

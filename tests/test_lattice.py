@@ -121,6 +121,18 @@ class TestBasis:
         with pytest.raises(ValueError):
             basis.occupations[0, 0] = 7
 
+    def test_signature_groups_are_cached_and_readonly(self):
+        # computed once per basis object; the classes and the pattern
+        # table share the index arrays, so neither may write to them
+        basis = enumerate_basis(LatticeSpec(M=4, N=4))
+        groups = basis.signature_groups
+        assert basis.signature_groups is groups
+        assert enumerate_basis(basis.spec).signature_groups is not groups
+        for _, idx in groups:
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0] = 0
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             enumerate_basis(LatticeSpec(M=3, N=3), max_dim=9)

@@ -46,6 +46,15 @@ SIGNATURES = {
     "step":
         "(state: 'ManyBodyState', table: 'PatternTable', rng: 'RngStream', "
         "index: 'int' = 0) -> 'tuple[ManyBodyState, DetectionEvent]'",
+    "class_weights":
+        "(state: 'ManyBodyState', classes) -> 'np.ndarray'",
+    "build_classes":
+        "(basis: 'FockBasis') -> 'tuple[EquivalenceClass, ...]'",
+}
+
+CONSTRUCTORS = {
+    "EquivalenceClass": ["signature", "members", "indices"],
+    "FockBasis": ["spec", "states"],
 }
 
 # README's Library example as documented; lines may be added around them
@@ -92,6 +101,9 @@ def test_signatures_are_unchanged():
         assert got == expected, name
     assert list(inspect.signature(kernel.structure_amplitudes).parameters) \
         == ["basis", "theta", "setup"]
+    for name, params in CONSTRUCTORS.items():
+        got = list(inspect.signature(getattr(scatterloc, name)).parameters)
+        assert got == params, name
 
 
 def test_attributes_the_benchmark_tracer_reads():
