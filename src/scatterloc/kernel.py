@@ -4,11 +4,12 @@ The lattice lies along the y-axis and the probe comes in along x with
 wave-number k0, so a detection at angle theta transfers momentum
 k0*(1-cos(theta), -sin(theta)) to the system.
 
-Basis states with equal pattern signatures scatter identically, so the
-detection densities are tabulated once per signature class on a uniform
-angular grid, once per configuration.  Both engines read the one table
-through the class weights of their state, and both draw scatter angles
-from the one inverse-CDF sampler, sample_angles.
+Basis states with equal pattern signatures scatter identically, and
+every pattern is a sum of M basis functions b_d(theta) weighted by the
+signature, so the table holds the M basis functions on a uniform angular
+grid, once per configuration, plus each class's signature.  Both engines
+read the one table through the class weights of their state, and both
+draw scatter angles from the one inverse-CDF sampler, sample_angles.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .lattice import FockBasis, LatticeSpec, ManyBodyState
 UNIFORM = "uniform"
 GAUSSIAN = "gaussian"
 
-# Classes of the pattern table computed per block: the block's complex
-# amplitudes take 32 x n_theta x 16 bytes (1 MB at n_theta = 2048).
-_TABLE_BLOCK_ROWS = 32
+# Grid cells per block of the pattern table's two-level cumulative sum,
+# about sqrt(n_theta) at the default n_theta = 2048.
+_CUM_BLOCK = 64
 
 
 class CouplingTooStrong(Exception):
@@ -129,23 +130,37 @@ def pattern_signature(occ) -> tuple[int, ...]:
                  for d in range(m))
 
 
+def pattern_basis(theta, k0_a: float, m: int) -> np.ndarray:
+    """Basis functions b_0 = 1 and b_d = 2 cos(d k0_a sin(theta)), d > 0,
+    at every angle: shape (len(theta), m).
+
+    |F(theta)|^2 = sum_d C_d b_d(theta) for signature C
+    (pattern_signature).
+    """
+    b = np.cos(np.multiply.outer(k0_a * np.sin(theta), np.arange(m)))
+    b[:, 1:] *= 2.0
+    return b
+
+
 @dataclass(frozen=True)
 class PatternTable:
-    """Angular densities and non-scatter amplitudes of the signature classes.
+    """Angular basis functions and non-scatter amplitudes of the
+    signature classes.
 
-    Basis states with equal pattern signatures scatter identically, so
-    the table holds one column per class k, in the order of the basis's
-    signature_groups, and class_of[u] is the class of basis state u.
-    weights[i, k] is class k's detection density at grid angle
+    |F(theta)|^2 = sum_d C_d b_d(theta) (pattern_basis), so every class
+    density is its signature times one set of M basis functions.
+    weights[i, d] is prefactor * I(theta)^2 * b_d(theta) at grid angle
     theta_grid[i], with the periodic wrap row weights[n_theta] =
-    weights[0]; cum[i, k] is its trapezoid mass below grid angle i.  Rows
-    are indexed by angle, so a gather of one row per trajectory stays
-    (trajectories, K).  scatter_prob[k] is the grid quadrature of the
-    density, ns_prob = 1 - scatter_prob and ns_amp its (real,
-    non-negative) square root; occupations[k] is the occupation of the
-    class's first basis state.  Depends only on (basis, setup), never on
-    the state, and is immutable, so one table serves every trajectory of
-    every engine.
+    weights[0], and cum[i, d] its trapezoid mass below grid angle i.
+    signatures[k] is class k's signature (C_0, ..., C_{M-1}), in the
+    order of the basis's signature_groups, and class_of[u] is the class
+    of basis state u.  Class k's density at grid angle i is
+    signatures[k] . weights[i], and a state's is c . weights[i] with c
+    its mean signature (mean_signature).  scatter_prob[k] is the grid
+    quadrature of class k's density, ns_prob = 1 - scatter_prob and
+    ns_amp its (real, non-negative) square root.  Depends only on
+    (basis, setup), never on the state, and is immutable, so one table
+    serves every trajectory of every engine.
     """
 
     basis: FockBasis
@@ -157,7 +172,7 @@ class PatternTable:
     ns_prob: np.ndarray = field(repr=False)
     ns_amp: np.ndarray = field(repr=False)
     class_of: np.ndarray = field(repr=False)
-    occupations: np.ndarray = field(repr=False)
+    signatures: np.ndarray = field(repr=False)
 
     def class_weights(self, probs: np.ndarray) -> np.ndarray:
         """Summed probability of each class from per-basis-state
@@ -165,68 +180,69 @@ class PatternTable:
         return np.bincount(self.class_of, weights=probs,
                            minlength=self.ns_prob.shape[0])
 
+    def mean_signature(self, w: np.ndarray) -> np.ndarray:
+        """c = sum_k w_k signatures[k] of each row of class weights w,
+        shape (rows, K): shape (rows, M).
+
+        An elementwise product summed along the class axis, never a BLAS
+        call, so a row's c does not depend on the other rows, bit for
+        bit.
+        """
+        prod = np.empty((w.shape[0],) + self.signatures.T.shape)
+        np.multiply(w[:, None, :], self.signatures.T, out=prod)
+        return prod.sum(axis=2)
+
 
 def build_pattern_table(basis: FockBasis, setup: ScatteringSetup) -> PatternTable:
-    """Precompute class densities W_k and non-scatter amplitudes A_k.
+    """Precompute the weighted basis functions and the class signatures.
 
-    W_k(theta) = (g^2 / 2 pi) |I(theta) F_k(theta)|^2 on the grid, from
-    one representative occupation per class, and |A_k|^2 = 1 -
-    quadrature(W_k) on the same grid, which makes the per-class sum rule
-    quadrature(W_k) + |A_k|^2 = 1 hold to rounding.
+    Class k's density W_k(theta) = (g^2 / 2 pi) |I(theta) F_k(theta)|^2 is
+    sum_d C_kd weights[:, d], and |A_k|^2 = 1 - C_k . q with q the grid
+    quadratures of the weighted basis functions, which makes the
+    per-class sum rule quadrature(W_k) + |A_k|^2 = 1 hold to rounding.
     """
     if basis.spec != setup.lattice:
         raise ValueError("basis and setup refer to different lattices")
-    groups = [idx for _, idx in basis.signature_groups]
+    groups = basis.signature_groups
     class_of = np.empty(basis.dimension, dtype=np.int64)
-    for k, idx in enumerate(groups):
+    for k, (_, idx) in enumerate(groups):
         class_of[idx] = k
-    occ = basis.occupations[[idx[0] for idx in groups]]
-    n, n_classes = setup.n_theta, len(groups)
+    signatures = np.array([sig for sig, _ in groups], dtype=np.float64)
+    n, m = setup.n_theta, basis.spec.M
     grid = theta_grid(n)
     h = 2.0 * math.pi / n
 
-    sites = np.arange(basis.spec.M)
-    phases = np.exp(-1j * setup.k0_a * np.outer(sites, np.sin(grid)))
-    env_sq = envelope_factor(grid, setup) ** 2
     prefac = setup.g ** 2 / (2.0 * math.pi)
+    b = pattern_basis(grid, setup.k0_a, m)
+    b *= (prefac * envelope_factor(grid, setup) ** 2)[:, None]
+    weights = np.concatenate([b, b[:1]])
+    # quadratures as contiguous row sums, each basis function on its own
+    quad = h * np.ascontiguousarray(b.T).sum(axis=1)
+    scatter_prob = (signatures * quad).sum(axis=1)
 
-    # prefac * |F|^2 * env^2 for a block of classes at a time, in a
-    # class-major buffer whose row sums are the quadratures, then copied
-    # into the angle-major table: neither a complex (K, n_theta) array nor
-    # a second full-size table is ever held
-    weights = np.empty((n + 1, n_classes))
-    scatter_prob = np.empty(n_classes)
-    buf = np.empty((min(n_classes, _TABLE_BLOCK_ROWS), n))
-    for a in range(0, n_classes, _TABLE_BLOCK_ROWS):
-        blk = buf[:min(_TABLE_BLOCK_ROWS, n_classes - a)]
-        b = a + blk.shape[0]
-        np.abs(occ[a:b] @ phases, out=blk)
-        np.square(blk, out=blk)
-        np.multiply(prefac, blk, out=blk)
-        np.multiply(blk, env_sq, out=blk)
-        scatter_prob[a:b] = h * np.sum(blk, axis=1)
-        weights[:n, a:b] = blk.T
-    weights[n] = weights[0]
-
-    # trapezoid cell masses, summed down the angle axis
-    cum = np.empty_like(weights)
-    cum[0] = 0.0
-    np.add(weights[:-1], weights[1:], out=cum[1:])
-    np.multiply(0.5 * h, cum[1:], out=cum[1:])
-    np.cumsum(cum[1:], axis=0, out=cum[1:])
+    # trapezoid cell masses, summed down the angle axis within blocks of
+    # _CUM_BLOCK cells, then offset by the running sum of the block
+    # totals: the signed basis functions do not share the rounding drift
+    # of one long running sum, which would then show in a mixture's CDF
+    cells = np.zeros((-(-n // _CUM_BLOCK) * _CUM_BLOCK, m))
+    np.add(weights[:-1], weights[1:], out=cells[:n])
+    cells *= 0.5 * h
+    blocks = np.cumsum(cells.reshape(-1, _CUM_BLOCK, m), axis=1)
+    blocks[1:] += np.cumsum(blocks[:-1, -1], axis=0)[:, None, :]
+    cum = np.concatenate([np.zeros((1, m)), blocks.reshape(-1, m)[:n]])
 
     ns_prob = 1.0 - scatter_prob
     if np.min(ns_prob) < -1e-12:
         k = int(np.argmin(ns_prob))
+        occ = basis.occupations[groups[k][1][0]]
         raise CouplingTooStrong(
-            f"basis state {tuple(int(x) for x in occ[k])} has scattering "
+            f"basis state {tuple(int(x) for x in occ)} has scattering "
             f"probability {float(scatter_prob[k]):.6f} > 1 at gN={setup.gN}")
     ns_prob = np.maximum(ns_prob, 0.0)
     ns_amp = np.sqrt(ns_prob)
-    occupations = occ.astype(np.float64)
 
     arrays = (grid, weights, cum, scatter_prob, ns_prob, ns_amp, class_of,
-              occupations)
+              signatures)
     for arr in arrays:
         arr.setflags(write=False)
     return PatternTable(basis, setup, *arrays)
@@ -234,12 +250,16 @@ def build_pattern_table(basis: FockBasis, setup: ScatteringSetup) -> PatternTabl
 
 def scatter_density(state: ManyBodyState, table: PatternTable) -> np.ndarray:
     """Detection density P(theta_i) = sum_k w_k W_k(theta_i) over the
-    state's class weights w_k = sum_{u in k} |c_u|^2.
+    state's class weights w_k = sum_{u in k} |c_u|^2, evaluated as
+    c . weights[i] with c the state's mean signature.
 
     Relative phases between basis states never show up in the angular
-    distribution.
+    distribution.  The signed basis functions can cancel to a rounding
+    error below zero, so the density is clamped at 0.
     """
-    return table.weights[:-1] @ table.class_weights(state.probabilities)
+    w = table.class_weights(state.probabilities)
+    c = table.mean_signature(w[None, :])
+    return np.maximum((table.weights[:-1] * c).sum(axis=1), 0.0)
 
 
 def nonscatter_prob(state: ManyBodyState, table: PatternTable) -> float:
@@ -273,42 +293,52 @@ def density_cdf(grid: np.ndarray, density: np.ndarray,
 def sample_angles(w: np.ndarray, v: np.ndarray,
                   table: PatternTable) -> np.ndarray:
     """Scatter angle of each row of class weights w, shape (rows, K), at
-    its quantile v in [0, 1) of the piecewise-linear mixture density.
+    its quantile v in [0, 1] of the piecewise-linear mixture density.
 
-    The mixture CDF at grid index i is the row dot product of w with
-    cum[i].  Every term is monotone in i, so the rounded sum is too, and
-    a branchless power-of-two search finds the largest i <= n - 1 with
-    CDF(i) <= target: the cell searchsorted(side="right") would find.
-    Candidates past the wrap row n read it (mode="clip"), so at v * total
-    = total the search may end past n - 1, and min(lo, n - 1) is still
-    that cell.  Inside it the quadratic CDF is inverted in the
-    numerically stable form x = 2 s / (f_k + sqrt(f_k^2 + 2 slope s)).
-    Every reduction is an elementwise product summed along one row,
-    never a BLAS call, so a row's angle does not depend on the other
-    rows, bit for bit.
+    The mixture CDF at grid index i is CDF(i) = c . cum[i], with c the
+    row's mean signature, and CDF(0) = 0 exactly.  The basis functions
+    are signed, so where their terms cancel the rounded CDF can step
+    down, and the search does not assume it is monotone.  A branchless
+    search with power-of-two steps s from 2^(p-1) down to 1, where 2^p
+    >= n, keeps two invariants: CDF(lo) <= target, true at lo = 0 since
+    target = v * CDF(n) >= 0; and hi = lo + 2 s is 2^p or has CDF(hi) >
+    target.  After the pass of step 1, hi = lo + 1, so the cell
+    k = min(lo, n - 1) has CDF(k) <= target < CDF(k + 1) unless
+    k = n - 1: a cell the target crosses, which for a monotone CDF is
+    the one cell searchsorted(side="right") would find.  Candidates past
+    the wrap row n read it (mode="clip"), so at v * CDF(n) = CDF(n) the
+    search may end past n - 1, and k = n - 1 is the last cell.  Inside
+    the cell the quadratic CDF is inverted in the numerically stable
+    form x = 2 s / (f_k + sqrt(f_k^2 + 2 slope s)), with the end
+    densities clamped at 0, a negative discriminant read as 0 and x
+    clipped to [0, h], so the angle lies in cell k and in [-pi, pi)
+    whatever the rounding.  Every reduction is an elementwise product
+    summed along one row, never a BLAS call, so a row's angle does not
+    depend on the other rows, bit for bit.
     """
     grid, dens, cum = table.theta_grid, table.weights, table.cum
     n = grid.shape[0]
     h = 2.0 * math.pi / n
-    target = v * (w * cum[n]).sum(axis=1)
+    c = table.mean_signature(w)
+    target = v * (c * cum[n]).sum(axis=1)
     lo = np.zeros(len(v), dtype=np.int64)
     cand = np.empty_like(lo)
     cdf = np.empty(len(v))
     below = np.empty(len(v), dtype=bool)
-    prod = np.empty(w.shape)
+    prod = np.empty(c.shape)
     step = 1 << ((n - 1).bit_length() - 1)
     while step:
         np.add(lo, step, out=cand)
         cum.take(cand, axis=0, out=prod, mode="clip")
-        np.multiply(w, prod, out=prod)
+        np.multiply(c, prod, out=prod)
         np.add.reduce(prod, axis=1, out=cdf)
         np.less_equal(cdf, target, out=below)
         np.copyto(lo, cand, where=below)
         step >>= 1
     k = np.minimum(lo, n - 1)
-    s = target - (w * cum[k]).sum(axis=1)
-    f0 = (w * dens[k]).sum(axis=1)
-    f1 = (w * dens[k + 1]).sum(axis=1)
+    s = target - (c * cum[k]).sum(axis=1)
+    f0 = np.maximum((c * dens[k]).sum(axis=1), 0.0)
+    f1 = np.maximum((c * dens[k + 1]).sum(axis=1), 0.0)
     slope = (f1 - f0) / h
     denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * s, 0.0))
     x = np.divide(2.0 * s, denom, out=np.zeros_like(s), where=denom > 0.0)

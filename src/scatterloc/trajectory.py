@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernel import PatternTable, sample_angles
+from .kernel import PatternTable, pattern_basis, sample_angles
 from .lattice import ManyBodyState
 
 CONVERGENCE_THRESHOLD = 0.99
@@ -112,15 +112,19 @@ def _structure_amplitudes(occupations, theta, k0_a: float) -> np.ndarray:
 
 
 def _scatter_multipliers(theta, table: PatternTable) -> np.ndarray:
-    """|F_k(theta)|^2 of each class's occupation at every row's detected
-    angle: shape (len(theta), K).
+    """|F_k(theta)|^2 = C_k . b(theta) of each class's signature C_k at
+    every row's detected angle: shape (len(theta), K).
 
     The coupling prefactor and the envelope factor I(theta)^2 are common
     to all classes at a given angle, so they cancel on renormalization
-    and are left out.
+    and are left out.  The basis functions are signed, so a vanishing
+    |F_k|^2 can round below zero; it is clamped at 0.  Summed elementwise
+    along each row, never by a BLAS call, so an angle's multipliers do
+    not depend on the other angles, bit for bit.
     """
-    amps = _structure_amplitudes(table.occupations, theta, table.setup.k0_a)
-    return np.abs(amps) ** 2
+    sig = table.signatures
+    b = pattern_basis(theta, table.setup.k0_a, sig.shape[1])
+    return np.maximum((b[:, None, :] * sig).sum(axis=2), 0.0)
 
 
 def _event_step(w, r, alive, table: PatternTable):

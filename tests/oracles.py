@@ -3,7 +3,8 @@
 Each one computes its quantity for one input at a time, straight from
 its definition, and never reads the package's pattern table; the
 per-basis trajectory loop reads only its class densities and angle
-sampler, and evolves the complex coefficients themselves.  The CSV
+sampler, and evolves the complex coefficients themselves.  Tests read
+the table's per-class columns through class_columns.  The CSV
 oracle at the end builds each command's files field by field through
 csv.writer.
 """
@@ -78,27 +79,48 @@ def density_quantile(grid: np.ndarray, density: np.ndarray, q: float) -> float:
     return float(theta)
 
 
+def class_columns(table: PatternTable, basis_table=None) -> np.ndarray:
+    """Per-class columns sum_d C_kd basis_table[:, d] of a rank-M table
+    column set, shape (n_theta + 1, K): the class densities for the
+    default table.weights, the class CDFs for table.cum.
+
+    Each entry is an elementwise product summed along the signature
+    axis, as the sampler sums a one-hot row's CDF, so a column of
+    table.cum is bit for bit the CDF sample_angles searches for that
+    class.
+    """
+    rows = table.weights if basis_table is None else basis_table
+    return np.concatenate([(rows[i:i + 64, None, :] * table.signatures)
+                           .sum(axis=2) for i in range(0, len(rows), 64)])
+
+
 def bisection_angles(w: np.ndarray, v: np.ndarray,
                      table: PatternTable) -> np.ndarray:
     """kernel.sample_angles with its grid search as a plain bisection
-    over the n + 1 CDF rows, n.bit_length() passes, each an np.where
-    pair; the package's sampler before its power-of-two search.
+    over the n + 1 rows of the mixture CDF c . cum[i], c the row's mean
+    signature, n.bit_length() passes, each an np.where pair; the
+    package's sampler before its power-of-two search.  c_d is the
+    np.sum of the contiguous product w_k signatures[k, d] over k, one
+    row and one d at a time.
     """
     grid, dens, cum = table.theta_grid, table.weights, table.cum
     n = grid.shape[0]
     h = 2.0 * math.pi / n
-    target = v * (w * cum[n]).sum(axis=1)
+    sig = table.signatures
+    c = np.array([[np.sum(row * sig[:, d]) for d in range(sig.shape[1])]
+                  for row in w])
+    target = v * (c * cum[n]).sum(axis=1)
     lo = np.zeros(len(v), dtype=np.int64)
     hi = np.full(len(v), n + 1, dtype=np.int64)
     for _ in range(n.bit_length()):
         mid = (lo + hi) >> 1
-        below = (w * cum[mid]).sum(axis=1) <= target
+        below = (c * cum[mid]).sum(axis=1) <= target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     k = np.minimum(lo, n - 1)
-    s = target - (w * cum[k]).sum(axis=1)
-    f0 = (w * dens[k]).sum(axis=1)
-    f1 = (w * dens[k + 1]).sum(axis=1)
+    s = target - (c * cum[k]).sum(axis=1)
+    f0 = np.maximum((c * dens[k]).sum(axis=1), 0.0)
+    f1 = np.maximum((c * dens[k + 1]).sum(axis=1), 0.0)
     slope = (f1 - f0) / h
     denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * s, 0.0))
     x = np.divide(2.0 * s, denom, out=np.zeros_like(s), where=denom > 0.0)

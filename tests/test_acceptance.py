@@ -29,6 +29,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import class_columns
 from scatterloc.analysis import build_classes, run_ensemble
 from scatterloc.cli import main as cli_main
 from scatterloc.kernel import (
@@ -374,7 +375,7 @@ class TestCoherenceOracle:
             basis, ScatteringSetup(lattice=lat, gN=0.1, k0_a=math.pi,
                                    n_theta=2048))
         rows = [int(table.class_of[cls.indices[0]]) for cls in classes]
-        root = np.sqrt(table.weights[:-1, rows].T)
+        root = np.sqrt(class_columns(table)[:-1, rows].T)
         ns_prob = table.ns_prob[rows]
         from_table = (2.0 * math.pi / 2048) * (root @ root.T) \
             + np.sqrt(np.outer(ns_prob, ns_prob))

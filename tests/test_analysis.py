@@ -9,6 +9,7 @@ the per-basis, coefficient-evolving trajectory loop in oracles.py.
 import functools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from scatterloc.analysis import (
 )
 from scatterloc import analysis, trajectory
 from scatterloc.config import RunConfig
-from oracles import per_basis_trajectory, structure_amplitude
+from oracles import class_columns, per_basis_trajectory, structure_amplitude
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
@@ -571,13 +572,31 @@ class TestPrepareSystem:
         assert sys.basis.dimension == 10
         assert len(sys.classes) == 4
         assert sys.energy == pytest.approx(-3 * math.sqrt(2), abs=1e-12)
-        per_state = sys.table.weights[:-1, sys.table.class_of].T
+        per_state = class_columns(sys.table)[:-1, sys.table.class_of].T
         assert per_state.shape == (10, 2048)
         assert sys.initial_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_memory_estimate_bounds_the_traced_peak(self, m):
+        # the guard never under-counts: dense H and eigh at M=N=5 and 6,
+        # sparse H and Lanczos at 7; scipy.sparse.linalg is imported
+        # first, so its module objects are not counted
+        import scipy.sparse.linalg  # noqa: F401
+
+        cfg = RunConfig(M=m, N=m, U=0.5, J=1.0, gN=0.5, k0_a=math.pi)
+        tracemalloc.start()
+        try:
+            prepare_system(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert analysis._memory_need(cfg.scattering_setup()) >= peak
+
     def test_memory_guard_fires_before_allocation(self, monkeypatch):
-        # M=N=3 at n_theta=2048: a 10 x 2048 table and a dense 10 x 10 H
-        need = 8 * 10 * 2048 + 8 * 10 * 10
+        # M=N=3 at n_theta=2048: the basis, a dense 10 x 10 H and the
+        # rank-M table
+        need = analysis._memory_need(
+            RunConfig(M=3, N=3, gN=0.5, k0_a=math.pi).scattering_setup())
         built = []
         monkeypatch.setattr(analysis, "enumerate_basis",
                             lambda spec: built.append(spec))

@@ -5,7 +5,9 @@ scattering rates against the Bessel-function closed form, and the
 tabulated-density sampler against analytic CDF inversion.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import scipy.special
 
 from oracles import (
     bisection_angles,
+    class_columns,
     density_quantile,
     momentum_transfer,
     structure_amplitude,
@@ -154,7 +157,8 @@ class TestPatternTable:
     def test_sum_rule_on_grid(self):
         basis = enumerate_basis(LAT33)
         table = build_pattern_table(basis, make_setup(gN=0.5))
-        total = np.array([grid_quadrature(table.weights[:-1, k])
+        cols = class_columns(table)
+        total = np.array([grid_quadrature(cols[:-1, k])
                           for k in table.class_of])
         ns_prob = table.ns_prob[table.class_of]
         np.testing.assert_allclose(total + ns_prob, 1.0, atol=1e-12)
@@ -221,23 +225,25 @@ class TestPatternTable:
         basis = enumerate_basis(LAT33)
         setup = make_setup(gN=0.5)
         table = build_pattern_table(basis, setup)
+        cols = class_columns(table)
         i = 137  # arbitrary grid index
         theta = table.theta_grid[i]
         for u, occ in enumerate(basis.states):
             f = structure_amplitude(occ, theta, setup)
             ref = setup.g ** 2 / (2 * math.pi) * abs(f) ** 2
             k = table.class_of[u]
-            assert table.weights[i, k] == pytest.approx(ref, rel=1e-12)
+            assert cols[i, k] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("envelope,sigma_a", [("uniform", 0.0),
                                                   ("gaussian", 0.3)])
     def test_blocked_table_matches_whole_array_expression_bitwise(
             self, envelope, sigma_a):
-        # K = 38 classes span several blocks; the reference holds the
-        # whole complex (D, n_theta) amplitude array and evaluates the
-        # same expression in the same order.  Each class column is the
-        # reference row of the class's first basis state, and the wrap
-        # row repeats the first angle
+        # the reference holds the whole complex (D, n_theta) amplitude
+        # array and evaluates prefac |F|^2 I^2 directly.  The rank-M table
+        # sums signed basis functions instead, so each of the K = 38 class
+        # columns agrees with the reference row of the class's first basis
+        # state to rounding of the column's maximum, not bit for bit; the
+        # wrap row repeats the first angle exactly
         lattice = LatticeSpec(M=5, N=5)
         basis = enumerate_basis(lattice)
         setup = make_setup(lattice=lattice, gN=0.5, n_theta=256,
@@ -248,12 +254,33 @@ class TestPatternTable:
         amps = basis.occupations @ phases
         env = envelope_factor(grid, setup)
         ref = setup.g ** 2 / (2.0 * math.pi) * (np.abs(amps) ** 2) * env ** 2
-        weights = build_pattern_table(basis, setup).weights
+        table = build_pattern_table(basis, setup)
+        cols = class_columns(table)
         reps = [idx[0] for _, idx in basis.signature_groups]
-        np.testing.assert_array_equal(weights[:-1].T.view(np.uint64),
-                                      ref[reps].view(np.uint64))
-        np.testing.assert_array_equal(weights[-1].view(np.uint64),
-                                      weights[0].view(np.uint64))
+        scale = ref[reps].max(axis=1, keepdims=True)
+        assert np.all(np.abs(cols[:-1].T - ref[reps]) <= 1e-13 * scale)
+        np.testing.assert_array_equal(table.weights[-1].view(np.uint64),
+                                      table.weights[0].view(np.uint64))
+
+    def test_table_arrays_hold_under_a_megabyte_at_m8(self):
+        # K = 1750 classes, but the weighted basis functions and their
+        # CDFs are (n_theta + 1) x M; the basis and its signature
+        # partition are built before tracing starts
+        lattice = LatticeSpec(M=8, N=8)
+        basis = enumerate_basis(lattice)
+        assert len(basis.signature_groups) == 1750
+        setup = make_setup(lattice=lattice, gN=0.5)
+        tracemalloc.start()
+        try:
+            table = build_pattern_table(basis, setup)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        arrays = (table.theta_grid, table.weights, table.cum,
+                  table.scatter_prob, table.ns_prob, table.ns_amp,
+                  table.class_of, table.signatures)
+        assert sum(a.nbytes for a in arrays) < 1 << 20
 
     def test_basis_setup_mismatch(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=2))
@@ -265,7 +292,7 @@ class TestPatternTable:
         table = build_pattern_table(basis, make_setup())
         for arr in (table.theta_grid, table.weights, table.cum,
                     table.scatter_prob, table.ns_prob, table.ns_amp,
-                    table.class_of, table.occupations):
+                    table.class_of, table.signatures):
             assert not arr.flags.writeable
 
 
@@ -276,7 +303,7 @@ class TestStateDensities:
         k = table.class_of[basis.index_of((2, 1, 0))]
         state = fock_state(basis, (2, 1, 0))
         np.testing.assert_array_equal(scatter_density(state, table),
-                                      table.weights[:-1, k])
+                                      class_columns(table)[:-1, k])
         assert nonscatter_prob(state, table) == pytest.approx(
             table.ns_prob[k], abs=1e-15)
 
@@ -324,7 +351,7 @@ class TestSharedSampler:
         w = np.zeros(table.ns_prob.shape[0])
         for occ, p in mix.items():
             w[table.class_of[basis.index_of(occ)]] += p
-        dens = table.weights[:-1] @ w
+        dens = class_columns(table)[:-1] @ w
         qs = np.concatenate([[0.0], np.random.default_rng(8).random(1200)])
         for q in qs:
             got = sample_angles(w[None, :], np.array([q]), table)[0]
@@ -361,16 +388,55 @@ class TestSamplerSearch:
         # one-hot quantiles at the CDF of a grid angle, mostly hit
         # exactly: the search must take the cell to the right of a tie
         i = rng.integers(1, n_theta, n_classes)
+        cum = class_columns(table, table.cum)
         classes = np.arange(n_classes)
         ties = np.concatenate([
             rng.random(len(mixtures)),
-            table.cum[i, classes] / table.cum[n_theta, classes]])
+            cum[i, classes] / cum[n_theta, classes]])
         for v in [rng.random(len(rows)), ties,
                   *(np.full(len(rows), e) for e in edges)]:
             got = sample_angles(rows, v, table)
             ref = bisection_angles(rows, v, table)
             np.testing.assert_array_equal(got.view(np.int64),
                                           ref.view(np.int64))
+
+
+class TestSamplerWithoutMonotonicity:
+    def test_cdf_stepping_down_once(self):
+        # a hand-built table whose CDF column for the one-site class steps
+        # down by one cell mass at row j: targets between CDF(j) and
+        # CDF(j - 1) cross the CDF twice, and the search must still end
+        # in a cell the target crosses, with the angle inside that cell
+        lattice = LatticeSpec(M=2, N=2)
+        basis = enumerate_basis(lattice)
+        table = build_pattern_table(basis, make_setup(
+            lattice=lattice, gN=0.5, n_theta=64))
+        j = 21
+        cum = table.cum.copy()
+        cum[j] = cum[j - 2]
+        bent = dataclasses.replace(table, cum=cum)
+        k20 = table.class_of[basis.index_of((2, 0))]
+        cdf = class_columns(bent, cum)[:, k20]
+        assert np.count_nonzero(np.diff(cdf) < 0.0) == 1
+
+        n, h, grid = 64, 2 * math.pi / 64, table.theta_grid
+        v = np.concatenate([np.linspace(0.0, 1.0, 4001), cdf / cdf[n],
+                            [1.0 - 2.0 ** -53]])
+        w = np.zeros((len(v), len(table.ns_prob)))
+        w[:, k20] = 1.0
+        theta = sample_angles(w, v, bent)
+        assert np.all((-math.pi <= theta) & (theta < math.pi))
+        target = v * cdf[n]
+        # an angle wrapped from +pi is the end of the last cell
+        x = np.where(theta < grid[0] + 1e-9 * h, theta + 2 * math.pi, theta)
+        for t, x_i in zip(target, x):
+            # the cells whose closed interval holds the angle, one of
+            # which the target must cross (or be the last cell)
+            k0 = int(math.floor((x_i + math.pi) / h))
+            cells = [k for k in (k0 - 1, k0, k0 + 1) if 0 <= k < n
+                     and grid[k] <= x_i <= grid[k] + h]
+            assert any(cdf[k] <= t < cdf[k + 1] or k == n - 1
+                       for k in cells), (t, x_i)
 
 
 class TestTabulatedSampler:
@@ -414,7 +480,7 @@ class TestTabulatedSampler:
         basis = enumerate_basis(LAT33)
         table = build_pattern_table(basis, make_setup(gN=0.5))
         k = table.class_of[basis.index_of((1, 1, 1))]
-        dens = table.weights[:-1, k]
+        dens = class_columns(table)[:-1, k]
         total = grid_quadrature(dens)
 
         rng = np.random.default_rng(42)

@@ -13,15 +13,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import density_quantile, per_basis_trajectory
+from oracles import (
+    bisection_angles,
+    class_columns,
+    density_quantile,
+    per_basis_trajectory,
+)
 from scatterloc import trajectory
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
     density_cdf,
     grid_quadrature,
-    scatter_density,
     nonscatter_prob,
+    scatter_density,
 )
 from scatterloc.lattice import (
     HubbardParams,
@@ -191,6 +196,75 @@ class TestScatterBackaction:
         assert rec.final_state.coeffs[i11] == 0.0
 
 
+class TestNonNegativeMultipliers:
+    """The signed basis functions can cancel to a rounding error below
+    zero; multipliers and densities are clamped at 0, so no weight turns
+    negative and an empty class stays +0.0."""
+
+    def test_clamped_at_m8(self):
+        lat = LatticeSpec(M=8, N=8)
+        table = build_pattern_table(enumerate_basis(lat), ScatteringSetup(
+            lattice=lat, gN=0.5, k0_a=math.pi))
+        cols = class_columns(table)[:-1]
+        # the unclamped class densities do dip below zero here
+        assert cols.min() < 0.0
+        grid = table.theta_grid
+        for i in range(0, len(grid), 256):
+            mult = _scatter_multipliers(grid[i:i + 256], table)
+            assert np.all(mult >= 0.0)
+        basis = table.basis
+        for k in np.flatnonzero((cols < 0.0).any(axis=0)):
+            rep = basis.states[basis.signature_groups[k][1][0]]
+            dens = scatter_density(fock_state(basis, rep), table)
+            assert np.all(dens >= 0.0)
+            assert np.all(dens[cols[:, k] < 0.0] == 0.0)
+
+        # three occupied classes: the other 1747 stay +0.0 through a record
+        reps = [basis.states[idx[0]] for _, idx in basis.signature_groups[:3]]
+        c = np.zeros(basis.dimension, dtype=complex)
+        for occ in reps:
+            c[basis.index_of(occ)] = 1.0
+        state = ManyBodyState.from_coefficients(basis, c)
+        rec = run_trajectory(state, table, 300, seed=5)
+        assert rec.n_scatter > 0
+        empty = np.setdiff1d(np.arange(len(table.ns_prob)),
+                             table.class_of[[basis.index_of(o) for o in reps]])
+        assert np.all(rec.class_weights[:, empty] == 0.0)
+        assert not np.signbit(rec.class_weights[:, empty]).any()
+        assert np.all(rec.class_weights >= 0.0)
+
+    @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2])
+    def test_vanishing_class_at_m2(self, theta, monkeypatch):
+        # |F|^2 of (1,1) is 2 + 2 cos(pi sin(theta)), zero at +-pi/2
+        lat = LatticeSpec(M=2, N=2)
+        table = build_pattern_table(enumerate_basis(lat), ScatteringSetup(
+            lattice=lat, gN=0.5, k0_a=math.pi))
+        basis = table.basis
+        k11 = table.class_of[basis.index_of((1, 1))]
+        k20 = table.class_of[basis.index_of((2, 0))]
+        mult = _scatter_multipliers(np.array([theta]), table)[0]
+        assert mult[k11] == 0.0 and not np.signbit(mult[k11])
+        assert mult[k20] == pytest.approx(4.0, abs=1e-15)
+        i = int(np.argmin(np.abs(table.theta_grid - theta)))
+        dens = scatter_density(fock_state(basis, (1, 1)), table)
+        assert np.all(dens >= 0.0)
+        assert dens[i] < 1e-30
+
+        # a scatter at theta empties (1,1), and a (1,1) that held no
+        # weight keeps exactly +0.0
+        monkeypatch.setattr(trajectory, "sample_angles",
+                            lambda w, v, table: np.full(len(w), theta))
+        w = np.zeros((2, 2))
+        w[0, [k11, k20]] = 0.5
+        w[1, k20] = 1.0
+        new, rows, _, dying = _event_step(w, np.full(2, 1.0 - 1e-12),
+                                          np.ones(2, dtype=bool), table)
+        assert rows.tolist() == [0, 1] and not dying.any()
+        assert np.all(new[:, k11] == 0.0)
+        assert not np.signbit(new[:, k11]).any()
+        np.testing.assert_array_equal(new[:, k20], 1.0)
+
+
 class TestNonScatterBackaction:
     def test_reweights_towards_weak_scatterers(self, table33):
         basis = table33.basis
@@ -266,7 +340,15 @@ class TestStep:
         dens = scatter_density(state, table33)
         assert event.kind is EventKind.SCATTER
         assert event.index == 3
-        assert event.theta == density_quantile(table33.theta_grid, dens, v)
+        # the excess reaches the sampler as v, bit for bit: the angle is
+        # the oracle bisection of the same rank-M CDF at v.  The oracle's
+        # inverse of the density's own running sum differs from that CDF
+        # by rounding, so it agrees to the shared sampler's tolerance
+        w = np.zeros((1, len(table33.ns_prob)))
+        w[0, table33.class_of[table33.basis.index_of((2, 1, 0))]] = 1.0
+        assert event.theta == bisection_angles(w, np.array([v]), table33)[0]
+        ref = density_quantile(table33.theta_grid, dens, v)
+        assert abs(math.remainder(event.theta - ref, 2 * math.pi)) < 1e-12
 
     def test_step_applies_matching_projection(self, table33):
         state = fock_state(table33.basis, (1, 1, 1))
