@@ -22,9 +22,8 @@ import numpy as np
 from .kernel import (
     PatternTable,
     ScatteringSetup,
+    angle_cdf,
     build_pattern_table,
-    density_cdf,
-    scatter_density,
 )
 from .lattice import (
     _DENSE_MAX_DIM,
@@ -125,15 +124,13 @@ def angle_histogram(records, n_bins: int) -> np.ndarray:
 def predicted_bin_masses(state: ManyBodyState, table: PatternTable,
                          n_bins: int) -> np.ndarray:
     """Conditional probability of each angle bin given that a scatter
-    happened, computed from the state's own density surface.
-
-    Integrates the same piecewise-linear density the sampler draws from,
-    so sampled histograms converge to exactly these masses.
-    """
-    dens = scatter_density(state, table)
-    cdf = density_cdf(table.theta_grid, dens, bin_edges(n_bins))
-    masses = np.diff(cdf)
-    return masses / cdf[-1]
+    happened: differences at the bin edges of the CDF the sampler
+    inverts (kernel.angle_cdf), so sampled histograms converge to
+    exactly these masses, up to the clamp at 0 of a rounding step down
+    of the signed CDF where the density vanishes.  They sum to 1."""
+    w = table.class_weights(state.probabilities)[None, :]
+    masses = np.maximum(np.diff(angle_cdf(w, bin_edges(n_bins), table)), 0.0)
+    return masses / masses.sum()
 
 
 @dataclass

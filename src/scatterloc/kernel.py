@@ -9,7 +9,8 @@ every pattern is a sum of M basis functions b_d(theta) weighted by the
 signature, so the table holds the M basis functions on a uniform angular
 grid, once per configuration, plus each class's signature.  Both engines
 read the one table through the class weights of their state, and both
-draw scatter angles from the one inverse-CDF sampler, sample_angles.
+draw scatter angles from the one inverse-CDF sampler, sample_angles,
+whose CDF (angle_cdf) is the only one: predicted bin masses difference it.
 """
 
 from __future__ import annotations
@@ -109,12 +110,20 @@ def envelope_factor(theta, setup: ScatteringSetup):
     return val if theta.ndim else float(val)
 
 
+def _structure_amplitudes(occupations, theta, k0_a: float) -> np.ndarray:
+    """F(theta) = sum_j n_j exp(-i j k0_a sin(theta)) of every occupation
+    row at every angle: shape (len(theta), len(occupations)).  Summed
+    elementwise, never by BLAS, so an angle's row ignores the others."""
+    sites = np.arange(occupations.shape[1], dtype=np.float64)
+    phases = np.exp(-1j * (k0_a * np.sin(theta))[:, None] * sites)
+    return (phases[:, None, :] * occupations).sum(axis=2)
+
+
 def structure_amplitudes(basis: FockBasis, theta: float,
                          setup: ScatteringSetup) -> np.ndarray:
     """F_u(theta) for every basis state at once."""
-    sites = np.arange(basis.spec.M)
-    phases = np.exp(-1j * setup.k0_a * math.sin(theta) * sites)
-    return basis.occupations @ phases
+    return _structure_amplitudes(basis.occupations, np.array([theta]),
+                                 setup.k0_a)[0]
 
 
 def pattern_signature(occ) -> tuple[int, ...]:
@@ -268,26 +277,34 @@ def nonscatter_prob(state: ManyBodyState, table: PatternTable) -> float:
     return float(np.sum(w * table.ns_prob))
 
 
-def density_cdf(grid: np.ndarray, density: np.ndarray,
-                points: np.ndarray) -> np.ndarray:
-    """Cumulative mass of the piecewise-linear density below each point.
-
-    The tabulated density is interpolated linearly inside each grid cell
-    (with the periodic wrap cell closing the circle at +pi), so each
-    cell's mass is the trapezoid h*(f_k + f_{k+1})/2 and the CDF is
-    piecewise quadratic.  Points must lie in [-pi, pi].
+def _cell_terms(c: np.ndarray, k: np.ndarray, table: PatternTable):
+    """c . cum[k], the density f_k and the slope (f_{k+1} - f_k) / h of
+    grid cell k[r] of each row r of mean signatures c, the densities
+    clamped at 0: the CDF at offset x in the cell is c . cum[k] + f_k x
+    + slope x^2 / 2, which sample_angles inverts and angle_cdf evaluates.
     """
-    n = grid.shape[0]
-    h = 2.0 * math.pi / n
-    f = np.concatenate([density, density[:1]])
-    cell_mass = 0.5 * h * (f[:-1] + f[1:])
-    cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
+    h = 2.0 * math.pi / table.theta_grid.shape[0]
+    base = (c * table.cum[k]).sum(axis=1)
+    f0 = np.maximum((c * table.weights[k]).sum(axis=1), 0.0)
+    f1 = np.maximum((c * table.weights[k + 1]).sum(axis=1), 0.0)
+    return base, f0, (f1 - f0) / h
 
-    pts = np.asarray(points, dtype=np.float64)
-    k = np.clip(np.floor((pts + math.pi) / h).astype(np.int64), 0, n - 1)
-    x = pts - grid[k]
-    slope = (f[k + 1] - f[k]) / h
-    return cum[k] + f[k] * x + 0.5 * slope * x * x
+
+def angle_cdf(w: np.ndarray, theta: np.ndarray,
+              table: PatternTable) -> np.ndarray:
+    """The CDF that sample_angles inverts, of row r of class weights w,
+    shape (rows, K), at angle theta[r] in [-pi, pi], or of a single row
+    at every angle: c . cum[i] at grid angle i (pi is i = n), c the row's
+    mean signature, and _cell_terms' quadratic inside a cell.
+    """
+    grid = table.theta_grid
+    c = np.broadcast_to(table.mean_signature(w),
+                        theta.shape + table.signatures.shape[1:])
+    k = np.searchsorted(grid, theta, side="right") - 1
+    base, f0, slope = _cell_terms(c, k, table)
+    x = theta - grid[k]
+    cdf = base + f0 * x + 0.5 * slope * x * x
+    return np.where(theta >= math.pi, (c * table.cum[-1]).sum(axis=1), cdf)
 
 
 def sample_angles(w: np.ndarray, v: np.ndarray,
@@ -304,8 +321,7 @@ def sample_angles(w: np.ndarray, v: np.ndarray,
     target = v * CDF(n) >= 0; and hi = lo + 2 s is 2^p or has CDF(hi) >
     target.  After the pass of step 1, hi = lo + 1, so the cell
     k = min(lo, n - 1) has CDF(k) <= target < CDF(k + 1) unless
-    k = n - 1: a cell the target crosses, which for a monotone CDF is
-    the one cell searchsorted(side="right") would find.  Candidates past
+    k = n - 1: a cell the target crosses.  Candidates past
     the wrap row n read it (mode="clip"), so at v * CDF(n) = CDF(n) the
     search may end past n - 1, and k = n - 1 is the last cell.  Inside
     the cell the quadratic CDF is inverted in the numerically stable
@@ -316,7 +332,7 @@ def sample_angles(w: np.ndarray, v: np.ndarray,
     summed along one row, never a BLAS call, so a row's angle does not
     depend on the other rows, bit for bit.
     """
-    grid, dens, cum = table.theta_grid, table.weights, table.cum
+    grid, cum = table.theta_grid, table.cum
     n = grid.shape[0]
     h = 2.0 * math.pi / n
     c = table.mean_signature(w)
@@ -336,10 +352,8 @@ def sample_angles(w: np.ndarray, v: np.ndarray,
         np.copyto(lo, cand, where=below)
         step >>= 1
     k = np.minimum(lo, n - 1)
-    s = target - (c * cum[k]).sum(axis=1)
-    f0 = np.maximum((c * dens[k]).sum(axis=1), 0.0)
-    f1 = np.maximum((c * dens[k + 1]).sum(axis=1), 0.0)
-    slope = (f1 - f0) / h
+    base, f0, slope = _cell_terms(c, k, table)
+    s = target - base
     denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * s, 0.0))
     x = np.divide(2.0 * s, denom, out=np.zeros_like(s), where=denom > 0.0)
     theta = grid[k] + np.clip(x, 0.0, h)

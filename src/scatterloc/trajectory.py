@@ -29,7 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .kernel import PatternTable, pattern_basis, sample_angles
+from .kernel import (PatternTable, _structure_amplitudes, pattern_basis,
+                     sample_angles)
 from .lattice import ManyBodyState
 
 CONVERGENCE_THRESHOLD = 0.99
@@ -97,18 +98,6 @@ def _uniform_columns(seeds, n_events: int):
             for stream, row in zip(streams, block):
                 stream.fill(row)
         yield block[:, col]
-
-
-def _structure_amplitudes(occupations, theta, k0_a: float) -> np.ndarray:
-    """F(theta) = sum_j n_j exp(-i j k0_a sin(theta)) of every occupation
-    row at every angle: shape (len(theta), len(occupations)).
-
-    Summed elementwise along each row, never by a BLAS call, so an
-    angle's amplitudes do not depend on the other angles, bit for bit.
-    """
-    sites = np.arange(occupations.shape[1], dtype=np.float64)
-    phases = np.exp(-1j * (k0_a * np.sin(theta))[:, None] * sites)
-    return (phases[:, None, :] * occupations).sum(axis=2)
 
 
 def _scatter_multipliers(theta, table: PatternTable) -> np.ndarray:

@@ -27,7 +27,6 @@ from scatterloc.kernel import (
     envelope_factor,
     sample_angles,
     scatter_density,
-    structure_amplitudes,
 )
 from scatterloc.lattice import ManyBodyState, overlap
 from scatterloc.trajectory import (
@@ -50,6 +49,28 @@ def structure_amplitude(occ, theta: float, setup) -> complex:
     """Phase sum F(theta) = sum_j n_j exp(-i (j-1) k0_a sin(theta))."""
     phase = -setup.k0_a * math.sin(theta)
     return complex(sum(n * np.exp(1j * phase * j) for j, n in enumerate(occ)))
+
+
+def density_cdf(grid: np.ndarray, density: np.ndarray,
+                points: np.ndarray) -> np.ndarray:
+    """Cumulative mass of the piecewise-linear density below each point.
+
+    The tabulated density is interpolated linearly inside each grid cell
+    (with the periodic wrap cell closing the circle at +pi), so each
+    cell's mass is the trapezoid h*(f_k + f_{k+1})/2 and the CDF is
+    piecewise quadratic.  Points must lie in [-pi, pi].
+    """
+    n = grid.shape[0]
+    h = 2.0 * math.pi / n
+    f = np.concatenate([density, density[:1]])
+    cell_mass = 0.5 * h * (f[:-1] + f[1:])
+    cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
+
+    pts = np.asarray(points, dtype=np.float64)
+    k = np.clip(np.floor((pts + math.pi) / h).astype(np.int64), 0, n - 1)
+    x = pts - grid[k]
+    slope = (f[k + 1] - f[k]) / h
+    return cum[k] + f[k] * x + 0.5 * slope * x * x
 
 
 def density_quantile(grid: np.ndarray, density: np.ndarray, q: float) -> float:
@@ -139,7 +160,8 @@ def apply_scatter(state: ManyBodyState, theta: float,
     basis state, times the envelope; states whose density patterns cannot
     scatter to theta are suppressed.
     """
-    amps = structure_amplitudes(state.basis, theta, table.setup)
+    amps = np.array([structure_amplitude(occ, theta, table.setup)
+                     for occ in state.basis.occupations])
     c = state.coeffs * (envelope_factor(theta, table.setup) * amps)
     norm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
     if not math.isfinite(norm) or norm < 1e-300:

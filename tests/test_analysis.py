@@ -32,8 +32,8 @@ from scatterloc.config import RunConfig
 from oracles import class_columns, per_basis_trajectory, structure_amplitude
 from scatterloc.kernel import (
     ScatteringSetup,
+    angle_cdf,
     build_pattern_table,
-    density_cdf,
     pattern_signature,
 )
 from scatterloc.lattice import (
@@ -277,6 +277,22 @@ class TestHistograms:
         for r in records:
             manual += bin_angles(r.scatter_angles(), 32)
         np.testing.assert_array_equal(counts, manual)
+
+    def test_predicted_masses_are_a_distribution(self):
+        # the density of (1, 2, 1, 0) vanishes near theta = pi/2, where
+        # the signed rank-M CDF steps down by rounding, so an unclamped
+        # difference of it at the bin edges is negative
+        lattice = LatticeSpec(M=4, N=4)
+        basis = enumerate_basis(lattice)
+        table = build_pattern_table(basis, ScatteringSetup(
+            lattice=lattice, gN=0.5, k0_a=math.pi))
+        state = fock_state(basis, (1, 2, 1, 0))
+        w = table.class_weights(state.probabilities)[None]
+        assert np.diff(angle_cdf(w, bin_edges(600), table)).min() < 0.0
+        masses = predicted_bin_masses(state, table, 600)
+        assert masses.shape == (600,)
+        assert np.all(masses >= 0.0)
+        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_predicted_masses_against_fine_quadrature(self, system33):
         _, _, table, psi = system33

@@ -365,13 +365,29 @@ def _golden_argv(command: str, out: Path) -> list[str]:
     return argv
 
 
+def _regenerate_golden(command: str, golden: Path) -> None:
+    """Rerun command into its golden directory.  An existing manifest
+    keeps its own output_path and versions, which the comparison drops,
+    so a regeneration diff shows only payload changes, never the local
+    checkout's path or library versions."""
+    old = read_manifest(golden) if (golden / "manifest.json").exists() \
+        else None
+    golden.mkdir(parents=True, exist_ok=True)
+    assert run_cli(*_golden_argv(command, golden)) == 0
+    if old is not None:
+        new = read_manifest(golden)
+        new["config"]["output_path"] = old["config"]["output_path"]
+        new["versions"] = old["versions"]
+        (golden / "manifest.json").write_text(
+            json.dumps(new, indent=2, sort_keys=True) + "\n")
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize("command", ["predict", "trajectory", "ensemble"])
     def test_golden(self, tmp_path, command):
         golden = GOLDEN_DIR / command
         if os.environ.get("SCATTERLOC_REGEN_GOLDEN"):
-            golden.mkdir(parents=True, exist_ok=True)
-            assert run_cli(*_golden_argv(command, golden)) == 0
+            _regenerate_golden(command, golden)
             pytest.skip("regenerated golden files")
         out = tmp_path / command
         assert run_cli(*_golden_argv(command, out)) == 0

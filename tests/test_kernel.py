@@ -17,6 +17,7 @@ import scipy.special
 from oracles import (
     bisection_angles,
     class_columns,
+    density_cdf,
     density_quantile,
     momentum_transfer,
     structure_amplitude,
@@ -24,8 +25,9 @@ from oracles import (
 from scatterloc.kernel import (
     CouplingTooStrong,
     ScatteringSetup,
+    _structure_amplitudes,
+    angle_cdf,
     build_pattern_table,
-    density_cdf,
     envelope_factor,
     grid_quadrature,
     nonscatter_prob,
@@ -34,7 +36,15 @@ from scatterloc.kernel import (
     structure_amplitudes,
     theta_grid,
 )
-from scatterloc.lattice import LatticeSpec, ManyBodyState, enumerate_basis, fock_state
+from scatterloc.lattice import (
+    HubbardParams,
+    LatticeSpec,
+    ManyBodyState,
+    build_hamiltonian,
+    enumerate_basis,
+    fock_state,
+    ground_state,
+)
 
 LAT33 = LatticeSpec(M=3, N=3)
 
@@ -120,11 +130,17 @@ class TestStructureAmplitude:
     def test_vectorized_matches_scalar(self):
         setup = make_setup(k0_a=2.0)
         basis = enumerate_basis(LAT33)
-        for theta in [0.0, 0.9, -2.1]:
+        thetas = [0.0, 0.9, -2.1]
+        batch = _structure_amplitudes(basis.occupations, np.array(thetas),
+                                      setup.k0_a)
+        for theta, row in zip(thetas, batch):
             vec = structure_amplitudes(basis, theta, setup)
             for i, occ in enumerate(basis.states):
                 assert vec[i] == pytest.approx(
                     structure_amplitude(occ, theta, setup), abs=1e-12)
+            # one implementation: the one-angle call is the batch's row
+            np.testing.assert_array_equal(vec.view(np.int64),
+                                          row.view(np.int64))
 
 
 class TestSetupValidation:
@@ -437,6 +453,44 @@ class TestSamplerWithoutMonotonicity:
                      and grid[k] <= x_i <= grid[k] + h]
             assert any(cdf[k] <= t < cdf[k + 1] or k == n - 1
                        for k in cells), (t, x_i)
+
+
+class TestOneCdf:
+    """angle_cdf evaluates the CDF that sample_angles inverts."""
+
+    @pytest.mark.parametrize("M", [3, 4, 5, 6])
+    def test_sampler_inverts_angle_cdf(self, M):
+        # compared in CDF space: where the density vanishes a span of
+        # angles shares one CDF value, and the angle is not unique there
+        lattice = LatticeSpec(M=M, N=M)
+        basis = enumerate_basis(lattice)
+        table = build_pattern_table(basis, make_setup(lattice=lattice,
+                                                      gN=0.5))
+        _, psi = ground_state(build_hamiltonian(
+            basis, HubbardParams(J=1.0, U=0.0)), basis)
+        n_classes = table.ns_prob.shape[0]
+        # the U = 0 ground state, then each class's Fock state, whose
+        # class weights are one-hot
+        rows = np.concatenate([table.class_weights(psi.probabilities)[None],
+                               np.eye(n_classes)])
+        v = np.random.default_rng(M).random(2000)
+        for w in rows:
+            wv = np.broadcast_to(w, (len(v), n_classes))
+            total = angle_cdf(w[None], np.array([math.pi]), table)[0]
+            assert angle_cdf(w[None], np.array([-math.pi]), table)[0] == 0.0
+            got = angle_cdf(wv, sample_angles(wv, v, table), table)
+            np.testing.assert_allclose(got, v * total, rtol=0,
+                                       atol=1e-15 * total)
+
+    def test_grid_angles_read_the_table(self):
+        # at grid angle i, the wrap row pi included, the CDF is c . cum[i]
+        basis = enumerate_basis(LAT33)
+        table = build_pattern_table(basis, make_setup(gN=0.5, n_theta=64))
+        w = table.class_weights(
+            fock_state(basis, (1, 1, 1)).probabilities)[None]
+        c = table.mean_signature(w)
+        got = angle_cdf(w, np.append(table.theta_grid, math.pi), table)
+        np.testing.assert_array_equal(got, (c * table.cum).sum(axis=1))
 
 
 class TestTabulatedSampler:

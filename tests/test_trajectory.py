@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     bisection_angles,
     class_columns,
+    density_cdf,
     density_quantile,
     per_basis_trajectory,
 )
@@ -23,7 +24,6 @@ from scatterloc import trajectory
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
-    density_cdf,
     grid_quadrature,
     nonscatter_prob,
     scatter_density,
