@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -212,6 +211,8 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     if n_procs == 1:
         parts = [_ensemble_chunk(*a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_procs) as pool:
             parts = list(pool.map(_ensemble_chunk_star, args))
 

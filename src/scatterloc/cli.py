@@ -26,6 +26,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+# the bare package, for its version in the manifest: it loads no scipy
+# submodule, and reading the version from package metadata would cost
+# more, inside every command's manifest write
 import scipy
 
 from . import __version__

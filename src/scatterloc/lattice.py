@@ -5,11 +5,12 @@ enters only through the probe's dimensionless k0_a, and all energies are
 in units of the tunneling J unless stated otherwise.
 
 Up to _DENSE_MAX_DIM basis states the Hamiltonian is a dense array and
-the ground state comes from LAPACK's full symmetric eigensolver; above
-it the Hamiltonian is a sparse CSR array and the ground state comes from
-ARPACK's Lanczos iteration.  A Hamiltonian without hopping (J = 0) is
-diagonal, and its ground state is read off the diagonal, with a
-degenerate minimum resolved by the J -> 0+ limit.
+the ground state comes from LAPACK's full symmetric eigensolver, through
+numpy; above it the Hamiltonian is a sparse CSR array and the ground
+state comes from ARPACK's Lanczos iteration, through scipy, which only
+this path imports.  A Hamiltonian without hopping (J = 0) is diagonal,
+and its ground state is read off the diagonal, with a degenerate
+minimum resolved by the J -> 0+ limit.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
-# Largest dimension whose Hamiltonian is built dense and solved by eigh.
-# Measured with single-threaded BLAS on a 2-vCPU box at M=N, U/J=0.5,
-# eigh against eigsh: D=126 2.7 vs 1.5 ms, D=462 39 vs 2.0 ms, D=1716
-# 1.3 s vs 4.1 ms.  Importing scipy.sparse.linalg adds about 30 ms, so
-# the two cost about the same near D = 500.
+# Largest dimension whose Hamiltonian is built dense and solved by
+# numpy's eigh.  Measured with single-threaded BLAS on a 2-vCPU box at
+# M=N, U/J=0.5, np.linalg.eigh against eigsh: D=126 1.3-1.5 vs 1.3-1.6
+# ms, D=462 28-31 vs 1.7-2.9 ms, D=1716 1.03-1.06 s vs 4.8-5.7 ms.  The
+# sparse path's first use in a process also imports scipy.sparse.linalg,
+# 0.12-0.27 s after numpy as the host load varied, about what one dense
+# eigh costs at D=792-924 (0.14-0.20 s).  The import is paid once per
+# process and a solve every time, so the cutoff stays at 512: up to
+# M=N=6 (D=462) a run needs no scipy, and no configuration changes path.
 _DENSE_MAX_DIM = 512
 
 
@@ -293,9 +297,11 @@ def _eigensolve(H, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     H gets its k lowest pairs from ARPACK and a lower bound of its norm.
     """
     if isinstance(H, np.ndarray):
+        if not np.all(np.isfinite(H)):
+            raise EigensolverError("Hamiltonian has a non-finite entry")
         try:
-            evals, evecs = scipy.linalg.eigh(H)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            evals, evecs = np.linalg.eigh(H)
+        except np.linalg.LinAlgError as exc:
             raise EigensolverError(
                 f"symmetric eigensolver failed: {exc}") from exc
         return evals, evecs, float(np.max(np.abs(evals)))

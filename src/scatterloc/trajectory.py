@@ -28,6 +28,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; load it with the
+# package, so that its import is set-up, not part of the first command
+import numpy.random
 
 from .kernel import (PatternTable, _structure_amplitudes, pattern_basis,
                      sample_angles)

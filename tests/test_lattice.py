@@ -316,6 +316,23 @@ class TestGroundState:
         with pytest.raises(EigensolverError, match="residual"):
             ground_state(H, basis)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dense_entry_never_reaches_lapack(self, bad,
+                                                         monkeypatch):
+        # an off-diagonal entry of a dense H with hopping is refused
+        # before the LAPACK call
+        def refuse(H):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        basis = enumerate_basis(LatticeSpec(M=4, N=4))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
+        assert isinstance(H, np.ndarray)
+        assert basis.dimension <= _DENSE_MAX_DIM
+        H[0, 1] = H[1, 0] = bad
+        with pytest.raises(EigensolverError, match="non-finite"):
+            ground_state(H, basis)
+
 
 class TestSparseGroundState:
     def test_sparse_against_dense(self):
@@ -339,12 +356,19 @@ class TestSparseGroundState:
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_dense_runs_never_import_scipy_sparse(self, tmp_path):
+        # importing the package loads numpy.random but neither scipy.linalg,
+        # scipy.sparse nor a process pool; a dense predict loads no scipy
+        # module either, and only a sparse Hamiltonian loads scipy.sparse
         script = (
             "import sys\n"
+            "import scatterloc\n"
             "from scatterloc import cli, lattice\n"
+            "names = ['scipy.linalg', 'scipy.sparse', 'concurrent.futures',\n"
+            "         'multiprocessing', 'numpy.random']\n"
+            "print(*[name in sys.modules for name in names])\n"
             f"code = cli.main(['predict', '--out', {str(tmp_path)!r},\n"
             "                 '--set', 'M=6', '--set', 'N=6'])\n"
-            "print(code, 'scipy.sparse' in sys.modules)\n"
+            "print(code, *[name in sys.modules for name in names[:2]])\n"
             "basis = lattice.enumerate_basis(lattice.LatticeSpec(M=7, N=6))\n"
             "params = lattice.HubbardParams(J=1.0, U=0.0)\n"
             "lattice.build_hamiltonian(basis, params)\n"
@@ -355,7 +379,8 @@ class TestSparseGroundState:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False", "True"]
+        assert proc.stdout.splitlines() == [
+            "False False False False True", "0 False False", "True"]
 
 
 class TestHardCoreLimit:
