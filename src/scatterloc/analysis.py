@@ -39,6 +39,7 @@ from .lattice import (
 from .trajectory import (
     CONVERGENCE_THRESHOLD,
     _event_step,
+    _snapshot_indices,
     _uniform_columns,
     trajectory_seed,
 )
@@ -214,7 +215,7 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_procs) as pool:
-            parts = list(pool.map(_ensemble_chunk_star, args))
+            parts = list(pool.map(_ensemble_chunk, *zip(*args)))
 
     histogram = np.sum([p["histogram"] for p in parts], axis=0)
     final_w = np.concatenate([p["final_weights"] for p in parts], axis=0)
@@ -253,17 +254,6 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
 def _pool_size(workers: int, n_chunks: int) -> int:
     """Processes worth starting: no more than chunks or CPUs."""
     return min(workers, n_chunks, os.cpu_count() or 1)
-
-
-def _snapshot_indices(n_events: int, stride: int) -> np.ndarray:
-    if stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
-    idx = sorted({0, n_events, *range(stride, n_events + 1, stride)})
-    return np.array(idx, dtype=np.int64)
-
-
-def _ensemble_chunk_star(args):
-    return _ensemble_chunk(*args)
 
 
 def _ensemble_chunk(w0, table, seeds, n_events, n_bins, snap_idx):

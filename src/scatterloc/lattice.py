@@ -4,6 +4,10 @@ Sites sit on a line at positions (j-1)*a for j = 1..M; the site spacing a
 enters only through the probe's dimensionless k0_a, and all energies are
 in units of the tunneling J unless stated otherwise.
 
+The Fock basis is one (D, M) array of occupations, enumerated by stars
+and bars and partitioned into signature classes by one sort; occupation
+tuples are built only when asked for.
+
 Up to _DENSE_MAX_DIM basis states the Hamiltonian is a dense array and
 the ground state comes from LAPACK's full symmetric eigensolver, through
 numpy; above it the Hamiltonian is a sparse CSR array and the ground
@@ -16,6 +20,7 @@ minimum resolved by the J -> 0+ limit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -98,32 +103,23 @@ def fock_dimension(M: int, N: int) -> int:
     return math.comb(N + M - 1, N)
 
 
-def _occupations_desc(n: int, m: int):
-    """Yield all length-m occupation tuples summing to n, in descending
-    lexicographic order."""
-    if m == 1:
-        yield (n,)
-        return
-    for head in range(n, -1, -1):
-        for tail in _occupations_desc(n - head, m - 1):
-            yield (head,) + tail
-
-
 class FockBasis:
     """Ordered number basis of the N-boson sector on M sites.
 
-    States are kept in descending lexicographic order of their occupation
-    tuples, which makes indices (and everything derived from them)
-    reproducible across runs.  The index of an occupation is computed
-    from it combinatorially (rank), so no lookup table is kept.
+    The basis is one read-only (D, M) integer array, occupations, whose
+    rows are in descending lexicographic order, which makes indices (and
+    everything derived from them) reproducible across runs.  states is
+    the same basis as a list of occupation tuples, built on first use.
+    The constructor takes the occupations as such a list or as an array.
+    The index of an occupation is computed from it combinatorially
+    (rank), so no lookup table is kept.
     """
 
-    def __init__(self, spec: LatticeSpec, states: list[tuple[int, ...]]):
+    def __init__(self, spec: LatticeSpec, states):
         self.spec = spec
-        self.states = states
-        self.dimension = len(states)
         self.occupations = np.array(states, dtype=np.int64)
         self.occupations.setflags(write=False)
+        self.dimension = len(self.occupations)
         # _beyond[s, j]: states that agree with a given state on sites
         # before j and hold more atoms on site j, when s of its atoms sit
         # on sites after j; every entry is at most the dimension
@@ -131,6 +127,11 @@ class FockBasis:
         self._beyond = np.array(
             [[math.comb(s + M - j - 2, M - j - 1) for j in range(M - 1)]
              for s in range(N + 1)], dtype=np.int64)
+
+    @functools.cached_property
+    def states(self) -> list[tuple[int, ...]]:
+        """The occupations as a list of tuples, in basis order."""
+        return list(zip(*self.occupations.T.tolist()))
 
     @functools.cached_property
     def signature_groups(self):
@@ -145,14 +146,14 @@ class FockBasis:
         occ, m = self.occupations, self.spec.M
         sigs = np.stack([np.sum(occ[:, :m - d] * occ[:, d:], axis=1)
                          for d in range(m)], axis=1)
-        # np.unique sorts rows in ascending lexicographic order
-        uniq, inverse = np.unique(sigs, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        order = np.argsort(inverse, kind="stable")
+        # a stable sort on the negated signatures, C_0 the primary key,
+        # keeps each class's indices ascending
+        order = np.lexsort(-sigs.T[::-1])
         order.setflags(write=False)
-        parts = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
-        return tuple((tuple(sig), idx)
-                     for sig, idx in zip(uniq.tolist()[::-1], parts[::-1]))
+        sigs = sigs[order]
+        starts = np.flatnonzero((sigs[1:] != sigs[:-1]).any(axis=1)) + 1
+        return tuple(zip(map(tuple, sigs[np.r_[0, starts]].tolist()),
+                         np.split(order, starts)))
 
     def rank(self, occ: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of an (n, M) array of valid
@@ -187,14 +188,24 @@ def enumerate_basis(spec: LatticeSpec, max_dim: int = 1_000_000) -> FockBasis:
     """Enumerate the full N-boson Fock basis for the given lattice.
 
     Raises CapacityError if the dimension C(N+M-1, N) exceeds max_dim.
+    Stars and bars: the M-1 bars among N+M-1 slots, in the ascending
+    lexicographic order of itertools.combinations, give the occupations
+    in ascending lexicographic order as the gaps between them, so the
+    basis order is their reverse.
     """
-    dim = fock_dimension(spec.M, spec.N)
+    M, N = spec.M, spec.N
+    dim = fock_dimension(M, N)
     if dim > max_dim:
         raise CapacityError(
-            f"Fock dimension {dim} for M={spec.M}, N={spec.N} exceeds "
+            f"Fock dimension {dim} for M={M}, N={N} exceeds "
             f"the configured maximum {max_dim}")
-    states = list(_occupations_desc(spec.N, spec.M))
-    return FockBasis(spec, states)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(N + M - 1), M - 1)),
+        dtype=np.int64, count=dim * (M - 1)).reshape(dim, M - 1)
+    occ = np.diff(bars[::-1], axis=1, prepend=-1, append=N + M - 1)
+    occ -= 1
+    return FockBasis(spec, occ)
 
 
 @dataclass

@@ -103,6 +103,14 @@ def _uniform_columns(seeds, n_events: int):
         yield block[:, col]
 
 
+def _snapshot_indices(n_events: int, stride: int) -> np.ndarray:
+    """Snapshot events: 0, every multiple of the stride, and the last."""
+    if stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
+    idx = sorted({0, n_events, *range(stride, n_events + 1, stride)})
+    return np.array(idx, dtype=np.int64)
+
+
 def _scatter_multipliers(theta, table: PatternTable) -> np.ndarray:
     """|F_k(theta)|^2 = C_k . b(theta) of each class's signature C_k at
     every row's detected angle: shape (len(theta), K).
@@ -254,8 +262,8 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
     """
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
-    if snapshot_stride is not None and snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    due = set() if snapshot_stride is None else set(
+        _snapshot_indices(n_events, snapshot_stride).tolist())
 
     seeds = [int(seed) for seed in seeds]
     n_traj = len(seeds)
@@ -274,7 +282,7 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
     thetas = np.full((n_traj, n_events), np.nan)
     weights[:, 0] = w
     overlap_sq[:, 0] = 1.0
-    snaps = [(0, np.tile(c0, (n_traj, 1)))] if snapshot_stride else []
+    snaps = [(0, np.tile(c0, (n_traj, 1)))] if due else []
 
     for m, r in enumerate(_uniform_columns(seeds, n_events), start=1):
         w, rows, theta, dying = _event_step(w, r, alive, table)
@@ -288,7 +296,7 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
         ratios = _amplitude_ratios(w, big_p)[:, class_of]
         weights[:, m] = w
         overlap_sq[:, m] = np.abs((pz * ratios).sum(axis=1)) ** 2
-        if snapshot_stride and (m % snapshot_stride == 0 or m == n_events):
+        if m in due:
             snaps.append((m, c0 * ratios * z))
 
     final = c0 * ratios * z
@@ -309,7 +317,7 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
             overlap_sq_series=overlap_sq[b, :n + 1],
             class_weights=weights[b, :n + 1],
             snapshots=(tuple((m, c[b]) for m, c in snaps if m <= n)
-                       if snapshot_stride else None),
+                       if due else None),
             aborted=n < n_events))
     return records
 

@@ -37,6 +37,7 @@ from scatterloc.lattice import (
     ground_state,
     overlap,
 )
+from scatterloc.kernel import pattern_signature
 
 
 def brute_force_occupations(M, N):
@@ -64,6 +65,10 @@ def reference_hamiltonian(basis, params):
                     j = index[tuple(hopped)]
                     H[j, i] -= params.J * math.sqrt(occ[src] * (occ[dst] + 1))
     return H
+
+
+BASIS_CASES = [(M, N, b) for M in range(1, 7) for N in range(1, 7)
+               for b in Boundary if b == Boundary.OPEN or M >= 3]
 
 
 PARAMS = [HubbardParams(J=1.0, U=0.0), HubbardParams(J=0.7, U=1.3),
@@ -145,6 +150,39 @@ class TestBasis:
         basis = enumerate_basis(LatticeSpec(M=M, N=N))
         expected = sorted(brute_force_occupations(M, N), reverse=True)
         assert basis.states == expected
+
+    @pytest.mark.parametrize("M,N,boundary",
+                             BASIS_CASES + [(8, 8, Boundary.OPEN)])
+    def test_basis_array_and_partition(self, M, N, boundary):
+        spec = LatticeSpec(M=M, N=N, boundary=boundary)
+        basis = enumerate_basis(spec)
+        occ = basis.occupations
+        rows = occ.tolist()
+        assert occ.shape == (fock_dimension(M, N), M) == (len(basis), M)
+        assert all(a > b for a, b in zip(rows, rows[1:]))
+        np.testing.assert_array_equal(basis.rank(occ), np.arange(len(basis)))
+
+        # the partition against a grouping by the scalar signature
+        members = {}
+        for i, row in enumerate(rows):
+            members.setdefault(pattern_signature(row), []).append(i)
+        expected = sorted(members.items(), reverse=True)
+        groups = basis.signature_groups
+        assert [sig for sig, _ in groups] == [sig for sig, _ in expected]
+        for (sig, idx), (_, want) in zip(groups, expected):
+            assert all(type(c) is int for c in sig)
+            assert idx.tolist() == want
+            assert not idx.flags.writeable
+        if (M, N) == (8, 8):
+            assert len(groups) == 1750
+
+        # the constructor takes tuples or an array, and copies the array
+        array = np.array(rows)
+        for built in (FockBasis(spec, basis.states), FockBasis(spec, array)):
+            np.testing.assert_array_equal(built.occupations, occ)
+            assert built.states == basis.states
+            assert not built.occupations.flags.writeable
+        assert array.flags.writeable
 
 
 class TestLatticeSpec:
