@@ -307,7 +307,7 @@ def _memory_need(setup: ScatteringSetup) -> int:
     eigenvectors and workspace; a sparse one at most one entry per state
     and directed bond, under 80 bytes each while its triplets become CSR,
     plus ARPACK's 20 Lanczos vectors.  The tracemalloc peak of
-    prepare_system is 0.4-0.75 of this bound at M = N = 3..10.
+    prepare_system is 0.39-0.68 of this bound at M = N = 3..10.
     """
     lattice = setup.lattice
     dim = fock_dimension(lattice.M, lattice.N)

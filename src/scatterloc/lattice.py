@@ -247,38 +247,38 @@ def fock_state(basis: FockBasis, occ) -> ManyBodyState:
 
 
 def _hops(basis: FockBasis, occ: np.ndarray):
-    """Every single-atom hop b_dst^dag b_src along a bond from rows of occ.
+    """Every single-atom hop b_t^dag b_s along a bond (s, t) from rows of occ.
 
-    Yields, per bond and direction, the rows i that can hop, the basis
-    index j of each hopped occupation and the Bose factor
-    sqrt(n_src (n_dst + 1)).
+    Yields, per bond, the rows i that can hop, the basis index j of each
+    hopped occupation and the Bose factor sqrt(n_s (n_t + 1)); the hop
+    back, t to s, is the transpose with the same factor.
     """
     for (s, t) in basis.spec.bonds:
-        for src, dst in ((s, t), (t, s)):
-            i = np.flatnonzero(occ[:, src])
-            hopped = occ[i]
-            amp = np.sqrt(hopped[:, src] * (hopped[:, dst] + 1))
-            hopped[:, src] -= 1
-            hopped[:, dst] += 1
-            yield i, basis.rank(hopped), amp
+        i = np.flatnonzero(occ[:, s])
+        hopped = occ[i]
+        amp = np.sqrt(hopped[:, s] * (hopped[:, t] + 1))
+        hopped[:, s] -= 1
+        hopped[:, t] += 1
+        yield i, basis.rank(hopped), amp
 
 
 def _assemble(diag: np.ndarray, rows, cols, vals):
-    """Symmetric matrix with the given diagonal and off-diagonal entries:
-    dense up to _DENSE_MAX_DIM, sparse CSR above."""
+    """Symmetric matrix with the given diagonal and off-diagonal entries,
+    each at (r, c) and (c, r): dense up to _DENSE_MAX_DIM, sparse CSR above."""
     dim = diag.shape[0]
     if dim <= _DENSE_MAX_DIM:
         H = np.zeros((dim, dim), dtype=np.float64)
         H[np.diag_indices(dim)] = diag
         for r, c, v in zip(rows, cols, vals):
-            H[r, c] = v
+            H[r, c] = H[c, r] = v
         return H
     import scipy.sparse
 
     idx = np.arange(dim)
     return scipy.sparse.csr_array(
-        (np.concatenate([diag, *vals]),
-         (np.concatenate([idx, *rows]), np.concatenate([idx, *cols]))),
+        (np.concatenate([diag, *vals, *vals]),
+         (np.concatenate([idx, *rows, *cols]),
+          np.concatenate([idx, *cols, *rows]))),
         shape=(dim, dim))
 
 

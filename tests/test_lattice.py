@@ -258,10 +258,15 @@ class TestHamiltonian:
         assert basis.dimension > _DENSE_MAX_DIM
         for params in PARAMS:
             H = build_hamiltonian(basis, params)
+            ref = reference_hamiltonian(basis, params)
             assert H.format == "csr"
             # equal values; toarray() may turn a stored -0.0 into 0.0
-            np.testing.assert_array_equal(H.toarray(),
-                                          reference_hamiltonian(basis, params))
+            np.testing.assert_array_equal(H.toarray(), ref)
+            # each entry stored once, in sorted order: the diagonal and
+            # every nonzero hop, with no duplicates that sum to a value
+            assert H.has_canonical_format
+            assert H.nnz == (basis.dimension
+                             + np.count_nonzero(ref - np.diag(np.diag(ref))))
 
     def test_offdiagonals_are_single_neighbour_hops(self):
         spec = LatticeSpec(M=3, N=2)
@@ -436,9 +441,17 @@ class TestHardCoreLimit:
             expected[basis.index_of(occ)] = amp
         np.testing.assert_allclose(state.coeffs, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("M,N", [(3, 4), (4, 2), (4, 6)])
-    def test_agrees_with_small_hopping(self, M, N):
-        basis = enumerate_basis(LatticeSpec(M=M, N=N))
+    # on a ring the wrap bond (M-1, 0) is the only bond whose hop moves
+    # an atom to an earlier site, so its mirrored entry is the easiest
+    # to lose
+    @pytest.mark.parametrize("M,N,bc", [
+        (3, 4, Boundary.OPEN), (4, 2, Boundary.OPEN), (4, 6, Boundary.OPEN),
+        (4, 3, Boundary.PERIODIC), (4, 6, Boundary.PERIODIC),
+        (5, 4, Boundary.PERIODIC)],
+        ids=["3-4", "4-2", "4-6", "periodic-4-3", "periodic-4-6",
+             "periodic-5-4"])
+    def test_agrees_with_small_hopping(self, M, N, bc):
+        basis = enumerate_basis(LatticeSpec(M=M, N=N, boundary=bc))
         _, limit = ground_state(
             build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0)), basis)
         _, small = ground_state(
