@@ -335,6 +335,13 @@ def _check_memory(setup: ScatteringSetup) -> None:
             f"table, more than the {have / 2**30:.1f} GiB of physical memory")
 
 
+def _tabulate(lattice: LatticeSpec, setup: ScatteringSetup):
+    """Basis, classes and pattern table, once the memory guard passes."""
+    _check_memory(setup)
+    basis = enumerate_basis(lattice)
+    return basis, build_classes(basis), build_pattern_table(basis, setup)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One ground state along the interaction sweep."""
@@ -364,10 +371,7 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
         if not (uj >= 0):
             raise ValueError(f"U/J values must be >= 0, got {uj}")
 
-    _check_memory(setup)
-    basis = enumerate_basis(lattice)
-    classes = build_classes(basis)
-    table = build_pattern_table(basis, setup)
+    basis, classes, table = _tabulate(lattice, setup)
 
     rows = []
     for i, uj in enumerate(values):
@@ -401,13 +405,9 @@ class PreparedSystem:
 
 def prepare_system(cfg: "RunConfig") -> PreparedSystem:
     """Diagonalize and tabulate everything a run needs from its config."""
-    lattice = cfg.lattice_spec()
     params = cfg.hubbard_params()
     setup = cfg.scattering_setup()
-    _check_memory(setup)
-    basis = enumerate_basis(lattice)
-    classes = build_classes(basis)
-    table = build_pattern_table(basis, setup)
+    basis, classes, table = _tabulate(setup.lattice, setup)
     energy, state = ground_state(build_hamiltonian(basis, params), basis)
     return PreparedSystem(basis=basis, classes=classes, table=table,
                           params=params, energy=energy, initial_state=state)

@@ -174,10 +174,12 @@ def cmd_trajectory(cfg: RunConfig) -> None:
 def cmd_ensemble(cfg: RunConfig) -> None:
     """Many trajectories: proportions, pooled angle histogram, convergence."""
     system = prepare_system(cfg)
+    # no CSV reads the ensemble's snapshots: a stride of n_events keeps
+    # only the first and last of them
     stats = run_ensemble(
         system.initial_state, cfg.n_traj, cfg.n_events, system.table,
         system.classes, master_seed=cfg.master_seed, n_bins=cfg.n_bins,
-        snapshot_stride=cfg.snapshot_stride, workers=cfg.workers)
+        snapshot_stride=cfg.n_events, workers=cfg.workers)
     writer = OutputWriter("ensemble", cfg)
 
     row = "%d," + " ".join(["%d"] * cfg.M) + ",%.17g,%.17g"
@@ -216,7 +218,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
         cfg.uj_values, cfg.lattice_spec(), cfg.scattering_setup(),
         n_traj=cfg.n_traj, n_events=cfg.n_events,
         master_seed=cfg.master_seed, n_bins=cfg.n_bins,
-        snapshot_stride=cfg.snapshot_stride, workers=cfg.workers)
+        snapshot_stride=cfg.n_events, workers=cfg.workers)
     writer = OutputWriter("sweep", cfg)
 
     n_classes = len(rows_out[0].predicted)

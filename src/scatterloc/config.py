@@ -4,6 +4,11 @@ A config file is a flat JSON object whose keys are exactly the RunConfig
 field names.  Values given on the command line override file values,
 which override the built-in defaults.  Unknown keys are hard errors, not
 warnings: a typo in a parameter name must never silently run the default.
+
+A configuration is validated when it is built, each rule once, by its
+owner: RunConfig checks what each value is and the bounds only a run has,
+and the LatticeSpec, HubbardParams and ScatteringSetup it builds on
+creation check the physics.  So a command can build every RunConfig.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .kernel import GAUSSIAN, UNIFORM, ScatteringSetup
-from .lattice import Boundary, HubbardParams, LatticeSpec
+from .kernel import UNIFORM, ScatteringSetup
+from .lattice import HubbardParams, LatticeSpec
 
 
 class ConfigError(Exception):
@@ -22,7 +27,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of a run.  Only M and N have no default."""
+    """All knobs of a run.  Only M and N have no default.
+
+    A value of the wrong kind, or out of a lattice, Hubbard, probe or run
+    bound, raises ConfigError naming its key; an inadmissible probe
+    raises CouplingTooStrong.
+    """
 
     M: int
     N: int
@@ -44,147 +54,95 @@ class RunConfig:
     output_path: str = "out"
 
     def __post_init__(self):
-        for key in _FLOAT_FIELDS:
-            value = getattr(self, key)
-            if isinstance(value, int) and not isinstance(value, bool):
-                object.__setattr__(self, key, float(value))
-        _check_int("M", self.M, minimum=1)
-        _check_int("N", self.N, minimum=1)
-        if self.boundary not in ("open", "periodic"):
-            raise ConfigError(f"boundary: must be 'open' or 'periodic', "
-                              f"got {self.boundary!r}")
-        _check_float("U", self.U)
-        _check_float("J", self.J, minimum=0.0)
-        _check_float("gN", self.gN, strict_minimum=0.0)
-        _check_float("k0_a", self.k0_a, strict_minimum=0.0)
-        if self.envelope not in (UNIFORM, GAUSSIAN):
-            raise ConfigError(f"envelope: must be '{UNIFORM}' or "
-                              f"'{GAUSSIAN}', got {self.envelope!r}")
-        _check_float("sigma_a", self.sigma_a, minimum=0.0)
-        if self.envelope == GAUSSIAN and not self.sigma_a > 0:
-            raise ConfigError("sigma_a: gaussian envelope requires "
-                              "sigma_a > 0")
-        _check_int("n_theta", self.n_theta, minimum=64)
-        if self.n_theta % 2 != 0:
-            raise ConfigError(f"n_theta: must be even, got {self.n_theta}")
-        _check_int("n_events", self.n_events, minimum=1)
-        _check_int("n_traj", self.n_traj, minimum=1)
-        _check_int("master_seed", self.master_seed, minimum=0)
-        _check_int("n_bins", self.n_bins, minimum=1)
-        _check_int("snapshot_stride", self.snapshot_stride, minimum=1)
-        _check_int("workers", self.workers, minimum=1)
-        values = []
-        for i, v in enumerate(self.uj_values):
-            bad = isinstance(v, bool) or not isinstance(v, (int, float))
-            if bad or math.isnan(v) or v < 0:
-                raise ConfigError(f"uj_values[{i}]: must be a number >= 0, "
-                                  f"got {v!r}")
-            values.append(float(v))
-        object.__setattr__(self, "uj_values", tuple(values))
-        if not isinstance(self.output_path, str) or not self.output_path:
-            raise ConfigError("output_path: must be a non-empty string")
+        for f in fields(self):
+            value = _of_kind(f.name, f.type, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+        for key, minimum in _RUN_MINIMA.items():
+            if getattr(self, key) < minimum:
+                raise ConfigError(f"{key}: must be >= {minimum}, "
+                                  f"got {getattr(self, key)}")
+        self.hubbard_params()
+        self.scattering_setup()
 
     def lattice_spec(self) -> LatticeSpec:
-        try:
-            return LatticeSpec(M=self.M, N=self.N,
-                               boundary=Boundary(self.boundary))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(LatticeSpec, M=self.M, N=self.N, boundary=self.boundary)
 
     def hubbard_params(self) -> HubbardParams:
-        try:
-            return HubbardParams(J=self.J, U=self.U)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(HubbardParams, J=self.J, U=self.U)
 
     def scattering_setup(self) -> ScatteringSetup:
         # CouplingTooStrong passes through untouched: an inadmissible
         # probe strength is a physics error, not a parse error
-        try:
-            return ScatteringSetup(lattice=self.lattice_spec(),
-                                   k0_a=self.k0_a, gN=self.gN,
-                                   envelope=self.envelope,
-                                   sigma_a=self.sigma_a,
-                                   n_theta=self.n_theta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(ScatteringSetup, lattice=self.lattice_spec(),
+                      k0_a=self.k0_a, gN=self.gN, envelope=self.envelope,
+                      sigma_a=self.sigma_a, n_theta=self.n_theta)
 
 
-_INT_FIELDS = {"M", "N", "n_theta", "n_events", "n_traj", "master_seed",
-               "n_bins", "snapshot_stride", "workers"}
-_FLOAT_FIELDS = {"U", "J", "gN", "k0_a", "sigma_a"}
-_STR_FIELDS = {"boundary", "envelope", "output_path"}
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_KINDS = {f.name: f.type for f in fields(RunConfig)}
+_KIND_NAMES = {"int": "an integer", "float": "a finite number",
+               "str": "a non-empty string",
+               "tuple[float, ...]": "a list of U/J values"}
+_RUN_MINIMA = {"n_events": 1, "n_traj": 1, "master_seed": 0, "n_bins": 1,
+               "snapshot_stride": 1, "workers": 1}
 
 
-def _check_int(key, value, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
+def _build(cls, **kwargs):
+    """cls(**kwargs), with a ValueError raised as a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _check_float(key, value, minimum=None, strict_minimum=None):
-    if not isinstance(value, float) or not math.isfinite(value):
-        raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-    if strict_minimum is not None and value <= strict_minimum:
-        raise ConfigError(f"{key}: must be > {strict_minimum}, got {value}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _of_kind(key: str, kind: str, value):
+    """The value as its field's kind, or ConfigError naming the key."""
+    if kind == "int" and _is_number(value) and isinstance(value, int):
+        return value
+    if kind == "float" and _is_number(value) and math.isfinite(value):
+        return float(value)
+    if kind == "str" and isinstance(value, str) and value:
+        return value
+    if kind == "tuple[float, ...]" and isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            # nan fails v >= 0; inf is the hard-interaction limit
+            if not (_is_number(v) and v >= 0):
+                raise ConfigError(f"uj_values[{i}]: must be a number >= 0, "
+                                  f"got {v!r}")
+        return tuple(float(v) for v in value)
+    raise ConfigError(f"{key}: must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def _coerce(key: str, value):
-    """Convert a raw JSON or command-line value to the field's type."""
-    if key in _INT_FIELDS:
-        if isinstance(value, bool):
-            raise ConfigError(f"{key}: must be an integer, got {value!r}")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, str):
-            try:
-                return int(value)
-            except ValueError:
-                raise ConfigError(f"{key}: must be an integer, "
-                                  f"got {value!r}") from None
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    if key in _FLOAT_FIELDS:
-        return _parse_float(key, value)
-    if key in _STR_FIELDS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key}: must be a string, got {value!r}")
-        return value
-    if key == "uj_values":
-        if isinstance(value, str):
-            value = [v for v in value.split(",") if v != ""]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"uj_values: must be a list, got {value!r}")
-        return tuple(_parse_float(f"uj_values[{i}]", v, allow_inf=True)
-                     for i, v in enumerate(value))
-    raise ConfigError(f"unknown configuration key: {key!r}")
-
-
-def _parse_float(key, value, allow_inf=False):
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: must be a number, got {value!r}")
+    """Turn text into the number its field holds ("pi" included); every
+    other value passes unchanged, for RunConfig to check."""
+    if key not in _KINDS:
+        raise ConfigError(f"unknown configuration key: {key!r}")
+    kind = _KINDS[key]
+    if kind != "tuple[float, ...]":
+        return _number(key, value, kind)
     if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("pi", "π"):
-            return math.pi
-        if text == "inf" and allow_inf:
-            return math.inf
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"{key}: must be a number, "
-                              f"got {value!r}") from None
-    if isinstance(value, (int, float)):
-        value = float(value)
-        if math.isinf(value) and allow_inf:
-            return value
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value!r}")
+        value = [v for v in value.split(",") if v != ""]
+    if not isinstance(value, (list, tuple)):
         return value
-    raise ConfigError(f"{key}: must be a number, got {value!r}")
+    return tuple(_number(f"{key}[{i}]", v, "float")
+                 for i, v in enumerate(value))
+
+
+def _number(key: str, value, kind: str):
+    if kind == "str" or not isinstance(value, str):
+        return value
+    text = value.strip().lower()
+    if kind == "float" and text in ("pi", "π"):
+        return math.pi
+    try:
+        return int(text) if kind == "int" else float(text)
+    except ValueError:
+        noun = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{key}: must be {noun}, got {value!r}") from None
 
 
 def parse_config(file_values: dict | None = None,
@@ -194,12 +152,9 @@ def parse_config(file_values: dict | None = None,
     Both mappings use RunConfig field names as keys; overrides win.
     Unknown keys and missing required keys (M, N) raise ConfigError.
     """
-    merged: dict = {}
-    for source in (file_values or {}), (overrides or {}):
-        for key, value in source.items():
-            if key not in _FIELD_NAMES:
-                raise ConfigError(f"unknown configuration key: {key!r}")
-            merged[key] = _coerce(key, value)
+    merged = {key: _coerce(key, value)
+              for source in (file_values or {}, overrides or {})
+              for key, value in source.items()}
     for required in ("M", "N"):
         if required not in merged:
             raise ConfigError(f"{required}: required key is missing")
@@ -230,4 +185,3 @@ def config_to_mapping(cfg: RunConfig) -> dict:
             value = ["inf" if math.isinf(v) else v for v in value]
         out[f.name] = value
     return out
-

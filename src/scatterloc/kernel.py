@@ -76,7 +76,11 @@ class ScatteringSetup:
         if not (self.gN > 0 and math.isfinite(self.gN)):
             raise ValueError(f"gN must be positive and finite, got {self.gN}")
         if self.envelope not in (UNIFORM, GAUSSIAN):
-            raise ValueError(f"unknown envelope {self.envelope!r}")
+            raise ValueError(f"envelope must be one of "
+                             f"{[UNIFORM, GAUSSIAN]}, got {self.envelope!r}")
+        if not (0 <= self.sigma_a < math.inf):
+            raise ValueError(f"sigma_a must be finite and >= 0, "
+                             f"got {self.sigma_a}")
         if self.envelope == GAUSSIAN and not (self.sigma_a > 0):
             raise ValueError("gaussian envelope requires sigma_a > 0")
         if self.n_theta < 64 or self.n_theta % 2 != 0:

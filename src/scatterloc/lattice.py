@@ -43,6 +43,11 @@ class Boundary(str, Enum):
     OPEN = "open"
     PERIODIC = "periodic"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"boundary must be one of "
+                         f"{[b.value for b in cls]}, got {value!r}")
+
 
 class CapacityError(Exception):
     """Fock-space dimension exceeds the configured maximum."""
@@ -67,6 +72,7 @@ class LatticeSpec:
     boundary: Boundary = Boundary.OPEN
 
     def __post_init__(self):
+        object.__setattr__(self, "boundary", Boundary(self.boundary))
         if self.M < 1:
             raise ValueError(f"site count M must be >= 1, got {self.M}")
         if self.N < 1:
@@ -92,8 +98,9 @@ class HubbardParams:
     U: float
 
     def __post_init__(self):
-        if not (self.J >= 0):
-            raise ValueError(f"tunneling J must be >= 0, got {self.J}")
+        if not (0 <= self.J < math.inf):
+            raise ValueError(f"tunneling J must be finite and >= 0, "
+                             f"got {self.J}")
         if not math.isfinite(self.U):
             raise ValueError(f"interaction U must be finite, got {self.U}")
 

@@ -118,6 +118,7 @@ class TestParsing:
                        "--set", "M=2", "--set", "N=1", "--set", "gN=1.5")
         assert code == 3
         assert capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unwritable_output_is_exit_4(self, tmp_path):
         target = tmp_path / "blocker"
@@ -242,6 +243,28 @@ class TestOutputs:
         conv = csv_rows(out / "convergence.csv")[0]
         assert conv["convergence_rate"] == "1"
         assert conv["n_converged"] == "30"
+
+    def test_ensemble_and_sweep_record_no_intermediate_snapshots(
+            self, tmp_path, monkeypatch):
+        # no CSV of either command reads the ensemble's snapshots, so
+        # the engine is asked for the first and last event only
+        strides = []
+
+        def spy(real):
+            def wrapper(*args, **kw):
+                strides.append(kw["snapshot_stride"])
+                return real(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(cli, "run_ensemble", spy(cli.run_ensemble))
+        monkeypatch.setattr(cli, "sweep_uj", spy(cli.sweep_uj))
+        for command in ("ensemble", "sweep"):
+            assert run_cli(command, "--out", str(tmp_path / command),
+                           "--set", "M=2", "--set", "N=2",
+                           "--set", "snapshot_stride=3",
+                           "--set", "uj_values=0.5", "--traj", "4",
+                           "--events", "30", "--bins", "8") == 0
+        assert strides == [30, 30]
 
     def test_trajectory_event_rows(self, tmp_path):
         out = tmp_path / "out"

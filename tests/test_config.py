@@ -14,6 +14,7 @@ from scatterloc.config import (
     load_config_file,
     parse_config,
 )
+from scatterloc.kernel import CouplingTooStrong
 
 
 def with_overrides(cfg: RunConfig, **kw) -> RunConfig:
@@ -95,6 +96,25 @@ class TestValidation:
         cfg = parse_config({"M": 2, "N": 2, "envelope": "gaussian",
                             "sigma_a": 0.2})
         assert cfg.sigma_a == 0.2
+
+    def test_periodic_ring_needs_three_sites(self):
+        with pytest.raises(ConfigError, match="boundary"):
+            parse_config({"M": 2, "N": 2, "boundary": "periodic"})
+        assert parse_config({"M": 3, "N": 2, "boundary": "periodic"}).M == 3
+
+    def test_inadmissible_probe_is_rejected_on_parse(self):
+        with pytest.raises(CouplingTooStrong):
+            parse_config({"M": 3, "N": 3, "gN": 5})
+        with pytest.raises(CouplingTooStrong):
+            parse_config({"M": 2, "N": 2, "envelope": "gaussian",
+                          "sigma_a": 0.2, "gN": 1.5})
+
+    def test_kinds_come_from_the_annotations(self):
+        for key, value in (("n_traj", 2.0), ("gN", "x"), ("gN", [0.5]),
+                           ("boundary", 3), ("output_path", ""),
+                           ("uj_values", 5), ("uj_values", [None])):
+            with pytest.raises(ConfigError, match=key):
+                parse_config({"M": 3, "N": 3, key: value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="hopping"):

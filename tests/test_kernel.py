@@ -157,6 +157,9 @@ class TestSetupValidation:
             make_setup(n_theta=32)  # < 64
         with pytest.raises(ValueError):
             make_setup(n_theta=129)  # odd
+        for sigma_a in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma_a"):
+                make_setup(sigma_a=sigma_a)
 
     def test_coupling_bound(self):
         # a one-site condensate scatters with probability gN^2 under a

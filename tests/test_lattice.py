@@ -194,6 +194,19 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec(M=2, N=2, boundary=Boundary.PERIODIC)
 
+    def test_boundary_names(self):
+        spec = LatticeSpec(M=3, N=2, boundary="periodic")
+        assert spec.boundary is Boundary.PERIODIC
+        with pytest.raises(ValueError, match="boundary"):
+            LatticeSpec(M=3, N=2, boundary="twisted")
+
+    def test_hubbard_params_need_finite_tunneling(self):
+        for J in (math.inf, math.nan, -0.5):
+            with pytest.raises(ValueError, match="J"):
+                HubbardParams(J=J, U=0.0)
+        with pytest.raises(ValueError, match="U"):
+            HubbardParams(J=1.0, U=math.inf)
+
     def test_bonds(self):
         assert LatticeSpec(M=4, N=1).bonds == ((0, 1), (1, 2), (2, 3))
         assert LatticeSpec(M=1, N=2).bonds == ()
