@@ -47,6 +47,10 @@ from .trajectory import (
 if TYPE_CHECKING:
     from .config import RunConfig
 
+# class weights a lockstep block holds per array (8 MB), unless one
+# row's n_traj trajectories need more
+_BLOCK_WEIGHTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class EquivalenceClass:
@@ -178,59 +182,30 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     through its K class weights.  The runner therefore evolves a
     (trajectories, K) array of class weights and advances every live
     trajectory of a chunk one event per step, in lockstep, through the
-    event step of the trajectory engine without its phases.  Each
-    trajectory still draws from its own PCG64 stream in order, and every
-    reduction is an elementwise product summed along one row, never a
-    BLAS call whose rounding can depend on the batch shape, so a
-    trajectory's result does not depend, bit for bit, on how many
-    others share its chunk.  Results are merged by trajectory index, so
-    they do not depend on the execution order or the worker count
-    either.
+    event step of the trajectory engine without its phases: the one-row
+    case of the lockstep batch that sweep_uj runs, each chunk in one
+    block.  Each trajectory still draws from its own PCG64 stream in
+    order, and every reduction is an elementwise product summed along
+    one row, never a BLAS call whose rounding can depend on the batch
+    shape, so a trajectory's result does not depend, bit for bit, on
+    how many others share its chunk.  Results are merged by trajectory
+    index, so they do not depend on the execution order or the worker
+    count either.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if n_events < 1:
-        raise ValueError(f"n_events must be >= 1, got {n_events}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    snap_idx = _run_bounds(n_traj, n_events, workers, snapshot_stride)
     k = len(classes)
     if k != len(table.ns_prob):
         raise ValueError(f"{k} classes for a table of {len(table.ns_prob)}")
 
     w0 = table.class_weights(initial.probabilities)
-    snap_idx = _snapshot_indices(n_events, snapshot_stride)
     seeds = np.array([trajectory_seed(master_seed, i) for i in range(n_traj)],
                      dtype=np.uint64)
-
-    # chunk bounds follow the requested worker count, never the pool size
-    starts = [(n_traj * w) // workers for w in range(workers + 1)]
-    chunks = [(seeds[a:b]) for a, b in zip(starts, starts[1:]) if b > a]
-
-    args = [(w0, table, chunk, n_events, n_bins, snap_idx)
-            for chunk in chunks]
-    n_procs = _pool_size(workers, len(chunks))
-    if n_procs == 1:
-        parts = [_ensemble_chunk(*a) for a in args]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=n_procs) as pool:
-            parts = list(pool.map(_ensemble_chunk, *zip(*args)))
-
-    histogram = np.sum([p["histogram"] for p in parts], axis=0)
-    final_w = np.concatenate([p["final_weights"] for p in parts], axis=0)
-    snaps = np.concatenate([p["snapshots"] for p in parts], axis=0)
-    scatter_counts = np.concatenate([p["scatter_counts"] for p in parts])
-    aborted = int(sum(p["aborted"] for p in parts))
-
-    converged = np.max(final_w, axis=1) > CONVERGENCE_THRESHOLD
-    end_class = np.argmax(final_w, axis=1)
-    n_conv = int(np.count_nonzero(converged))
-    if n_conv > 0:
-        proportions = np.bincount(end_class[converged],
-                                  minlength=k).astype(float) / n_conv
-    else:
-        proportions = np.zeros(k)
+    out = _lockstep(w0[None, :], n_traj, seeds, table, n_events, n_bins,
+                    snap_idx, workers)
+    histogram = out["histogram"][0]
+    snaps = out["snapshots"]
+    proportions, n_conv = _end_proportions(out["end_class"],
+                                           out["converged"], k)
 
     return EnsembleStats(
         n_traj=n_traj, n_events=n_events, n_bins=n_bins,
@@ -241,14 +216,38 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
         histogram=histogram,
         histogram_predicted=predicted_bin_masses(initial, table, n_bins),
         convergence_rate=n_conv / n_traj,
-        final_class_weights=final_w,
-        converged_mask=converged,
-        end_class_index=end_class,
+        # the last snapshot is event n_events
+        final_class_weights=snaps[:, -1].copy(),
+        converged_mask=out["converged"],
+        end_class_index=out["end_class"],
         snapshot_indices=snap_idx,
         mean_class_weights=np.mean(snaps, axis=0),
-        scatter_counts=scatter_counts,
+        scatter_counts=out["scatter_counts"],
         n_scatter_total=int(histogram.sum()),
-        aborted_count=aborted)
+        aborted_count=int(np.count_nonzero(~out["alive"])))
+
+
+def _run_bounds(n_traj: int, n_events: int, workers: int,
+                snapshot_stride: int) -> np.ndarray:
+    """Snapshot indices of an ensemble run; ValueError for a trajectory
+    count, event count, worker count or stride no run can take."""
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if n_events < 1:
+        raise ValueError(f"n_events must be >= 1, got {n_events}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return _snapshot_indices(n_events, snapshot_stride)
+
+
+def _end_proportions(end_class, converged, k: int):
+    """Share of the converged trajectories ending in each of k classes,
+    and how many converged."""
+    n_conv = int(np.count_nonzero(converged))
+    if n_conv == 0:
+        return np.zeros(k), 0
+    counts = np.bincount(end_class[converged], minlength=k)
+    return counts.astype(float) / n_conv, n_conv
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
@@ -256,39 +255,86 @@ def _pool_size(workers: int, n_chunks: int) -> int:
     return min(workers, n_chunks, os.cpu_count() or 1)
 
 
-def _ensemble_chunk(w0, table, seeds, n_events, n_bins, snap_idx):
-    """Run one contiguous block of trajectories on their class weights.
+def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, snap_idx,
+              workers):
+    """Run n_traj trajectories from each row of class weights w0, shape
+    (rows, K): trajectory i starts from row i // n_traj on seeds[i].
 
-    Every live trajectory advances one event per step, through the
-    trajectory engine's event step.  A trajectory whose update
-    annihilates its weights keeps its last healthy state and is reported
-    as aborted rather than poisoning the statistics; its fatal scatter
-    is still counted.
+    The trajectory list is cut into chunks by the requested worker count,
+    never by the pool size, and one pool runs them all.  Each chunk runs
+    in lockstep blocks of max(n_traj, _BLOCK_WEIGHTS // K) trajectories,
+    so a block never holds more than one row's trajectories or
+    _BLOCK_WEIGHTS class weights, whichever is more, and a chunk of one
+    row is one block.  Returns each row's histogram, shape (rows,
+    n_bins), and per trajectory, in order: its class weights at
+    snap_idx, scatter count, alive flag, end class and whether it
+    converged.
     """
-    n_chunk = len(seeds)
+    n = len(seeds)
+    row_of = np.repeat(np.arange(len(w0)), n_traj)
+    block = max(n_traj, _BLOCK_WEIGHTS // w0.shape[1])
+    starts = [(n * w) // workers for w in range(workers + 1)]
+    args = [(w0, row_of[a:b], seeds[a:b], table, n_events, n_bins, snap_idx,
+             block) for a, b in zip(starts, starts[1:]) if b > a]
+    n_procs = _pool_size(workers, len(args))
+    if n_procs == 1:
+        parts = [_lockstep_chunk(*a) for a in args]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    histogram = np.zeros(n_bins, dtype=np.int64)
-    snapshots = np.empty((n_chunk, len(snap_idx), len(w0)))
-    scatter_counts = np.zeros(n_chunk, dtype=np.int64)
-    alive = np.ones(n_chunk, dtype=bool)
+        with ProcessPoolExecutor(max_workers=n_procs) as pool:
+            parts = list(pool.map(_lockstep_chunk, *zip(*args)))
 
-    w = np.tile(w0, (n_chunk, 1))
-    si = 0
-    if snap_idx[si] == 0:
-        snapshots[:, si] = w
-        si += 1
-    for m, r in enumerate(_uniform_columns(seeds, n_events), start=1):
-        w, rows, theta, _ = _event_step(w, r, alive, table)
-        if rows.size:
-            np.add.at(histogram, _bin_index(theta, n_bins), 1)
-            scatter_counts[rows] += 1
-        if si < len(snap_idx) and m == snap_idx[si]:
-            snapshots[:, si] = w
-            si += 1
+    out = {key: np.concatenate([p[key] for p in parts]) for key in
+           ("snapshots", "scatter_counts", "alive", "end_class", "converged")}
+    out["histogram"] = np.sum([p["histogram"] for p in parts], axis=0)
+    return out
 
-    return {"histogram": histogram, "final_weights": w,
+
+def _lockstep_chunk(w0, row_of, seeds, table, n_events, n_bins, snap_idx,
+                    block):
+    """Run one contiguous run of trajectories, block by block, on their
+    class weights.
+
+    Every live trajectory of a block advances one event per step,
+    through the trajectory engine's event step.  A trajectory whose
+    update annihilates its weights keeps its last healthy state and is
+    reported as not alive rather than poisoning the statistics; its
+    fatal scatter is still counted.
+    """
+    n, k = len(seeds), w0.shape[1]
+    histogram = np.zeros(len(w0) * n_bins, dtype=np.int64)
+    snapshots = np.empty((n, len(snap_idx), k))
+    scatter_counts = np.zeros(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    end_class = np.empty(n, dtype=np.int64)
+    converged = np.empty(n, dtype=bool)
+
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        live, counts, snaps = alive[a:b], scatter_counts[a:b], snapshots[a:b]
+        offset = row_of[a:b] * n_bins
+        w = w0[row_of[a:b]]
+        si = 0
+        if len(snap_idx) and snap_idx[0] == 0:
+            snaps[:, 0] = w
+            si = 1
+        for m, r in enumerate(_uniform_columns(seeds[a:b], n_events),
+                              start=1):
+            w, rows, theta, _ = _event_step(w, r, live, table)
+            if rows.size:
+                np.add.at(histogram, offset[rows] + _bin_index(theta, n_bins),
+                          1)
+                counts[rows] += 1
+            if si < len(snap_idx) and m == snap_idx[si]:
+                snaps[:, si] = w
+                si += 1
+        end_class[a:b] = np.argmax(w, axis=1)
+        converged[a:b] = np.max(w, axis=1) > CONVERGENCE_THRESHOLD
+
+    return {"histogram": histogram.reshape(len(w0), n_bins),
             "snapshots": snapshots, "scatter_counts": scatter_counts,
-            "aborted": int(np.count_nonzero(~alive))}
+            "alive": alive, "end_class": end_class, "converged": converged}
 
 
 def _physical_memory() -> int:
@@ -362,32 +408,50 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     Each U/J value prepares its own ground state with J = 1 as the energy
     unit; math.inf is accepted as the hard-interaction limit and realized
     as J = 0, U = 1, whose ground state is taken in the J -> 0+ limit
-    (see lattice.ground_state).  Every row derives its trajectory seeds from
-    (master_seed, row index), so rows are independent and the whole sweep
-    is reproducible.
+    (see lattice.ground_state).  Trajectory j of row i has the seed
+    trajectory_seed(trajectory_seed(master_seed, i), j) and starts from
+    row i's class weights, so each row is the run_ensemble of its ground
+    state at master seed trajectory_seed(master_seed, i), bit for bit,
+    and the whole sweep is reproducible.  All rows share one basis, one
+    partition and one pattern table; every row's ground state is solved
+    first, then all rows' trajectories advance together in one lockstep
+    batch (_lockstep) with one pool of workers.  No row output reads
+    snapshots, so snapshot_stride is only validated, with the other run
+    bounds, before anything is enumerated or solved.
     """
     values = list(uj_values)
     for uj in values:
         if not (uj >= 0):
             raise ValueError(f"U/J values must be >= 0, got {uj}")
+    _run_bounds(n_traj, n_events, workers, snapshot_stride)
+    if not values:
+        return []
 
-    basis, classes, table = _tabulate(lattice, setup)
-
-    rows = []
-    for i, uj in enumerate(values):
+    basis, _, table = _tabulate(lattice, setup)
+    energies, w0 = [], []
+    for uj in values:
         if math.isinf(uj):
             params = HubbardParams(J=0.0, U=1.0)
         else:
             params = HubbardParams(J=1.0, U=float(uj))
         energy, psi = ground_state(build_hamiltonian(basis, params), basis)
-        stats = run_ensemble(psi, n_traj, n_events, table, classes,
-                             master_seed=trajectory_seed(master_seed, i),
-                             n_bins=n_bins, snapshot_stride=snapshot_stride,
-                             workers=workers)
-        rows.append(SweepRow(uj=float(uj), energy=energy,
-                             predicted=stats.class_proportions_predicted,
-                             proportions=stats.class_proportions,
-                             convergence_rate=stats.convergence_rate))
+        energies.append(energy)
+        w0.append(table.class_weights(psi.probabilities))
+
+    seeds = np.array([trajectory_seed(trajectory_seed(master_seed, i), j)
+                      for i in range(len(values)) for j in range(n_traj)],
+                     dtype=np.uint64)
+    out = _lockstep(np.array(w0), n_traj, seeds, table, n_events, n_bins,
+                    np.empty(0, dtype=np.int64), workers)
+
+    rows = []
+    for i, uj in enumerate(values):
+        mine = slice(i * n_traj, (i + 1) * n_traj)
+        proportions, n_conv = _end_proportions(
+            out["end_class"][mine], out["converged"][mine], len(w0[i]))
+        rows.append(SweepRow(uj=float(uj), energy=energies[i],
+                             predicted=w0[i], proportions=proportions,
+                             convergence_rate=n_conv / n_traj))
     return rows
 
 

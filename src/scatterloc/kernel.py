@@ -86,9 +86,18 @@ class ScatteringSetup:
         if self.n_theta < 64 or self.n_theta % 2 != 0:
             raise ValueError(f"n_theta must be even and >= 64, got {self.n_theta}")
         # single-site states scatter hardest (|F| = N at every angle), so
-        # admissibility reduces to a bound involving only the envelope
-        grid = theta_grid(self.n_theta)
-        env_sq_mean = grid_quadrature(envelope_factor(grid, self) ** 2) / (2.0 * math.pi)
+        # admissibility reduces to a bound involving only the envelope.  A
+        # gaussian I^2 is at most 1 on the grid, so at gN <= 1 the bound
+        # holds to rounding and needs no grid
+        if self.envelope == GAUSSIAN and self.gN <= 1.0:
+            return
+        n = self.n_theta
+        if self.envelope == UNIFORM:
+            # the grid quadrature of I^2 = 1, bit for bit
+            env_sq_mean = (2.0 * math.pi / n) * n / (2.0 * math.pi)
+        else:
+            env_sq_mean = grid_quadrature(
+                envelope_factor(theta_grid(n), self) ** 2) / (2.0 * math.pi)
         if self.gN ** 2 * env_sq_mean > 1.0 + 1e-12:
             raise CouplingTooStrong(
                 f"gN={self.gN} gives a single-site scattering probability of "

@@ -6,6 +6,7 @@ weights (preservation in expectation), and the ensemble runner against
 the per-basis, coefficient-evolving trajectory loop in oracles.py.
 """
 
+import concurrent.futures
 import functools
 import math
 import os
@@ -545,6 +546,18 @@ class TestRunEnsemble:
             run_ensemble(psi, 1, 10, table, classes22, master_seed=1)
 
 
+def sweep_params(uj):
+    """The sweep's Hubbard parameters for one U/J value."""
+    if math.isinf(uj):
+        return HubbardParams(J=0.0, U=1.0)
+    return HubbardParams(J=1.0, U=uj)
+
+
+def row_fields(row):
+    return (row.uj, row.energy, row.predicted.tolist(),
+            row.proportions.tolist(), row.convergence_rate)
+
+
 class TestSweep:
     def test_empty_list(self, system33):
         rows = sweep_uj([], LAT33,
@@ -557,6 +570,23 @@ class TestSweep:
             sweep_uj([-0.1], LAT33,
                      ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi),
                      n_traj=5, n_events=10, master_seed=0)
+
+    @pytest.mark.parametrize("bad", [{"n_traj": 0}, {"n_events": 0},
+                                     {"workers": 0}, {"snapshot_stride": 0}])
+    def test_run_bounds_are_checked_before_any_eigensolve(
+            self, bad, monkeypatch):
+        built, solved = [], []
+        monkeypatch.setattr(analysis, "enumerate_basis",
+                            lambda spec: built.append(spec))
+        monkeypatch.setattr(analysis, "build_hamiltonian",
+                            lambda *a: solved.append(a))
+        setup = ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi)
+        kwargs = dict(n_traj=5, n_events=10, master_seed=0) | bad
+        name = next(iter(bad))
+        for values in ([1.0, math.inf], []):
+            with pytest.raises(ValueError, match=name):
+                sweep_uj(values, LAT33, setup, **kwargs)
+        assert built == [] and solved == []
 
     def test_predictions_concentrate_on_unit_filling(self):
         setup = ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi)
@@ -579,6 +609,103 @@ class TestSweep:
         for a, b in zip(r1, r2):
             assert a.uj == b.uj and a.energy == b.energy
             np.testing.assert_array_equal(a.proportions, b.proportions)
+
+    @pytest.mark.parametrize("m, gN, values", [
+        (3, 0.5, [0.05, 1.0, math.inf]),
+        (4, 0.8, [0.0, 0.5, 5.0, math.inf]),
+    ])
+    def test_rows_match_per_row_ensembles(self, m, gN, values):
+        # every row of the one lockstep batch is the run_ensemble of its
+        # own ground state at the row's master seed, bit for bit
+        lat = LatticeSpec(M=m, N=m)
+        setup = ScatteringSetup(lattice=lat, gN=gN, k0_a=math.pi)
+        master, n_traj, n_events, n_bins = 19, 12, 150, 30
+        rows = sweep_uj(values, lat, setup, n_traj=n_traj,
+                        n_events=n_events, master_seed=master, n_bins=n_bins)
+        basis = enumerate_basis(lat)
+        classes = build_classes(basis)
+        table = build_pattern_table(basis, setup)
+        assert [row.uj for row in rows] == values
+        for i, (uj, row) in enumerate(zip(values, rows)):
+            energy, psi = ground_state(
+                build_hamiltonian(basis, sweep_params(uj)), basis)
+            stats = run_ensemble(psi, n_traj, n_events, table, classes,
+                                 master_seed=trajectory_seed(master, i),
+                                 n_bins=n_bins)
+            assert row.energy == energy
+            np.testing.assert_array_equal(
+                row.predicted, stats.class_proportions_predicted)
+            np.testing.assert_array_equal(row.proportions,
+                                          stats.class_proportions)
+            assert row.convergence_rate == stats.convergence_rate
+        # the comparison sees trajectories that converge and ones that
+        # do not
+        assert any(0 < row.convergence_rate < 1 for row in rows)
+
+    def test_worker_and_block_independent(self, system33, monkeypatch):
+        # a trajectory's result does not depend on which chunk or
+        # lockstep block it shares, so neither does any row
+        setup = ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi)
+        k = 4
+        steps = []
+        real_step = analysis._event_step
+
+        def counting(*args):
+            steps.append(len(args[0]))
+            return real_step(*args)
+
+        monkeypatch.setattr(analysis, "_event_step", counting)
+
+        def sweep(values, n_traj, workers=1):
+            steps.clear()
+            rows = sweep_uj(values, LAT33, setup, n_traj=n_traj,
+                            n_events=40, master_seed=8, n_bins=16,
+                            workers=workers)
+            return [row_fields(row) for row in rows]
+
+        three = [0.05, 1.0, math.inf]
+        base = sweep(three, 7)
+        assert steps == [21] * 40
+        # chunk bounds follow workers over all 21 trajectories: 3 workers
+        # cut them at row bounds, 4 inside rows
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        for workers in (3, 4):
+            pools.clear()
+            assert sweep(three, 7, workers=workers) == base
+            assert pools == [{"max_workers": 2}]
+        # a block holds max(n_traj, _BLOCK_WEIGHTS // K) trajectories:
+        # blocks of 10 straddle rows, and no run takes more steps than
+        # one per row and event
+        monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", 10 * k)
+        assert sweep(three, 7) == base
+        assert steps == [10] * 40 + [10] * 40 + [1] * 40
+        # nor fewer than one row's, so an ensemble runs as one block
+        monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", k)
+        assert sweep(three, 7) == base
+        assert steps == [7] * 120
+        _, classes, table, psi = system33
+        steps.clear()
+        run_ensemble(psi, 9, 40, table, classes, master_seed=8)
+        assert steps == [9] * 40
+
+        # one trajectory per row: blocks of 1 and of 5 against one block
+        seven = [0.0, 0.05, 0.3, 1.0, 2.0, 10.0, math.inf]
+        monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", 1 << 20)
+        single = sweep(seven, 1)
+        assert steps == [7] * 40
+        for per_block in (1, 5):
+            monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", per_block * k)
+            assert sweep(seven, 1) == single
+            assert len(steps) == 40 * -(-7 // per_block)
 
 
 class TestPrepareSystem:
@@ -607,6 +734,25 @@ class TestPrepareSystem:
         finally:
             tracemalloc.stop()
         assert analysis._memory_need(cfg.scattering_setup()) >= peak
+
+    def test_huge_angular_grid_is_refused_before_allocation(
+            self, monkeypatch):
+        # 10^9 grid angles pass validation without a grid; the guard then
+        # refuses the pattern table's 192 GB on an 8 GiB host
+        cfg = RunConfig(M=3, N=3, n_theta=10**9)
+        built = []
+        monkeypatch.setattr(analysis, "enumerate_basis",
+                            lambda spec: built.append(spec))
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: 8 * 2**30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="n_theta=1000000000"):
+                prepare_system(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == []
+        assert peak < 2**20
 
     def test_memory_guard_fires_before_allocation(self, monkeypatch):
         # M=N=3 at n_theta=2048: the basis, a dense 10 x 10 H and the

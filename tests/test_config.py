@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -108,6 +109,21 @@ class TestValidation:
         with pytest.raises(CouplingTooStrong):
             parse_config({"M": 2, "N": 2, "envelope": "gaussian",
                           "sigma_a": 0.2, "gN": 1.5})
+
+    @pytest.mark.parametrize("probe", [
+        {}, {"envelope": "gaussian", "sigma_a": 0.2, "gN": 1.0}])
+    def test_admissibility_builds_no_grid(self, probe):
+        # the uniform envelope's mean square is exactly 1, and a gaussian
+        # one at gN <= 1 cannot break the bound, so 10^9 angles (a 16 GB
+        # grid) are left for the memory guard to refuse
+        tracemalloc.start()
+        try:
+            cfg = parse_config({"M": 3, "N": 3, "n_theta": 10**9} | probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.n_theta == 10**9
+        assert peak < 2**20
 
     def test_kinds_come_from_the_annotations(self):
         for key, value in (("n_traj", 2.0), ("gN", "x"), ("gN", [0.5]),
