@@ -26,6 +26,8 @@ from .kernel import (
 )
 from .lattice import (
     _DENSE_MAX_DIM,
+    _LANCZOS_KEEP,
+    _LANCZOS_NCV,
     CapacityError,
     FockBasis,
     HubbardParams,
@@ -350,9 +352,14 @@ def _memory_need(setup: ScatteringSetup) -> int:
     96 + 64 M bytes.  The rank-M pattern table and its build buffers take
     under eight (n_theta + 1) x M arrays.  A dense H (up to
     _DENSE_MAX_DIM states) takes four D x D arrays with eigh's copy,
-    eigenvectors and workspace; a sparse one at most one entry per state
-    and directed bond, under 80 bytes each while its triplets become CSR,
-    plus ARPACK's 20 Lanczos vectors.  The tracemalloc peak of
+    eigenvectors and workspace.  A sparse H has at most one off-diagonal
+    entry per state and directed bond, 24 bytes each as it is kept (value,
+    row, column), 12 more while the per-bond hop lists it is built from
+    are alive, or 8 more for the gathered products of a matvec.  Per
+    state it adds its diagonal, one bond's hop copies and rank buffers
+    (four M-wide rows), the Lanczos basis of _LANCZOS_NCV + 1 vectors,
+    the _LANCZOS_KEEP vectors of a restart's product, and four vectors
+    of matvec and residual temporaries.  The tracemalloc peak of
     prepare_system is 0.39-0.68 of this bound at M = N = 3..10.
     """
     lattice = setup.lattice
@@ -360,8 +367,9 @@ def _memory_need(setup: ScatteringSetup) -> int:
     need = dim * (96 + 64 * lattice.M) + 64 * (setup.n_theta + 1) * lattice.M
     if dim <= _DENSE_MAX_DIM:
         return need + 4 * 8 * dim * dim
-    nnz = dim * (1 + 2 * len(lattice.bonds))
-    return need + 80 * nnz + 20 * 8 * dim
+    nnz = 2 * dim * len(lattice.bonds)
+    per_state = 1 + 4 * lattice.M + _LANCZOS_NCV + 1 + _LANCZOS_KEEP + 4
+    return need + 36 * nnz + 8 * dim * per_state
 
 
 def _check_memory(setup: ScatteringSetup) -> None:
@@ -382,10 +390,10 @@ def _check_memory(setup: ScatteringSetup) -> None:
 
 
 def _tabulate(lattice: LatticeSpec, setup: ScatteringSetup):
-    """Basis, classes and pattern table, once the memory guard passes."""
+    """Basis and pattern table, once the memory guard passes."""
     _check_memory(setup)
     basis = enumerate_basis(lattice)
-    return basis, build_classes(basis), build_pattern_table(basis, setup)
+    return basis, build_pattern_table(basis, setup)
 
 
 @dataclass(frozen=True)
@@ -413,11 +421,13 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     row i's class weights, so each row is the run_ensemble of its ground
     state at master seed trajectory_seed(master_seed, i), bit for bit,
     and the whole sweep is reproducible.  All rows share one basis, one
-    partition and one pattern table; every row's ground state is solved
-    first, then all rows' trajectories advance together in one lockstep
-    batch (_lockstep) with one pool of workers.  No row output reads
-    snapshots, so snapshot_stride is only validated, with the other run
-    bounds, before anything is enumerated or solved.
+    partition and one pattern table, whose class weights are all a row
+    reads, so no EquivalenceClass (nor the occupation tuples it holds)
+    is built.  Every row's ground state is solved first, then all rows'
+    trajectories advance together in one lockstep batch (_lockstep) with
+    one pool of workers.  No row output reads snapshots, so
+    snapshot_stride is only validated, with the other run bounds, before
+    anything is enumerated or solved.
     """
     values = list(uj_values)
     for uj in values:
@@ -427,7 +437,7 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     if not values:
         return []
 
-    basis, _, table = _tabulate(lattice, setup)
+    basis, table = _tabulate(lattice, setup)
     energies, w0 = [], []
     for uj in values:
         if math.isinf(uj):
@@ -471,7 +481,8 @@ def prepare_system(cfg: "RunConfig") -> PreparedSystem:
     """Diagonalize and tabulate everything a run needs from its config."""
     params = cfg.hubbard_params()
     setup = cfg.scattering_setup()
-    basis, classes, table = _tabulate(setup.lattice, setup)
+    basis, table = _tabulate(setup.lattice, setup)
+    classes = build_classes(basis)
     energy, state = ground_state(build_hamiltonian(basis, params), basis)
     return PreparedSystem(basis=basis, classes=classes, table=table,
                           params=params, energy=energy, initial_state=state)

@@ -10,11 +10,12 @@ tuples are built only when asked for.
 
 Up to _DENSE_MAX_DIM basis states the Hamiltonian is a dense array and
 the ground state comes from LAPACK's full symmetric eigensolver, through
-numpy; above it the Hamiltonian is a sparse CSR array and the ground
-state comes from ARPACK's Lanczos iteration, through scipy, which only
-this path imports.  A Hamiltonian without hopping (J = 0) is diagonal,
-and its ground state is read off the diagonal, with a degenerate
-minimum resolved by the J -> 0+ limit.
+numpy; above it the Hamiltonian is a SparseSymmetric (its diagonal and
+its hops in coordinate form) and the ground state comes from a
+thick-restart Lanczos iteration written in numpy.  No path imports
+scipy.  A Hamiltonian without hopping (J = 0) is diagonal, and its
+ground state is read off the diagonal, with a degenerate minimum
+resolved by the J -> 0+ limit.
 """
 
 from __future__ import annotations
@@ -28,15 +29,21 @@ from enum import Enum
 import numpy as np
 
 # Largest dimension whose Hamiltonian is built dense and solved by
-# numpy's eigh.  Measured with single-threaded BLAS on a 2-vCPU box at
-# M=N, U/J=0.5, np.linalg.eigh against eigsh: D=126 1.3-1.5 vs 1.3-1.6
-# ms, D=462 28-31 vs 1.7-2.9 ms, D=1716 1.03-1.06 s vs 4.8-5.7 ms.  The
-# sparse path's first use in a process also imports scipy.sparse.linalg,
-# 0.12-0.27 s after numpy as the host load varied, about what one dense
-# eigh costs at D=792-924 (0.14-0.20 s).  The import is paid once per
-# process and a solve every time, so the cutoff stays at 512: up to
-# M=N=6 (D=462) a run needs no scipy, and no configuration changes path.
+# numpy's eigh.  Measured with single-threaded BLAS on a 2-vCPU Intel
+# Xeon box, U/J=0.5, medians of ground_state: the Lanczos path against
+# eigh took 1.8 against 2.8 ms at D=126 (M=N=5), 3.1 against 45 ms at
+# D=462 (M=N=6) and 5.2 against 266 ms at D=924 (M=7, N=6), so the
+# Lanczos path is faster at every dimension measured.  The cutoff stays
+# at 512 because moving it would move by rounding every output of
+# M=N=5 and 6 (trajectory_record's among them) and the dense-H tests
+# that hold H bitwise; lowering it is a follow-up of its own.
 _DENSE_MAX_DIM = 512
+
+# Thick-restart Lanczos: the basis size (ARPACK's default ncv), the
+# Ritz vectors a restart keeps, and the restarts allowed before giving up
+_LANCZOS_NCV = 20
+_LANCZOS_KEEP = 8
+_LANCZOS_MAX_RESTARTS = 1000
 
 
 class Boundary(str, Enum):
@@ -56,8 +63,9 @@ class CapacityError(Exception):
 class EigensolverError(Exception):
     """No ground state could be certified.
 
-    Raised when the dense (LAPACK) or sparse (ARPACK) eigensolver fails,
-    when the returned pair misses the residual tolerance, and when a
+    Raised when the dense (LAPACK) eigensolver fails or the Lanczos one
+    does not converge, when the returned pair misses the residual
+    tolerance, when the Hamiltonian has a non-finite entry, and when a
     hopping-free Hamiltonian has a ground state the J -> 0+ limit does
     not single out.
     """
@@ -269,24 +277,62 @@ def _hops(basis: FockBasis, occ: np.ndarray):
         yield i, basis.rank(hopped), amp
 
 
+class SparseSymmetric:
+    """Real symmetric D x D matrix: its diagonal and its off-diagonal
+    entries in coordinate form.
+
+    data[:D] is the diagonal.  data[D:] holds the off-diagonal entries,
+    entry k at (rows[k], cols[k]); each is listed with its mirror and no
+    position twice.  The class offers what ground_state and the memory
+    accounting read from a matrix: shape, diagonal(), data, nnz, nbytes,
+    toarray() and the product H @ x with a real vector, one gather and
+    one np.bincount scatter, with no BLAS call.
+    """
+
+    def __init__(self, data: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        dim = len(data) - len(rows)
+        self.shape = (dim, dim)
+        self.data, self.rows, self.cols = data, rows, cols
+        self._diag, self._vals = data[:dim], data[dim:]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.rows.nbytes + self.cols.nbytes
+
+    def diagonal(self) -> np.ndarray:
+        return self._diag.copy()
+
+    def toarray(self) -> np.ndarray:
+        H = np.zeros(self.shape, dtype=np.float64)
+        H[np.diag_indices(self.shape[0])] = self._diag
+        H[self.rows, self.cols] = self._vals
+        return H
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # every index is in range by construction, and clipping skips
+        # the bounds check of the default mode
+        t = x.take(self.cols, mode="clip")
+        t *= self._vals
+        y = self._diag * x
+        # an empty bincount is integer, which the sum casts to float
+        y += np.bincount(self.rows, t, minlength=self.shape[0])
+        return y
+
+
 def _assemble(diag: np.ndarray, rows, cols, vals):
     """Symmetric matrix with the given diagonal and off-diagonal entries,
-    each at (r, c) and (c, r): dense up to _DENSE_MAX_DIM, sparse CSR above."""
-    dim = diag.shape[0]
-    if dim <= _DENSE_MAX_DIM:
-        H = np.zeros((dim, dim), dtype=np.float64)
-        H[np.diag_indices(dim)] = diag
-        for r, c, v in zip(rows, cols, vals):
-            H[r, c] = H[c, r] = v
-        return H
-    import scipy.sparse
-
-    idx = np.arange(dim)
-    return scipy.sparse.csr_array(
-        (np.concatenate([diag, *vals, *vals]),
-         (np.concatenate([idx, *rows, *cols]),
-          np.concatenate([idx, *cols, *rows]))),
-        shape=(dim, dim))
+    each at (r, c) and (c, r): dense up to _DENSE_MAX_DIM, a
+    SparseSymmetric above."""
+    # an empty first piece types the indices when there is no hop
+    none = [np.empty(0, dtype=np.int64)]
+    H = SparseSymmetric(np.concatenate([diag, *vals, *vals]),
+                        np.concatenate(none + rows + cols),
+                        np.concatenate(none + cols + rows))
+    return H.toarray() if diag.shape[0] <= _DENSE_MAX_DIM else H
 
 
 def build_hamiltonian(basis: FockBasis, params: HubbardParams):
@@ -295,7 +341,7 @@ def build_hamiltonian(basis: FockBasis, params: HubbardParams):
     H = -J sum_<i,j> (b_i^dag b_j + h.c.) + (U/2) sum_j n_j (n_j - 1),
     with the bond set fixed by the lattice boundary condition.  Returns
     a dense ndarray up to _DENSE_MAX_DIM basis states and a
-    scipy.sparse.csr_array above, with the same entries.
+    SparseSymmetric above, with the same entries.
     """
     n = basis.occupations.astype(np.float64)
     diag = 0.5 * params.U * np.sum(n * (n - 1.0), axis=1)
@@ -308,11 +354,80 @@ def build_hamiltonian(basis: FockBasis, params: HubbardParams):
     return _assemble(diag, rows, cols, vals)
 
 
+def _lanczos(H, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenpairs of a real symmetric operator by thick-restart
+    Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).
+
+    The basis starts from the vector of ones and holds at most
+    _LANCZOS_NCV vectors.  Each new vector is orthogonalised against the
+    whole basis by classical Gram-Schmidt, with a second pass when the
+    first leaves less than half of its norm (the test of Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 30, 772 (1976)).  A full basis
+    restarts from its _LANCZOS_KEEP lowest Ritz vectors and the residual
+    direction.  A breakdown, H v in the span of the basis, continues from
+    the next vector of a fixed-seed generator, orthogonalised against
+    the basis, so the iteration never stalls.  Converged when the Ritz
+    estimate of every wanted pair is at most 10 eps times the largest
+    Ritz value yet seen, about the rounding floor of the residual
+    itself; EigensolverError after _LANCZOS_MAX_RESTARTS restarts.
+    """
+    dim = H.shape[0]
+    m = min(_LANCZOS_NCV, dim)
+    keep = max(min(_LANCZOS_KEEP, m - 1), k)
+    eps = np.finfo(np.float64).eps
+    fresh = None
+    V = np.empty((m + 1, dim))
+    V[0] = dim ** -0.5
+    T = np.zeros((m, m))
+    start, scale = 0, 0.0
+    for _ in range(_LANCZOS_MAX_RESTARTS):
+        for j in range(start, m):
+            w = H @ V[j]
+            basis = V[:j + 1]
+            h = basis @ w
+            w -= h @ basis
+            # hh + ww is the squared norm of H v before the pass
+            hh, ww = float(h @ h), float(w @ w)
+            if ww < 0.25 * (hh + ww):
+                h2 = basis @ w
+                w -= h2 @ basis
+                h += h2
+                ww = float(w @ w)
+            # eigh reads the lower triangle
+            T[j, :j + 1] = h
+            beta = math.sqrt(ww)
+            # a basis that spans the whole space leaves no residual
+            if beta <= eps * math.sqrt(hh) or j + 1 == dim:
+                beta = 0.0
+                if j + 1 == m:
+                    break
+                if fresh is None:
+                    fresh = np.random.default_rng(0)
+                w = fresh.standard_normal(dim)
+                for _ in range(2):
+                    w -= (basis @ w) @ basis
+                ww = float(w @ w)
+            np.divide(w, math.sqrt(ww), out=V[j + 1])
+        theta, Y = np.linalg.eigh(T)
+        scale = max(scale, abs(theta[0]), abs(theta[-1]))
+        if np.all(beta * np.abs(Y[-1, :k]) <= 10 * eps * scale):
+            return theta[:k], (Y[:, :k].T @ V[:m]).T
+        V[:keep] = Y[:, :keep].T @ V[:m]
+        V[keep] = V[m]
+        T[:] = 0.0
+        T[np.diag_indices(keep)] = theta[:keep]
+        start = keep
+    raise EigensolverError(f"Lanczos eigensolver did not converge in "
+                           f"{_LANCZOS_MAX_RESTARTS} restarts")
+
+
 def _eigensolve(H, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Lowest eigenpairs of a real symmetric H, in ascending order.
 
-    A dense H gets the full LAPACK spectrum and its exact norm; a sparse
-    H gets its k lowest pairs from ARPACK and a lower bound of its norm.
+    A dense H gets the full LAPACK spectrum and its exact norm; any other
+    H (a SparseSymmetric, or a scipy sparse matrix) gets its k lowest
+    pairs from _lanczos and a lower bound of its norm.  A non-finite
+    entry is refused before either solver runs.
     """
     if isinstance(H, np.ndarray):
         if not np.all(np.isfinite(H)):
@@ -323,15 +438,9 @@ def _eigensolve(H, k: int) -> tuple[np.ndarray, np.ndarray, float]:
             raise EigensolverError(
                 f"symmetric eigensolver failed: {exc}") from exc
         return evals, evecs, float(np.max(np.abs(evals)))
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
-
-    try:
-        evals, evecs = eigsh(H, k=k, which="SA", v0=np.ones(H.shape[0]),
-                             tol=0)
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise EigensolverError(f"Lanczos eigensolver failed: {exc}") from exc
-    order = np.argsort(evals)
-    evals, evecs = evals[order], evecs[:, order]
+    if not np.all(np.isfinite(H.data)):
+        raise EigensolverError("Hamiltonian has a non-finite entry")
+    evals, evecs = _lanczos(H, k)
     h_norm = max(abs(float(evals[0])), float(np.max(np.abs(H.diagonal()))))
     return evals, evecs, h_norm
 
@@ -374,15 +483,19 @@ def _hard_core_ground_state(diag: np.ndarray,
 def ground_state(H, basis: FockBasis) -> tuple[float, ManyBodyState]:
     """Lowest eigenpair of a real symmetric Hamiltonian.
 
-    H is dense or scipy-sparse, as build_hamiltonian returns it.  A dense
-    H is solved by LAPACK eigh, a sparse one by ARPACK Lanczos, and a
-    diagonal one (no hopping) without an eigensolver, resolving a
-    degenerate minimum by the J -> 0+ limit.  The eigenvector's global
-    phase is fixed by making its largest-magnitude coefficient real and
-    positive, so repeated runs are bit-comparable.  The returned pair
-    satisfies ||H v - E v|| <= 1e-10 max(||H||, 1), with ||H|| the
-    spectral norm for a dense H and its lower bound max(|E|, max|H_ii|)
-    for a sparse one.
+    H is a dense ndarray or a SparseSymmetric, as build_hamiltonian
+    returns it; any other matrix with shape, diagonal(), data and a
+    product H @ x with a 1-D array (a scipy sparse matrix, say) is
+    treated as sparse.  A dense H is solved by LAPACK eigh, a sparse one
+    by the numpy thick-restart Lanczos of _lanczos, and a diagonal one
+    (no hopping) without an eigensolver, resolving a degenerate minimum
+    by the J -> 0+ limit.  A non-finite entry is refused before any
+    solver runs.  The eigenvector's global phase is fixed by making its
+    largest-magnitude coefficient real and positive, so repeated runs
+    are bit-comparable.  The returned pair satisfies
+    ||H v - E v|| <= 1e-10 max(||H||, 1), with ||H|| the spectral norm
+    for a dense H and its lower bound max(|E|, max|H_ii|) for a sparse
+    one.
     """
     if H.shape != (basis.dimension, basis.dimension):
         raise ValueError(f"Hamiltonian shape {H.shape} does not match basis "

@@ -168,6 +168,19 @@ class TestBuildClasses:
                  master_seed=0)
         assert partitions == [LAT33]
 
+    def test_sweep_builds_no_classes(self, monkeypatch):
+        # a sweep reads class weights from the pattern table alone, so it
+        # builds no EquivalenceClass and no occupation tuples
+        def refuse(*args):
+            raise AssertionError("classes built")
+
+        monkeypatch.setattr(analysis, "build_classes", refuse)
+        monkeypatch.setattr(FockBasis, "states", property(refuse))
+        setup = ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi)
+        rows = sweep_uj([0.0, 5.0, math.inf], LAT33, setup, n_traj=3,
+                        n_events=5, master_seed=0)
+        assert [row.uj for row in rows] == [0.0, 5.0, math.inf]
+
     def test_single_site_lattice_is_one_class(self):
         basis = enumerate_basis(LatticeSpec(M=1, N=4))
         classes = build_classes(basis)
@@ -719,13 +732,10 @@ class TestPrepareSystem:
         assert per_state.shape == (10, 2048)
         assert sys.initial_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [5, 6, 7])
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
     def test_memory_estimate_bounds_the_traced_peak(self, m):
         # the guard never under-counts: dense H and eigh at M=N=5 and 6,
-        # sparse H and Lanczos at 7; scipy.sparse.linalg is imported
-        # first, so its module objects are not counted
-        import scipy.sparse.linalg  # noqa: F401
-
+        # sparse H and Lanczos at 7 and 8, which import no module
         cfg = RunConfig(M=m, N=m, U=0.5, J=1.0, gN=0.5, k0_a=math.pi)
         tracemalloc.start()
         try:

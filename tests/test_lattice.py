@@ -4,7 +4,7 @@ Ground-state checks use independent oracles: brute-force enumeration for
 basis counts, the closed-form condensate wavefunction (a multinomial
 over the lowest single-particle orbital) for the non-interacting chain,
 a per-hop loop with a dictionary index for the Hamiltonian, and the
-dense eigensolver for the sparse one.
+dense eigensolver and scipy's ARPACK for the Lanczos one.
 """
 
 import itertools
@@ -30,6 +30,7 @@ from scatterloc.lattice import (
     HubbardParams,
     LatticeSpec,
     ManyBodyState,
+    SparseSymmetric,
     build_hamiltonian,
     enumerate_basis,
     fock_dimension,
@@ -272,14 +273,18 @@ class TestHamiltonian:
         for params in PARAMS:
             H = build_hamiltonian(basis, params)
             ref = reference_hamiltonian(basis, params)
-            assert H.format == "csr"
-            # equal values; toarray() may turn a stored -0.0 into 0.0
+            assert isinstance(H, SparseSymmetric)
             np.testing.assert_array_equal(H.toarray(), ref)
-            # each entry stored once, in sorted order: the diagonal and
-            # every nonzero hop, with no duplicates that sum to a value
-            assert H.has_canonical_format
-            assert H.nnz == (basis.dimension
-                             + np.count_nonzero(ref - np.diag(np.diag(ref))))
+            # each entry stored once: the diagonal and every nonzero hop
+            # with its mirror, no position twice, none on the diagonal
+            dim = basis.dimension
+            assert len(H.rows) == len(H.cols) == H.nnz - dim
+            assert H.nnz == dim + np.count_nonzero(ref - np.diag(np.diag(ref)))
+            assert not np.any(H.rows == H.cols)
+            keys = H.rows * dim + H.cols
+            assert np.unique(keys).size == keys.size
+            np.testing.assert_array_equal(np.sort(keys),
+                                          np.sort(H.cols * dim + H.rows))
 
     def test_offdiagonals_are_single_neighbour_hops(self):
         spec = LatticeSpec(M=3, N=2)
@@ -356,13 +361,15 @@ class TestGroundState:
         H[2, 2] = np.nan
         with pytest.raises(EigensolverError):
             ground_state(H, basis)
-        # sparse H above the cutoff with a NaN diagonal
+        # sparse H above the cutoff with a NaN diagonal, refused before
+        # the Lanczos iteration
         basis = enumerate_basis(LatticeSpec(M=7, N=6))
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
-        diag = H.diagonal()
-        diag[5] = np.nan
-        H.setdiag(diag)
-        with pytest.raises(EigensolverError):
+        data = H.data.copy()
+        data[5] = np.nan
+        H = SparseSymmetric(data, H.rows, H.cols)
+        assert np.isnan(H.diagonal()[5])
+        with pytest.raises(EigensolverError, match="non-finite"):
             ground_state(H, basis)
         # a solver that returns a NaN energy must fail the residual check
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
@@ -394,7 +401,7 @@ class TestSparseGroundState:
     def test_sparse_against_dense(self):
         basis = enumerate_basis(LatticeSpec(M=7, N=7))
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.3))
-        assert H.format == "csr"
+        assert isinstance(H, SparseSymmetric)
         energy, state = ground_state(H, basis)
         energy_d, state_d = ground_state(H.toarray(), basis)
         assert abs(energy - energy_d) < 1e-12
@@ -411,10 +418,61 @@ class TestSparseGroundState:
                                        abs=1e-9)
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
-    def test_dense_runs_never_import_scipy_sparse(self, tmp_path):
+    @pytest.mark.parametrize("m,U", [(7, 0.5), (7, 10.0), (8, 0.5), (9, 0.5)])
+    def test_energy_matches_arpack(self, m, U):
+        # ARPACK's implicitly restarted Lanczos as an independent oracle;
+        # at U/J = 10 the spectrum is 35 times wider than the gap, where a
+        # basis that loses its orthogonality stops converging
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        basis = enumerate_basis(LatticeSpec(M=m, N=m))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=U))
+        energy, state = ground_state(H, basis)
+        csr = scipy.sparse.csr_array(scipy.sparse.coo_array(
+            (H.data, (np.r_[np.arange(basis.dimension), H.rows],
+                      np.r_[np.arange(basis.dimension), H.cols])),
+            shape=H.shape))
+        ref = scipy.sparse.linalg.eigsh(csr, k=1, which="SA",
+                                        v0=np.ones(basis.dimension),
+                                        tol=0)[0][0]
+        assert abs(energy - ref) < 1e-12
+
+    @pytest.mark.parametrize("M,N", [(3, 3), (7, 6)])
+    def test_caller_scipy_matrix_is_certified(self, M, N):
+        # ground_state stays duck-typed: a scipy CSR built by the caller
+        # runs the Lanczos solver and passes the same residual check; at
+        # D = 10 the basis spans the whole space in one pass
+        import scipy.sparse
+
+        basis = enumerate_basis(LatticeSpec(M=M, N=N))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
+        dense = H if isinstance(H, np.ndarray) else H.toarray()
+        energy, state = ground_state(scipy.sparse.csr_array(dense), basis)
+        energy_d, state_d = ground_state(dense, basis)
+        assert abs(energy - energy_d) < 1e-12
+        np.testing.assert_allclose(state.coeffs, state_d.coeffs, rtol=0,
+                                   atol=1e-12)
+
+    def test_breakdown_continues_to_the_lowest_pairs(self):
+        # the vector of ones is the top eigenvector of a ring's adjacency
+        # matrix, so the first product already lies in the basis; only a
+        # fresh direction reaches the lowest pairs, 2 cos(2 pi k / 40)
+        dim = 40
+        i = np.arange(dim)
+        H = SparseSymmetric(np.r_[np.zeros(dim), np.ones(2 * dim)],
+                            np.r_[i, (i + 1) % dim], np.r_[(i + 1) % dim, i])
+        evals, evecs = lattice._lanczos(H, 2)
+        ring = np.sort(2 * np.cos(2 * np.pi * np.arange(dim) / dim))
+        np.testing.assert_allclose(evals, ring[:2], rtol=0, atol=1e-12)
+        for e, v in zip(evals, evecs.T):
+            assert np.linalg.norm(H @ v - e * v) < 1e-12
+
+    def test_no_run_imports_scipy_sparse(self, tmp_path):
         # importing the package loads numpy.random but neither scipy.linalg,
-        # scipy.sparse nor a process pool; a dense predict loads no scipy
-        # module either, and only a sparse Hamiltonian loads scipy.sparse
+        # scipy.sparse nor a process pool; neither a dense predict (M=N=6)
+        # nor a Lanczos one (M=N=7) loads scipy.linalg or scipy.sparse,
+        # nor does building a sparse Hamiltonian
         script = (
             "import sys\n"
             "import scatterloc\n"
@@ -422,9 +480,10 @@ class TestSparseGroundState:
             "names = ['scipy.linalg', 'scipy.sparse', 'concurrent.futures',\n"
             "         'multiprocessing', 'numpy.random']\n"
             "print(*[name in sys.modules for name in names])\n"
-            f"code = cli.main(['predict', '--out', {str(tmp_path)!r},\n"
-            "                 '--set', 'M=6', '--set', 'N=6'])\n"
-            "print(code, *[name in sys.modules for name in names[:2]])\n"
+            "for m in (6, 7):\n"
+            f"    code = cli.main(['predict', '--out', {str(tmp_path)!r},\n"
+            "                     '--set', f'M={m}', '--set', f'N={m}'])\n"
+            "    print(code, *[name in sys.modules for name in names[:2]])\n"
             "basis = lattice.enumerate_basis(lattice.LatticeSpec(M=7, N=6))\n"
             "params = lattice.HubbardParams(J=1.0, U=0.0)\n"
             "lattice.build_hamiltonian(basis, params)\n"
@@ -436,7 +495,8 @@ class TestSparseGroundState:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "False False False False True", "0 False False", "True"]
+            "False False False False True", "0 False False", "0 False False",
+            "False"]
 
 
 class TestHardCoreLimit:
@@ -486,6 +546,39 @@ class TestHardCoreLimit:
         H = build_hamiltonian(basis, HubbardParams(J=0.0, U=-1.0))
         with pytest.raises(EigensolverError):
             ground_state(H, basis)
+
+    def test_whole_basis_manifold_gives_the_free_ground_state(self):
+        # J = 0 and U = 0 make all 1716 states of M=N=7 degenerate, so
+        # the Lanczos solver takes the two lowest pairs of the full
+        # hopping, whose lowest vector is the J = 1, U = 0 ground state
+        basis = enumerate_basis(LatticeSpec(M=7, N=7))
+        energy, limit = ground_state(
+            build_hamiltonian(basis, HubbardParams(J=0.0, U=0.0)), basis)
+        _, free = ground_state(
+            build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)), basis)
+        assert energy == 0.0
+        np.testing.assert_allclose(limit.coeffs, free.coeffs, rtol=0,
+                                   atol=1e-10)
+
+    def test_hopping_free_manifold_above_the_cutoff_is_not_resolved(
+            self, monkeypatch):
+        # with every hop removed, the 1716-state manifold's hopping is the
+        # zero operator: each Lanczos step breaks down, continues from a
+        # fresh vector, and two zero eigenvalues end in the unresolved
+        # degeneracy after one basis of _LANCZOS_NCV products
+        products = []
+
+        def counting(self, x):
+            products.append(len(x))
+            return self.data[:self.shape[0]] * x
+
+        monkeypatch.setattr(lattice, "_hops", lambda basis, occ: iter(()))
+        monkeypatch.setattr(SparseSymmetric, "__matmul__", counting)
+        basis = enumerate_basis(LatticeSpec(M=7, N=7))
+        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=0.0))
+        with pytest.raises(EigensolverError, match="not resolved"):
+            ground_state(H, basis)
+        assert products == [basis.dimension] * lattice._LANCZOS_NCV
 
 
 class TestStatesAndOverlap:

@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 import scatterloc
-from scatterloc import kernel
+from scatterloc import kernel, lattice
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -113,6 +113,9 @@ def test_attributes_the_benchmark_tracer_reads():
     record_fields = set(scatterloc.TrajectoryRecord.__dataclass_fields__)
     assert {"events", "aborted"} <= record_fields
     assert isinstance(scatterloc.TrajectoryRecord.n_scatter, property)
+    # the stored bytes and the residual's product of a sparse Hamiltonian
+    assert isinstance(lattice.SparseSymmetric.nbytes, property)
+    assert callable(lattice.SparseSymmetric.__matmul__)
 
 
 def test_readme_library_example_keeps_its_lines_and_runs():
