@@ -21,11 +21,11 @@ import numpy as np
 from .kernel import (
     PatternTable,
     ScatteringSetup,
+    _state_weights,
     angle_cdf,
     build_pattern_table,
 )
 from .lattice import (
-    _DENSE_MAX_DIM,
     _LANCZOS_KEEP,
     _LANCZOS_NCV,
     CapacityError,
@@ -134,7 +134,7 @@ def predicted_bin_masses(state: ManyBodyState, table: PatternTable,
     inverts (kernel.angle_cdf), so sampled histograms converge to
     exactly these masses, up to the clamp at 0 of a rounding step down
     of the signed CDF where the density vanishes.  They sum to 1."""
-    w = table.class_weights(state.probabilities)[None, :]
+    w = _state_weights(state, table)[None, :]
     masses = np.maximum(np.diff(angle_cdf(w, bin_edges(n_bins), table)), 0.0)
     return masses / masses.sum()
 
@@ -194,12 +194,13 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     index, so they do not depend on the execution order or the worker
     count either.
     """
-    snap_idx = _run_bounds(n_traj, n_events, workers, snapshot_stride)
+    snap_idx = _run_bounds(n_traj, n_events, workers, n_bins,
+                           snapshot_stride)
     k = len(classes)
     if k != len(table.ns_prob):
         raise ValueError(f"{k} classes for a table of {len(table.ns_prob)}")
 
-    w0 = table.class_weights(initial.probabilities)
+    w0 = _state_weights(initial, table)
     seeds = np.array([trajectory_seed(master_seed, i) for i in range(n_traj)],
                      dtype=np.uint64)
     out = _lockstep(w0[None, :], n_traj, seeds, table, n_events, n_bins,
@@ -229,16 +230,19 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
         aborted_count=int(np.count_nonzero(~out["alive"])))
 
 
-def _run_bounds(n_traj: int, n_events: int, workers: int,
+def _run_bounds(n_traj: int, n_events: int, workers: int, n_bins: int,
                 snapshot_stride: int) -> np.ndarray:
     """Snapshot indices of an ensemble run; ValueError for a trajectory
-    count, event count, worker count or stride no run can take."""
+    count, event count, worker count, bin count or stride no run can
+    take."""
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     return _snapshot_indices(n_events, snapshot_stride)
 
 
@@ -350,23 +354,20 @@ def _memory_need(setup: ScatteringSetup) -> int:
     Per basis state: its occupation tuple and array, the signature
     partition's sort buffers and index arrays, and its class entry, under
     96 + 64 M bytes.  The rank-M pattern table and its build buffers take
-    under eight (n_theta + 1) x M arrays.  A dense H (up to
-    _DENSE_MAX_DIM states) takes four D x D arrays with eigh's copy,
-    eigenvectors and workspace.  A sparse H has at most one off-diagonal
-    entry per state and directed bond, 24 bytes each as it is kept (value,
-    row, column), 12 more while the per-bond hop lists it is built from
-    are alive, or 8 more for the gathered products of a matvec.  Per
-    state it adds its diagonal, one bond's hop copies and rank buffers
-    (four M-wide rows), the Lanczos basis of _LANCZOS_NCV + 1 vectors,
-    the _LANCZOS_KEEP vectors of a restart's product, and four vectors
-    of matvec and residual temporaries.  The tracemalloc peak of
-    prepare_system is 0.39-0.68 of this bound at M = N = 3..10.
+    under eight (n_theta + 1) x M arrays.  The sparse H has at most one
+    off-diagonal entry per state and directed bond, 24 bytes each as it
+    is kept (value, row, column), 12 more while the per-bond hop lists it
+    is built from are alive, or 8 more for the gathered products of a
+    matvec.  Per state it adds its diagonal, one bond's hop copies and
+    rank buffers (four M-wide rows), the Lanczos basis of
+    _LANCZOS_NCV + 1 vectors, the _LANCZOS_KEEP vectors of a restart's
+    product, and four vectors of matvec and residual temporaries.  The
+    tracemalloc peak of prepare_system is 0.42-0.67 of this bound at
+    M = N = 3..10.
     """
     lattice = setup.lattice
     dim = fock_dimension(lattice.M, lattice.N)
     need = dim * (96 + 64 * lattice.M) + 64 * (setup.n_theta + 1) * lattice.M
-    if dim <= _DENSE_MAX_DIM:
-        return need + 4 * 8 * dim * dim
     nnz = 2 * dim * len(lattice.bonds)
     per_state = 1 + 4 * lattice.M + _LANCZOS_NCV + 1 + _LANCZOS_KEEP + 4
     return need + 36 * nnz + 8 * dim * per_state
@@ -433,7 +434,7 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     for uj in values:
         if not (uj >= 0):
             raise ValueError(f"U/J values must be >= 0, got {uj}")
-    _run_bounds(n_traj, n_events, workers, snapshot_stride)
+    _run_bounds(n_traj, n_events, workers, n_bins, snapshot_stride)
     if not values:
         return []
 
@@ -446,7 +447,7 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
             params = HubbardParams(J=1.0, U=float(uj))
         energy, psi = ground_state(build_hamiltonian(basis, params), basis)
         energies.append(energy)
-        w0.append(table.class_weights(psi.probabilities))
+        w0.append(_state_weights(psi, table))
 
     seeds = np.array([trajectory_seed(trajectory_seed(master_seed, i), j)
                       for i in range(len(values)) for j in range(n_traj)],

@@ -39,7 +39,7 @@ from .analysis import (
     sweep_uj,
 )
 from .config import ConfigError, RunConfig, config_to_mapping, load_config_file, parse_config
-from .kernel import CouplingTooStrong, scatter_density
+from .kernel import CouplingTooStrong, _state_weights, scatter_density
 from .lattice import CapacityError, EigensolverError
 from .trajectory import run_trajectory, trajectory_seed
 
@@ -128,7 +128,7 @@ def cmd_predict(cfg: RunConfig) -> None:
         ["%.17g,%.17g" % td
          for td in zip(system.table.theta_grid.tolist(), density.tolist())])
 
-    probs = system.table.class_weights(psi.probabilities).tolist()
+    probs = _state_weights(psi, system.table).tolist()
     row = f"%d,{occ},%d,%s,%.17g"
     writer.write_csv(
         "classes.csv",

@@ -270,6 +270,17 @@ def build_pattern_table(basis: FockBasis, setup: ScatteringSetup) -> PatternTabl
     return PatternTable(basis, setup, *arrays)
 
 
+def _state_weights(state: ManyBodyState, table: PatternTable) -> np.ndarray:
+    """The state's class weights in the table; ValueError for a state on
+    another lattice than the table's."""
+    if state.basis != table.basis:
+        a, b = state.basis.spec, table.basis.spec
+        raise ValueError(
+            f"state on M={a.M}, N={a.N} ({a.boundary.value}) does not "
+            f"belong to the table of M={b.M}, N={b.N} ({b.boundary.value})")
+    return table.class_weights(state.probabilities)
+
+
 def scatter_density(state: ManyBodyState, table: PatternTable) -> np.ndarray:
     """Detection density P(theta_i) = sum_k w_k W_k(theta_i) over the
     state's class weights w_k = sum_{u in k} |c_u|^2, evaluated as
@@ -279,14 +290,14 @@ def scatter_density(state: ManyBodyState, table: PatternTable) -> np.ndarray:
     distribution.  The signed basis functions can cancel to a rounding
     error below zero, so the density is clamped at 0.
     """
-    w = table.class_weights(state.probabilities)
+    w = _state_weights(state, table)
     c = table.mean_signature(w[None, :])
     return np.maximum((table.weights[:-1] * c).sum(axis=1), 0.0)
 
 
 def nonscatter_prob(state: ManyBodyState, table: PatternTable) -> float:
     """Probability sum_k w_k |A_k|^2 that the probe passes unscattered."""
-    w = table.class_weights(state.probabilities)
+    w = _state_weights(state, table)
     return float(np.sum(w * table.ns_prob))
 
 

@@ -8,14 +8,12 @@ The Fock basis is one (D, M) array of occupations, enumerated by stars
 and bars and partitioned into signature classes by one sort; occupation
 tuples are built only when asked for.
 
-Up to _DENSE_MAX_DIM basis states the Hamiltonian is a dense array and
-the ground state comes from LAPACK's full symmetric eigensolver, through
-numpy; above it the Hamiltonian is a SparseSymmetric (its diagonal and
-its hops in coordinate form) and the ground state comes from a
-thick-restart Lanczos iteration written in numpy.  No path imports
-scipy.  A Hamiltonian without hopping (J = 0) is diagonal, and its
-ground state is read off the diagonal, with a degenerate minimum
-resolved by the J -> 0+ limit.
+At every size the Hamiltonian is a SparseSymmetric (its diagonal and its
+hops in coordinate form) and the ground state comes from a thick-restart
+Lanczos iteration written in numpy, which imports no scipy.  A
+Hamiltonian without hopping (J = 0) is diagonal, and its ground state is
+read off the diagonal, with a degenerate minimum resolved by the
+J -> 0+ limit.
 """
 
 from __future__ import annotations
@@ -27,17 +25,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-# Largest dimension whose Hamiltonian is built dense and solved by
-# numpy's eigh.  Measured with single-threaded BLAS on a 2-vCPU Intel
-# Xeon box, U/J=0.5, medians of ground_state: the Lanczos path against
-# eigh took 1.8 against 2.8 ms at D=126 (M=N=5), 3.1 against 45 ms at
-# D=462 (M=N=6) and 5.2 against 266 ms at D=924 (M=7, N=6), so the
-# Lanczos path is faster at every dimension measured.  The cutoff stays
-# at 512 because moving it would move by rounding every output of
-# M=N=5 and 6 (trajectory_record's among them) and the dense-H tests
-# that hold H bitwise; lowering it is a follow-up of its own.
-_DENSE_MAX_DIM = 512
 
 # Thick-restart Lanczos: the basis size (ARPACK's default ncv), the
 # Ritz vectors a restart keeps, and the restarts allowed before giving up
@@ -63,11 +50,10 @@ class CapacityError(Exception):
 class EigensolverError(Exception):
     """No ground state could be certified.
 
-    Raised when the dense (LAPACK) eigensolver fails or the Lanczos one
-    does not converge, when the returned pair misses the residual
-    tolerance, when the Hamiltonian has a non-finite entry, and when a
-    hopping-free Hamiltonian has a ground state the J -> 0+ limit does
-    not single out.
+    Raised when the Lanczos eigensolver does not converge, when the
+    returned pair misses the residual tolerance, when the Hamiltonian has
+    a non-finite entry, and when a hopping-free Hamiltonian has a ground
+    state the J -> 0+ limit does not single out.
     """
 
 
@@ -324,15 +310,13 @@ class SparseSymmetric:
 
 
 def _assemble(diag: np.ndarray, rows, cols, vals):
-    """Symmetric matrix with the given diagonal and off-diagonal entries,
-    each at (r, c) and (c, r): dense up to _DENSE_MAX_DIM, a
-    SparseSymmetric above."""
+    """SparseSymmetric with the given diagonal and off-diagonal entries,
+    each at (r, c) and (c, r)."""
     # an empty first piece types the indices when there is no hop
     none = [np.empty(0, dtype=np.int64)]
-    H = SparseSymmetric(np.concatenate([diag, *vals, *vals]),
-                        np.concatenate(none + rows + cols),
-                        np.concatenate(none + cols + rows))
-    return H.toarray() if diag.shape[0] <= _DENSE_MAX_DIM else H
+    return SparseSymmetric(np.concatenate([diag, *vals, *vals]),
+                           np.concatenate(none + rows + cols),
+                           np.concatenate(none + cols + rows))
 
 
 def build_hamiltonian(basis: FockBasis, params: HubbardParams):
@@ -340,8 +324,7 @@ def build_hamiltonian(basis: FockBasis, params: HubbardParams):
 
     H = -J sum_<i,j> (b_i^dag b_j + h.c.) + (U/2) sum_j n_j (n_j - 1),
     with the bond set fixed by the lattice boundary condition.  Returns
-    a dense ndarray up to _DENSE_MAX_DIM basis states and a
-    SparseSymmetric above, with the same entries.
+    a SparseSymmetric at every size; its toarray() is a dense copy.
     """
     n = basis.occupations.astype(np.float64)
     diag = 0.5 * params.U * np.sum(n * (n - 1.0), axis=1)
@@ -421,30 +404,6 @@ def _lanczos(H, k: int) -> tuple[np.ndarray, np.ndarray]:
                            f"{_LANCZOS_MAX_RESTARTS} restarts")
 
 
-def _eigensolve(H, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lowest eigenpairs of a real symmetric H, in ascending order.
-
-    A dense H gets the full LAPACK spectrum and its exact norm; any other
-    H (a SparseSymmetric, or a scipy sparse matrix) gets its k lowest
-    pairs from _lanczos and a lower bound of its norm.  A non-finite
-    entry is refused before either solver runs.
-    """
-    if isinstance(H, np.ndarray):
-        if not np.all(np.isfinite(H)):
-            raise EigensolverError("Hamiltonian has a non-finite entry")
-        try:
-            evals, evecs = np.linalg.eigh(H)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(
-                f"symmetric eigensolver failed: {exc}") from exc
-        return evals, evecs, float(np.max(np.abs(evals)))
-    if not np.all(np.isfinite(H.data)):
-        raise EigensolverError("Hamiltonian has a non-finite entry")
-    evals, evecs = _lanczos(H, k)
-    h_norm = max(abs(float(evals[0])), float(np.max(np.abs(H.diagonal()))))
-    return evals, evecs, h_norm
-
-
 def _hard_core_ground_state(diag: np.ndarray,
                             basis: FockBasis) -> tuple[float, np.ndarray]:
     """Ground state of a diagonal Hamiltonian, as the J -> 0+ limit.
@@ -454,8 +413,6 @@ def _hard_core_ground_state(diag: np.ndarray,
     manifold (first-order degenerate perturbation theory in J); if that
     eigenvector is degenerate too, no state is singled out.
     """
-    if not np.all(np.isfinite(diag)):
-        raise EigensolverError("Hamiltonian diagonal is not finite")
     energy = float(np.min(diag))
     manifold = np.flatnonzero(diag == energy)
     v = np.zeros(basis.dimension)
@@ -471,8 +428,8 @@ def _hard_core_ground_state(diag: np.ndarray,
         cols.append(i[inside])
         vals.append(-amp[inside])
     hopping = _assemble(np.zeros(manifold.size), rows, cols, vals)
-    evals, evecs, h_norm = _eigensolve(hopping, k=2)
-    if evals[1] - evals[0] <= 1e-10 * max(h_norm, 1.0):
+    evals, evecs = _lanczos(hopping, 2)
+    if evals[1] - evals[0] <= 1e-10 * max(abs(evals[0]), 1.0):
         raise EigensolverError(
             f"the {manifold.size}-fold degenerate ground state of the "
             f"hopping-free Hamiltonian is not resolved by the J -> 0+ limit")
@@ -483,38 +440,37 @@ def _hard_core_ground_state(diag: np.ndarray,
 def ground_state(H, basis: FockBasis) -> tuple[float, ManyBodyState]:
     """Lowest eigenpair of a real symmetric Hamiltonian.
 
-    H is a dense ndarray or a SparseSymmetric, as build_hamiltonian
-    returns it; any other matrix with shape, diagonal(), data and a
-    product H @ x with a 1-D array (a scipy sparse matrix, say) is
-    treated as sparse.  A dense H is solved by LAPACK eigh, a sparse one
-    by the numpy thick-restart Lanczos of _lanczos, and a diagonal one
-    (no hopping) without an eigensolver, resolving a degenerate minimum
-    by the J -> 0+ limit.  A non-finite entry is refused before any
-    solver runs.  The eigenvector's global phase is fixed by making its
+    H is a SparseSymmetric, as build_hamiltonian returns it, or any other
+    matrix with shape, diagonal() and a product H @ x with a 1-D array:
+    a dense ndarray, or a scipy sparse matrix, whose data attribute holds
+    its stored entries.  Every H with hopping is solved by the numpy
+    thick-restart Lanczos of _lanczos, and a diagonal one (no hopping)
+    without an eigensolver, resolving a degenerate minimum by the
+    J -> 0+ limit.  A non-finite entry is refused before any solver
+    runs.  The eigenvector's global phase is fixed by making its
     largest-magnitude coefficient real and positive, so repeated runs
     are bit-comparable.  The returned pair satisfies
-    ||H v - E v|| <= 1e-10 max(||H||, 1), with ||H|| the spectral norm
-    for a dense H and its lower bound max(|E|, max|H_ii|) for a sparse
-    one.
+    ||H v - E v|| <= 1e-10 max(||H||, 1), with ||H|| bounded below by
+    max(|E|, max|H_ii|).
     """
     if H.shape != (basis.dimension, basis.dimension):
         raise ValueError(f"Hamiltonian shape {H.shape} does not match basis "
                          f"dimension {basis.dimension}")
     diag = H.diagonal()
     stored = H if isinstance(H, np.ndarray) else H.data
+    if not np.all(np.isfinite(stored)):
+        raise EigensolverError("Hamiltonian has a non-finite entry")
     if np.count_nonzero(stored) == np.count_nonzero(diag):
         energy, v = _hard_core_ground_state(diag, basis)
-        h_norm = float(np.max(np.abs(diag)))
     else:
-        evals, evecs, h_norm = _eigensolve(H, k=1)
-        energy = float(evals[0])
-        v = evecs[:, 0]
+        evals, evecs = _lanczos(H, 1)
+        energy, v = float(evals[0]), evecs[:, 0]
 
     k = int(np.argmax(np.abs(v)))
     if v[k] < 0:
         v = -v
 
-    tol = 1e-10 * max(h_norm, 1.0)
+    tol = 1e-10 * max(abs(energy), float(np.max(np.abs(diag))), 1.0)
     residual = float(np.linalg.norm(H @ v - energy * v))
     if not residual <= tol:
         raise EigensolverError(

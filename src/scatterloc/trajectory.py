@@ -32,8 +32,8 @@ import numpy as np
 # package, so that its import is set-up, not part of the first command
 import numpy.random
 
-from .kernel import (PatternTable, _structure_amplitudes, pattern_basis,
-                     sample_angles)
+from .kernel import (PatternTable, _state_weights, _structure_amplitudes,
+                     pattern_basis, sample_angles)
 from .lattice import ManyBodyState
 
 CONVERGENCE_THRESHOLD = 0.99
@@ -193,7 +193,7 @@ def step(state: ManyBodyState, table: PatternTable, rng: RngStream,
     Raises ZeroNormProjectionError if the projection annihilates the
     state.
     """
-    w = table.class_weights(state.probabilities)[None, :]
+    w = _state_weights(state, table)[None, :]
     new, rows, theta, dying = _event_step(
         w, np.array([rng.uniform()]), np.ones(1, dtype=bool), table)
     if dying[0]:
@@ -269,7 +269,7 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
     n_traj = len(seeds)
     c0 = initial_state.coeffs
     p0 = initial_state.probabilities
-    big_p = table.class_weights(p0)
+    big_p = _state_weights(initial_state, table)
     class_of = table.class_of
 
     w = np.tile(big_p, (n_traj, 1))

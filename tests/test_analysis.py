@@ -35,7 +35,9 @@ from scatterloc.kernel import (
     ScatteringSetup,
     angle_cdf,
     build_pattern_table,
+    nonscatter_prob,
     pattern_signature,
+    scatter_density,
 )
 from scatterloc.lattice import (
     CapacityError,
@@ -49,8 +51,10 @@ from scatterloc.lattice import (
     ground_state,
 )
 from scatterloc.trajectory import (
+    RngStream,
     run_trajectories,
     run_trajectory,
+    step,
     trajectory_seed,
 )
 
@@ -549,6 +553,10 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(psi, 1, 10, table, classes, master_seed=1,
                          workers=0)
+        for n_bins in (0, -1):
+            with pytest.raises(ValueError, match="n_bins"):
+                run_ensemble(psi, 1, 10, table, classes, master_seed=1,
+                             n_bins=n_bins)
 
     def test_classes_of_another_lattice_are_rejected(self, system33):
         # the initial weights come from the table, so a class list of the
@@ -557,6 +565,37 @@ class TestRunEnsemble:
         classes22 = build_classes(enumerate_basis(LatticeSpec(M=2, N=2)))
         with pytest.raises(ValueError, match="2 classes for a table of 4"):
             run_ensemble(psi, 1, 10, table, classes22, master_seed=1)
+
+
+# every entry point that reads a state's class weights from a table
+STATE_READERS = {
+    "scatter_density": lambda psi, table: scatter_density(psi, table),
+    "nonscatter_prob": lambda psi, table: nonscatter_prob(psi, table),
+    "predicted_bin_masses":
+        lambda psi, table: predicted_bin_masses(psi, table, 12),
+    "step": lambda psi, table: step(psi, table, RngStream(0)),
+    "run_trajectories":
+        lambda psi, table: run_trajectories(psi, table, 5, [0, 1]),
+    "run_ensemble": lambda psi, table: run_ensemble(
+        psi, 2, 5, table, build_classes(table.basis), master_seed=0),
+}
+
+
+@pytest.mark.parametrize("reader", STATE_READERS)
+@pytest.mark.parametrize("M,N", [(4, 1), (3, 1)],
+                         ids=["equal-D", "unequal-D"])
+def test_a_state_of_another_lattice_is_rejected(reader, M, N):
+    # a table for M=2, N=3 (D=4) against a state on M=4, N=1 (D=4 too)
+    # or M=3, N=1 (D=3): neither may be read as the table's lattice
+    lat = LatticeSpec(M=2, N=3)
+    table = build_pattern_table(enumerate_basis(lat),
+                                ScatteringSetup(lattice=lat, gN=0.5,
+                                                k0_a=math.pi))
+    psi = fock_state(enumerate_basis(LatticeSpec(M=M, N=N)),
+                     (1,) + (0,) * (M - 1))
+    with pytest.raises(ValueError,
+                       match=rf"M={M}, N={N} .* M=2, N=3 \(open\)"):
+        STATE_READERS[reader](psi, table)
 
 
 def sweep_params(uj):
@@ -585,7 +624,8 @@ class TestSweep:
                      n_traj=5, n_events=10, master_seed=0)
 
     @pytest.mark.parametrize("bad", [{"n_traj": 0}, {"n_events": 0},
-                                     {"workers": 0}, {"snapshot_stride": 0}])
+                                     {"workers": 0}, {"snapshot_stride": 0},
+                                     {"n_bins": 0}, {"n_bins": -1}])
     def test_run_bounds_are_checked_before_any_eigensolve(
             self, bad, monkeypatch):
         built, solved = [], []
@@ -734,8 +774,8 @@ class TestPrepareSystem:
 
     @pytest.mark.parametrize("m", [5, 6, 7, 8])
     def test_memory_estimate_bounds_the_traced_peak(self, m):
-        # the guard never under-counts: dense H and eigh at M=N=5 and 6,
-        # sparse H and Lanczos at 7 and 8, which import no module
+        # the guard never under-counts, at M=N=5 and 6 as at 7 and 8; the
+        # Lanczos path imports no module
         cfg = RunConfig(M=m, N=m, U=0.5, J=1.0, gN=0.5, k0_a=math.pi)
         tracemalloc.start()
         try:
@@ -765,7 +805,7 @@ class TestPrepareSystem:
         assert peak < 2**20
 
     def test_memory_guard_fires_before_allocation(self, monkeypatch):
-        # M=N=3 at n_theta=2048: the basis, a dense 10 x 10 H and the
+        # M=N=3 at n_theta=2048: the basis, the 10-state sparse H and the
         # rank-M table
         need = analysis._memory_need(
             RunConfig(M=3, N=3, gN=0.5, k0_a=math.pi).scattering_setup())

@@ -3,8 +3,8 @@
 Ground-state checks use independent oracles: brute-force enumeration for
 basis counts, the closed-form condensate wavefunction (a multinomial
 over the lowest single-particle orbital) for the non-interacting chain,
-a per-hop loop with a dictionary index for the Hamiltonian, and the
-dense eigensolver and scipy's ARPACK for the Lanczos one.
+a per-hop loop with a dictionary index for the Hamiltonian, and numpy's
+dense eigh and scipy's ARPACK for the Lanczos eigensolver.
 """
 
 import itertools
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import scatterloc
 from scatterloc import lattice
 from scatterloc.lattice import (
-    _DENSE_MAX_DIM,
     Boundary,
     CapacityError,
     EigensolverError,
@@ -219,11 +218,12 @@ class TestHamiltonian:
     def test_two_site_single_particle(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=1))
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0))
-        np.testing.assert_array_equal(H, [[0.0, -1.0], [-1.0, 0.0]])
+        assert isinstance(H, SparseSymmetric)
+        np.testing.assert_array_equal(H.toarray(), [[0.0, -1.0], [-1.0, 0.0]])
 
     def test_interaction_diagonal(self):
         basis = enumerate_basis(LatticeSpec(M=3, N=3))
-        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0))
+        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0)).toarray()
         assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
         assert H[basis.index_of((3, 0, 0)), basis.index_of((3, 0, 0))] == 3.0
         assert H[basis.index_of((2, 1, 0)), basis.index_of((2, 1, 0))] == 1.0
@@ -232,14 +232,14 @@ class TestHamiltonian:
     def test_single_particle_chain_spectrum(self):
         # open tridiagonal hopping matrix: eigenvalues -2J cos(k pi / (M+1))
         basis = enumerate_basis(LatticeSpec(M=3, N=1))
-        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)).toarray()
         evals = np.linalg.eigvalsh(H)
         expected = sorted(-2.0 * math.cos(k * math.pi / 4) for k in (1, 2, 3))
         np.testing.assert_allclose(evals, expected, atol=1e-12)
 
     def test_hop_amplitude_bose_factor(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=3))
-        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)).toarray()
         i = basis.index_of((2, 1))
         j = basis.index_of((1, 2))
         # b_2^dag b_1 on |2,1>: sqrt(2) * sqrt(2) = 2
@@ -250,34 +250,26 @@ class TestHamiltonian:
                          (2, 4, Boundary.OPEN)]:
             basis = enumerate_basis(LatticeSpec(M=M, N=N, boundary=bc))
             H = build_hamiltonian(basis, HubbardParams(J=0.7, U=1.3))
+            H = H.toarray()
             assert np.array_equal(H, H.T)
 
     @pytest.mark.parametrize("M,N,bc", [
         (1, 4, Boundary.OPEN), (2, 5, Boundary.OPEN), (3, 3, Boundary.OPEN),
         (3, 4, Boundary.PERIODIC), (4, 4, Boundary.OPEN),
-        (5, 5, Boundary.PERIODIC), (6, 6, Boundary.OPEN)])
+        (5, 5, Boundary.PERIODIC), (6, 6, Boundary.OPEN),
+        (7, 6, Boundary.OPEN), (7, 6, Boundary.PERIODIC)])
     def test_dense_matches_per_hop_reference_bitwise(self, M, N, bc):
+        # the dense copy of H, bit for bit, and how H stores it
         basis = enumerate_basis(LatticeSpec(M=M, N=N, boundary=bc))
-        assert basis.dimension <= _DENSE_MAX_DIM
-        for params in PARAMS:
-            H = build_hamiltonian(basis, params)
-            ref = reference_hamiltonian(basis, params)
-            assert isinstance(H, np.ndarray)
-            np.testing.assert_array_equal(H.view(np.uint64),
-                                          ref.view(np.uint64))
-
-    @pytest.mark.parametrize("bc", [Boundary.OPEN, Boundary.PERIODIC])
-    def test_sparse_matches_per_hop_reference(self, bc):
-        basis = enumerate_basis(LatticeSpec(M=7, N=6, boundary=bc))
-        assert basis.dimension > _DENSE_MAX_DIM
+        dim = basis.dimension
         for params in PARAMS:
             H = build_hamiltonian(basis, params)
             ref = reference_hamiltonian(basis, params)
             assert isinstance(H, SparseSymmetric)
-            np.testing.assert_array_equal(H.toarray(), ref)
+            np.testing.assert_array_equal(H.toarray().view(np.uint64),
+                                          ref.view(np.uint64))
             # each entry stored once: the diagonal and every nonzero hop
             # with its mirror, no position twice, none on the diagonal
-            dim = basis.dimension
             assert len(H.rows) == len(H.cols) == H.nnz - dim
             assert H.nnz == dim + np.count_nonzero(ref - np.diag(np.diag(ref)))
             assert not np.any(H.rows == H.cols)
@@ -289,7 +281,7 @@ class TestHamiltonian:
     def test_offdiagonals_are_single_neighbour_hops(self):
         spec = LatticeSpec(M=3, N=2)
         basis = enumerate_basis(spec)
-        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)).toarray()
         bonds = set(spec.bonds)
         occs = basis.occupations
         for i in range(len(basis)):
@@ -357,12 +349,12 @@ class TestGroundState:
     def test_non_finite_input_is_never_certified(self, monkeypatch):
         # hopping-free dense H with a NaN diagonal entry
         basis = enumerate_basis(LatticeSpec(M=3, N=3))
-        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0))
+        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0)).toarray()
         H[2, 2] = np.nan
         with pytest.raises(EigensolverError):
             ground_state(H, basis)
-        # sparse H above the cutoff with a NaN diagonal, refused before
-        # the Lanczos iteration
+        # a SparseSymmetric with a NaN diagonal, refused before the
+        # Lanczos iteration
         basis = enumerate_basis(LatticeSpec(M=7, N=6))
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
         data = H.data.copy()
@@ -374,39 +366,61 @@ class TestGroundState:
         # a solver that returns a NaN energy must fail the residual check
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
         v = np.full((basis.dimension, 1), basis.dimension ** -0.5)
-        monkeypatch.setattr(lattice, "_eigensolve",
-                            lambda H, k: (np.array([np.nan]), v, 1.0))
+        monkeypatch.setattr(lattice, "_lanczos",
+                            lambda H, k: (np.array([np.nan]), v))
         with pytest.raises(EigensolverError, match="residual"):
             ground_state(H, basis)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_dense_entry_never_reaches_lapack(self, bad,
-                                                         monkeypatch):
-        # an off-diagonal entry of a dense H with hopping is refused
-        # before the LAPACK call
-        def refuse(H):
-            raise AssertionError("np.linalg.eigh called")
+    def test_non_finite_offdiagonal_never_reaches_lanczos(self, bad,
+                                                          monkeypatch):
+        # an off-diagonal entry of an H with hopping, and its mirror, are
+        # refused before the Lanczos iteration
+        def refuse(H, k):
+            raise AssertionError("_lanczos called")
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(lattice, "_lanczos", refuse)
         basis = enumerate_basis(LatticeSpec(M=4, N=4))
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
-        assert isinstance(H, np.ndarray)
-        assert basis.dimension <= _DENSE_MAX_DIM
-        H[0, 1] = H[1, 0] = bad
+        mirror = np.flatnonzero((H.rows == H.cols[0]) & (H.cols == H.rows[0]))
+        data = H.data.copy()
+        data[basis.dimension + np.r_[0, mirror]] = bad
+        H = SparseSymmetric(data, H.rows, H.cols)
+        assert np.all(np.isfinite(H.diagonal()))
         with pytest.raises(EigensolverError, match="non-finite"):
             ground_state(H, basis)
 
 
+# the benchmark's four working points, M = N and U, on both boundaries
+BENCH_POINTS = [(m, U, bc) for m, U in [(3, 0.0), (5, 5.0), (6, 0.05),
+                                        (7, 0.0)] for bc in Boundary]
+
+
+def bench_point_id(m, U, bc):
+    return f"{m}-{m}" if bc == Boundary.OPEN else f"periodic-{m}-{m}"
+
+
+def assert_matches_dense_eigh(dense, energy, state):
+    """The lowest pair of numpy's dense eigh, its vector in the phase
+    ground_state fixes, within 1e-12."""
+    evals, evecs = np.linalg.eigh(dense)
+    v = evecs[:, 0]
+    k = int(np.argmax(np.abs(v)))
+    v = v if v[k] > 0 else -v
+    assert abs(energy - evals[0]) < 1e-12
+    np.testing.assert_allclose(state.coeffs, v, rtol=0, atol=1e-12)
+
+
 class TestSparseGroundState:
-    def test_sparse_against_dense(self):
-        basis = enumerate_basis(LatticeSpec(M=7, N=7))
-        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.3))
+    @pytest.mark.parametrize("m,U,bc", BENCH_POINTS,
+                             ids=[bench_point_id(*p) for p in BENCH_POINTS])
+    def test_sparse_against_dense(self, m, U, bc):
+        # numpy's dense eigh of the same H as the oracle
+        basis = enumerate_basis(LatticeSpec(M=m, N=m, boundary=bc))
+        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=U))
         assert isinstance(H, SparseSymmetric)
         energy, state = ground_state(H, basis)
-        energy_d, state_d = ground_state(H.toarray(), basis)
-        assert abs(energy - energy_d) < 1e-12
-        np.testing.assert_allclose(state.coeffs, state_d.coeffs, rtol=0,
-                                   atol=1e-12)
+        assert_matches_dense_eigh(H.toarray(), energy, state)
 
     def test_free_bosons_energy_at_m9_n9(self):
         # D = 24310, where a dense H would take 4.7 GB; U = 0 puts all
@@ -438,21 +452,18 @@ class TestSparseGroundState:
                                         tol=0)[0][0]
         assert abs(energy - ref) < 1e-12
 
-    @pytest.mark.parametrize("M,N", [(3, 3), (7, 6)])
-    def test_caller_scipy_matrix_is_certified(self, M, N):
+    @pytest.mark.parametrize("m,U,bc", BENCH_POINTS,
+                             ids=[bench_point_id(*p) for p in BENCH_POINTS])
+    def test_caller_scipy_matrix_is_certified(self, m, U, bc):
         # ground_state stays duck-typed: a scipy CSR built by the caller
         # runs the Lanczos solver and passes the same residual check; at
         # D = 10 the basis spans the whole space in one pass
         import scipy.sparse
 
-        basis = enumerate_basis(LatticeSpec(M=M, N=N))
-        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5))
-        dense = H if isinstance(H, np.ndarray) else H.toarray()
+        basis = enumerate_basis(LatticeSpec(M=m, N=m, boundary=bc))
+        dense = build_hamiltonian(basis, HubbardParams(J=1.0, U=U)).toarray()
         energy, state = ground_state(scipy.sparse.csr_array(dense), basis)
-        energy_d, state_d = ground_state(dense, basis)
-        assert abs(energy - energy_d) < 1e-12
-        np.testing.assert_allclose(state.coeffs, state_d.coeffs, rtol=0,
-                                   atol=1e-12)
+        assert_matches_dense_eigh(dense, energy, state)
 
     def test_breakdown_continues_to_the_lowest_pairs(self):
         # the vector of ones is the top eigenvector of a ring's adjacency
@@ -470,9 +481,8 @@ class TestSparseGroundState:
 
     def test_no_run_imports_scipy_sparse(self, tmp_path):
         # importing the package loads numpy.random but neither scipy.linalg,
-        # scipy.sparse nor a process pool; neither a dense predict (M=N=6)
-        # nor a Lanczos one (M=N=7) loads scipy.linalg or scipy.sparse,
-        # nor does building a sparse Hamiltonian
+        # scipy.sparse nor a process pool; no predict (M=N=6 or 7) loads
+        # scipy.linalg or scipy.sparse, nor does building a Hamiltonian
         script = (
             "import sys\n"
             "import scatterloc\n"
