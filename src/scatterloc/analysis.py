@@ -28,6 +28,7 @@ from .kernel import (
 from .lattice import (
     _LANCZOS_KEEP,
     _LANCZOS_NCV,
+    Boundary,
     CapacityError,
     FockBasis,
     HubbardParams,
@@ -183,14 +184,14 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     (event kinds, angles, class weights) depends on the state only
     through its K class weights.  The runner therefore evolves a
     (trajectories, K) array of class weights and advances every live
-    trajectory of a chunk one event per step, in lockstep, through the
+    trajectory of a block one event per step, in lockstep, through the
     event step of the trajectory engine without its phases: the one-row
-    case of the lockstep batch that sweep_uj runs, each chunk in one
-    block.  Each trajectory still draws from its own PCG64 stream in
+    case of the lockstep batch that sweep_uj runs, one block per pool
+    process.  Each trajectory still draws from its own PCG64 stream in
     order, and every reduction is an elementwise product summed along
     one row, never a BLAS call whose rounding can depend on the batch
     shape, so a trajectory's result does not depend, bit for bit, on
-    how many others share its chunk.  Results are merged by trajectory
+    how many others share its block.  Results are merged by trajectory
     index, so they do not depend on the execution order or the worker
     count either.
     """
@@ -256,9 +257,9 @@ def _end_proportions(end_class, converged, k: int):
     return counts.astype(float) / n_conv, n_conv
 
 
-def _pool_size(workers: int, n_chunks: int) -> int:
-    """Processes worth starting: no more than chunks or CPUs."""
-    return min(workers, n_chunks, os.cpu_count() or 1)
+def _pool_size(workers: int, n: int) -> int:
+    """Processes worth starting: no more than trajectories or CPUs."""
+    return min(workers, n, os.cpu_count() or 1)
 
 
 def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, snap_idx,
@@ -266,30 +267,28 @@ def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, snap_idx,
     """Run n_traj trajectories from each row of class weights w0, shape
     (rows, K): trajectory i starts from row i // n_traj on seeds[i].
 
-    The trajectory list is cut into chunks by the requested worker count,
-    never by the pool size, and one pool runs them all.  Each chunk runs
-    in lockstep blocks of max(n_traj, _BLOCK_WEIGHTS // K) trajectories,
-    so a block never holds more than one row's trajectories or
-    _BLOCK_WEIGHTS class weights, whichever is more, and a chunk of one
-    row is one block.  Returns each row's histogram, shape (rows,
-    n_bins), and per trajectory, in order: its class weights at
-    snap_idx, scatter count, alive flag, end class and whether it
-    converged.
+    The list is cut once, from index 0, into lockstep blocks of
+    min(max(n_traj, _BLOCK_WEIGHTS // K), ceil(n / procs)) trajectories,
+    procs being workers capped by the trajectory and CPU counts, and one
+    pool runs them, or this process if one suffices.  Returns each row's
+    histogram, shape (rows, n_bins), and per trajectory, in order: its
+    class weights at snap_idx, scatter count, alive flag, end class and
+    whether it converged.
     """
     n = len(seeds)
     row_of = np.repeat(np.arange(len(w0)), n_traj)
-    block = max(n_traj, _BLOCK_WEIGHTS // w0.shape[1])
-    starts = [(n * w) // workers for w in range(workers + 1)]
-    args = [(w0, row_of[a:b], seeds[a:b], table, n_events, n_bins, snap_idx,
-             block) for a, b in zip(starts, starts[1:]) if b > a]
-    n_procs = _pool_size(workers, len(args))
-    if n_procs == 1:
-        parts = [_lockstep_chunk(*a) for a in args]
+    procs = _pool_size(workers, n)
+    size = min(max(n_traj, _BLOCK_WEIGHTS // w0.shape[1]), -(-n // procs))
+    args = [(w0, row_of[a:a + size], seeds[a:a + size], table, n_events,
+             n_bins, snap_idx) for a in range(0, n, size)]
+    procs = min(procs, len(args))
+    if procs == 1:
+        parts = [_lockstep_block(*a) for a in args]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_procs) as pool:
-            parts = list(pool.map(_lockstep_chunk, *zip(*args)))
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            parts = list(pool.map(_lockstep_block, *zip(*args)))
 
     out = {key: np.concatenate([p[key] for p in parts]) for key in
            ("snapshots", "scatter_counts", "alive", "end_class", "converged")}
@@ -297,50 +296,36 @@ def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, snap_idx,
     return out
 
 
-def _lockstep_chunk(w0, row_of, seeds, table, n_events, n_bins, snap_idx,
-                    block):
-    """Run one contiguous run of trajectories, block by block, on their
-    class weights.
-
-    Every live trajectory of a block advances one event per step,
-    through the trajectory engine's event step.  A trajectory whose
-    update annihilates its weights keeps its last healthy state and is
-    reported as not alive rather than poisoning the statistics; its
-    fatal scatter is still counted.
-    """
+def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, snap_idx):
+    """Advance a block of trajectories' class weights in lockstep, one
+    event per call of the trajectory engine's event step.  A trajectory
+    whose update annihilates its weights keeps its last healthy state
+    and is reported as not alive rather than poisoning the statistics;
+    its fatal scatter is still counted."""
     n, k = len(seeds), w0.shape[1]
     histogram = np.zeros(len(w0) * n_bins, dtype=np.int64)
     snapshots = np.empty((n, len(snap_idx), k))
     scatter_counts = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    end_class = np.empty(n, dtype=np.int64)
-    converged = np.empty(n, dtype=bool)
-
-    for a in range(0, n, block):
-        b = min(a + block, n)
-        live, counts, snaps = alive[a:b], scatter_counts[a:b], snapshots[a:b]
-        offset = row_of[a:b] * n_bins
-        w = w0[row_of[a:b]]
-        si = 0
-        if len(snap_idx) and snap_idx[0] == 0:
-            snaps[:, 0] = w
-            si = 1
-        for m, r in enumerate(_uniform_columns(seeds[a:b], n_events),
-                              start=1):
-            w, rows, theta, _ = _event_step(w, r, live, table)
-            if rows.size:
-                np.add.at(histogram, offset[rows] + _bin_index(theta, n_bins),
-                          1)
-                counts[rows] += 1
-            if si < len(snap_idx) and m == snap_idx[si]:
-                snaps[:, si] = w
-                si += 1
-        end_class[a:b] = np.argmax(w, axis=1)
-        converged[a:b] = np.max(w, axis=1) > CONVERGENCE_THRESHOLD
+    offset = row_of * n_bins
+    w = w0[row_of]
+    si = 0
+    if len(snap_idx) and snap_idx[0] == 0:
+        snapshots[:, 0] = w
+        si = 1
+    for m, r in enumerate(_uniform_columns(seeds, n_events), start=1):
+        w, rows, theta, _ = _event_step(w, r, alive, table)
+        if rows.size:
+            np.add.at(histogram, offset[rows] + _bin_index(theta, n_bins), 1)
+            scatter_counts[rows] += 1
+        if si < len(snap_idx) and m == snap_idx[si]:
+            snapshots[:, si] = w
+            si += 1
 
     return {"histogram": histogram.reshape(len(w0), n_bins),
             "snapshots": snapshots, "scatter_counts": scatter_counts,
-            "alive": alive, "end_class": end_class, "converged": converged}
+            "alive": alive, "end_class": np.argmax(w, axis=1),
+            "converged": np.max(w, axis=1) > CONVERGENCE_THRESHOLD}
 
 
 def _physical_memory() -> int:
@@ -368,7 +353,7 @@ def _memory_need(setup: ScatteringSetup) -> int:
     lattice = setup.lattice
     dim = fock_dimension(lattice.M, lattice.N)
     need = dim * (96 + 64 * lattice.M) + 64 * (setup.n_theta + 1) * lattice.M
-    nnz = 2 * dim * len(lattice.bonds)
+    nnz = 2 * dim * (lattice.M - 1 + (lattice.boundary == Boundary.PERIODIC))
     per_state = 1 + 4 * lattice.M + _LANCZOS_NCV + 1 + _LANCZOS_KEEP + 4
     return need + 36 * nnz + 8 * dim * per_state
 
@@ -425,10 +410,10 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     partition and one pattern table, whose class weights are all a row
     reads, so no EquivalenceClass (nor the occupation tuples it holds)
     is built.  Every row's ground state is solved first, then all rows'
-    trajectories advance together in one lockstep batch (_lockstep) with
-    one pool of workers.  No row output reads snapshots, so
-    snapshot_stride is only validated, with the other run bounds, before
-    anything is enumerated or solved.
+    trajectories advance together in one lockstep batch (_lockstep), cut
+    once into blocks that one pool of workers runs.  No row output reads
+    snapshots, so snapshot_stride is only validated, with the other run
+    bounds, before anything is enumerated or solved.
     """
     values = list(uj_values)
     for uj in values:

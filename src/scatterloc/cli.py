@@ -8,9 +8,10 @@ strengths.  Every run writes CSV files plus a ``manifest.json`` echoing
 the full configuration, library versions, and output checksums.
 
 Exit codes: 0 success, 2 bad configuration, 3 coupling too strong for a
-probability interpretation, 4 runtime or I/O failure.  All files are
-written atomically (temp file in the target directory, then rename), the
-manifest last, so a manifest always describes complete outputs.
+probability interpretation, 4 runtime or I/O failure (a refused
+allocation included).  All files are written atomically (temp file in
+the target directory, then rename), the manifest last, so a manifest
+always describes complete outputs.
 """
 
 from __future__ import annotations
@@ -303,7 +304,8 @@ def main(argv=None) -> int:
     except CouplingTooStrong as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, EigensolverError, CapacityError, ValueError) as exc:
+    except (OSError, EigensolverError, CapacityError, MemoryError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0

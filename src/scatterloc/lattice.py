@@ -44,7 +44,8 @@ class Boundary(str, Enum):
 
 
 class CapacityError(Exception):
-    """Fock-space dimension exceeds the configured maximum."""
+    """Fock-space dimension over the configured maximum, or a run's tables
+    over physical memory (the memory guard of analysis._tabulate)."""
 
 
 class EigensolverError(Exception):

@@ -474,6 +474,29 @@ class TestRunEnsemble:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _pool_size(8, 8) == 1
 
+    def test_cut_is_sized_by_the_pool_not_by_workers(self, system33,
+                                                     monkeypatch):
+        # on one CPU no pool starts, and 10^7 requested workers cost no
+        # per-worker list: the run is the in-process one of workers=1
+        _, classes, table, psi = system33
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def run(workers):
+            return run_ensemble(psi, 30, 80, table, classes, master_seed=5,
+                                n_bins=20, workers=workers)
+
+        base = run(1)
+        tracemalloc.start()
+        try:
+            many = run(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        for name, value in vars(base).items():
+            np.testing.assert_array_equal(getattr(many, name), value,
+                                          err_msg=name)
+
     def test_absorption_along_trajectories(self, system33):
         # the dominant class weight is a bounded martingale, so a bare
         # 0.99 crossing often dips back below before settling (measured
@@ -502,7 +525,7 @@ class TestRunEnsemble:
             self, system33, monkeypatch):
         # a multiplier forced to zero past theta = 3.0 annihilates the
         # weights of any trajectory that scatters there: that trajectory
-        # stops with its last healthy weights and the rest of its chunk
+        # stops with its last healthy weights and the rest of its block
         # runs on as if nothing happened
         _, classes, table, psi = system33
         cut = 3.0
@@ -696,7 +719,7 @@ class TestSweep:
         assert any(0 < row.convergence_rate < 1 for row in rows)
 
     def test_worker_and_block_independent(self, system33, monkeypatch):
-        # a trajectory's result does not depend on which chunk or
+        # a trajectory's result does not depend on which pool process or
         # lockstep block it shares, so neither does any row
         setup = ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi)
         k = 4
@@ -719,22 +742,28 @@ class TestSweep:
         three = [0.05, 1.0, math.inf]
         base = sweep(three, 7)
         assert steps == [21] * 40
-        # chunk bounds follow workers over all 21 trajectories: 3 workers
-        # cut them at row bounds, 4 inside rows
+        # on 2 CPUs, 3 or 4 workers cut all 21 trajectories into 2 blocks,
+        # of 11 and 10 trajectories, inside a row
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pools = []
+        pools, blocks = [], []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs)
                 super().__init__(*args, **kwargs)
 
+            def map(self, fn, *iterables, **kwargs):
+                blocks.append(len(iterables[0]))
+                return super().map(fn, *iterables, **kwargs)
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
         for workers in (3, 4):
             pools.clear()
+            blocks.clear()
             assert sweep(three, 7, workers=workers) == base
             assert pools == [{"max_workers": 2}]
+            assert blocks == [2]
         # a block holds max(n_traj, _BLOCK_WEIGHTS // K) trajectories:
         # blocks of 10 straddle rows, and no run takes more steps than
         # one per row and event
@@ -803,6 +832,20 @@ class TestPrepareSystem:
             tracemalloc.stop()
         assert built == []
         assert peak < 2**20
+
+    def test_memory_estimate_counts_bonds_without_listing_them(self):
+        # a million sites: the estimate is arithmetic, and a ring's one
+        # more bond adds two directed entries of 36 bytes per state
+        open_, ring = (ScatteringSetup(lattice=LatticeSpec(
+            M=10**6, N=1, boundary=b)) for b in ("open", "periodic"))
+        tracemalloc.start()
+        try:
+            need = analysis._memory_need(open_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert analysis._memory_need(ring) - need == 72 * 10**6
 
     def test_memory_guard_fires_before_allocation(self, monkeypatch):
         # M=N=3 at n_theta=2048: the basis, the 10-state sparse H and the

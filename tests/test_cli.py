@@ -136,6 +136,22 @@ class TestParsing:
         assert "physical memory" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_refused_allocation_is_exit_4(self, tmp_path, monkeypatch,
+                                          capsys):
+        # what numpy raises when the host refuses an array, e.g. the
+        # histogram of an --bins 10^12 ensemble
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "run_ensemble", refuse)
+        code = run_cli("ensemble", "--out", str(tmp_path / "x"),
+                       "--set", "M=2", "--set", "N=2", "--traj", "2",
+                       "--events", "10")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB\n"
+        assert not (tmp_path / "x").exists()
+
     def test_sweep_without_values_is_exit_2(self, tmp_path, capsys):
         code = run_cli("sweep", "--out", str(tmp_path / "x"),
                        "--set", "M=2", "--set", "N=2")
