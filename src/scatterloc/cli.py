@@ -27,10 +27,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-# the bare package, for its version in the manifest: it loads no scipy
-# submodule, and reading the version from package metadata would cost
-# more, inside every command's manifest write
-import scipy
 
 from . import __version__
 from .analysis import (
@@ -96,7 +92,6 @@ class OutputWriter:
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "scatterloc": __version__,
             },
             "checksums": dict(sorted(self.checksums.items())),

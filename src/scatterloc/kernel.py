@@ -60,7 +60,9 @@ class ScatteringSetup:
     gN is the coupling constant times the atom number; the per-atom
     coupling g = gN / N follows the convention used for all quoted
     parameter values.  The admissibility bound gN^2 * mean(I^2) <= 1 is
-    checked on construction; violating it raises CouplingTooStrong.
+    checked on construction; violating it raises CouplingTooStrong.  A
+    gN whose table prefactor g^2 / 2 pi is subnormal raises ValueError:
+    the table's cell masses would lose digits or vanish.
     """
 
     lattice: LatticeSpec
@@ -75,6 +77,8 @@ class ScatteringSetup:
             raise ValueError(f"k0_a must be positive and finite, got {self.k0_a}")
         if not (self.gN > 0 and math.isfinite(self.gN)):
             raise ValueError(f"gN must be positive and finite, got {self.gN}")
+        if self.g ** 2 / (2 * math.pi) < np.finfo(float).smallest_normal:
+            raise ValueError(f"gN={self.gN} is too weak to scatter")
         if self.envelope not in (UNIFORM, GAUSSIAN):
             raise ValueError(f"envelope must be one of "
                              f"{[UNIFORM, GAUSSIAN]}, got {self.envelope!r}")

@@ -443,12 +443,12 @@ def ground_state(H, basis: FockBasis) -> tuple[float, ManyBodyState]:
 
     H is a SparseSymmetric, as build_hamiltonian returns it, or any other
     matrix with shape, diagonal() and a product H @ x with a 1-D array:
-    a dense ndarray, or a scipy sparse matrix, whose data attribute holds
-    its stored entries.  Every H with hopping is solved by the numpy
-    thick-restart Lanczos of _lanczos, and a diagonal one (no hopping)
-    without an eigensolver, resolving a degenerate minimum by the
-    J -> 0+ limit.  A non-finite entry is refused before any solver
-    runs.  The eigenvector's global phase is fixed by making its
+    a dense ndarray, or a caller's own scipy sparse matrix, whose data
+    attribute holds its stored entries.  Every H with hopping is solved
+    by the numpy thick-restart Lanczos of _lanczos, and a diagonal one
+    (no hopping) without an eigensolver, resolving a degenerate minimum
+    by the J -> 0+ limit.  A non-finite entry is refused before any
+    solver runs.  The eigenvector's global phase is fixed by making its
     largest-magnitude coefficient real and positive, so repeated runs
     are bit-comparable.  The returned pair satisfies
     ||H v - E v|| <= 1e-10 max(||H||, 1), with ||H|| bounded below by

@@ -535,17 +535,35 @@ class TestRunEnsemble:
             return np.where((theta > cut)[:, None], 0.0, real(theta, tables))
 
         monkeypatch.setattr(trajectory, "_scatter_multipliers", killing)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         master, n_traj, n_events = 23, 12, 150
         stats = run_ensemble(psi, n_traj, n_events, table, classes,
                              master_seed=master, n_bins=40)
-        split = run_ensemble(psi, n_traj, n_events, table, classes,
-                             master_seed=master, n_bins=40, workers=5)
-        np.testing.assert_array_equal(stats.final_class_weights,
-                                      split.final_class_weights)
-        np.testing.assert_array_equal(stats.scatter_counts,
-                                      split.scatter_counts)
-        assert stats.aborted_count == split.aborted_count
+
+        # the same ensemble twice, as two rows of one lockstep batch cut
+        # into blocks of 16 and 8: the second row straddles the cut
+        blocks = []
+        real_block = analysis._lockstep_block
+
+        def counting(w0, row_of, seeds, *args):
+            blocks.append(len(seeds))
+            return real_block(w0, row_of, seeds, *args)
+
+        monkeypatch.setattr(analysis, "_lockstep_block", counting)
+        monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", 16 * len(classes))
+        w0 = stats.class_proportions_predicted
+        split = analysis._lockstep(
+            np.stack([w0, w0]), n_traj, np.tile(stats.seeds, 2), table,
+            n_events, 40, stats.snapshot_indices, workers=1)
+        assert blocks == [16, 8]
+        for row in (slice(None, n_traj), slice(n_traj, None)):
+            np.testing.assert_array_equal(stats.final_class_weights,
+                                          split["snapshots"][row, -1])
+            np.testing.assert_array_equal(stats.scatter_counts,
+                                          split["scatter_counts"][row])
+            assert stats.aborted_count == \
+                np.count_nonzero(~split["alive"][row])
+        np.testing.assert_array_equal(split["histogram"],
+                                      [stats.histogram] * 2)
 
         n_aborted = 0
         for i in range(n_traj):

@@ -120,6 +120,16 @@ class TestParsing:
         assert capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_coupling_too_weak_is_exit_2(self, tmp_path, capsys):
+        # a probe whose table prefactor underflows once wrote nan for
+        # every predicted_density of histogram.csv and exited 0
+        code = run_cli("ensemble", "--out", str(tmp_path / "x"),
+                       "--set", "M=3", "--set", "N=3", "--set", "gN=1e-200",
+                       "--traj", "5", "--events", "10", "--bins", "4")
+        assert code == 2
+        assert "gN" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unwritable_output_is_exit_4(self, tmp_path):
         target = tmp_path / "blocker"
         target.write_text("a file where a directory must go")
@@ -446,3 +456,48 @@ class TestGoldenFiles:
             else:
                 assert (out / name).read_bytes() == \
                     (golden / name).read_bytes(), name
+
+
+# refuses every import of the scipy package, then runs each argv list
+# given as JSON in sys.argv[1] and prints its exit code
+_REFUSE_SCIPY = """\
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is refused", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from scatterloc import cli
+for argv in json.loads(sys.argv[1]):
+    print(cli.main(argv))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_commands_run_with_scipy_refused(self, tmp_path):
+        # numpy is the only runtime dependency: with every scipy import
+        # refused, each command exits 0, writes the bytes of an ordinary
+        # run and records no scipy version
+        commands = {"predict": [], "trajectory": [], "ensemble": [],
+                    "sweep": ["--set", "uj_values=0,inf"]}
+        refused = [_golden_argv(command, tmp_path / "refused" / command)
+                   + extra for command, extra in commands.items()]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _REFUSE_SCIPY, json.dumps(refused)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0"] * len(commands)
+        for command, extra in commands.items():
+            ordinary = tmp_path / "ordinary" / command
+            assert run_cli(*_golden_argv(command, ordinary), *extra) == 0
+            manifest = read_manifest(tmp_path / "refused" / command)
+            assert manifest["checksums"] == \
+                read_manifest(ordinary)["checksums"], command
+            assert sorted(manifest["versions"]) == \
+                ["numpy", "python", "scatterloc"], command

@@ -7,6 +7,7 @@ tabulated-density sampler against analytic CDF inversion.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from oracles import (
     momentum_transfer,
     structure_amplitude,
 )
+from scatterloc.analysis import predicted_bin_masses
 from scatterloc.kernel import (
     CouplingTooStrong,
     ScatteringSetup,
@@ -167,6 +169,25 @@ class TestSetupValidation:
         with pytest.raises(CouplingTooStrong):
             make_setup(gN=1.2)
         make_setup(gN=0.99)
+
+    def test_coupling_too_weak_to_scatter(self):
+        # every table density carries g^2 / 2 pi.  At gN = 1e-160 on
+        # M=N=3 that is 1.8e-322, above 0, yet every cell mass underflows
+        # and the predicted angle masses were 0/0.  Below the smallest
+        # normal float gN is refused; just above it the masses are those
+        # of any stronger probe
+        edge = 3 * math.sqrt(2 * math.pi * sys.float_info.min)
+        for gN in (1e-200, 1e-160, 0.9999 * edge):
+            with pytest.raises(ValueError, match="gN"):
+                make_setup(gN=gN)
+        basis = enumerate_basis(LAT33)
+        _, psi = ground_state(
+            build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5)), basis)
+        weak, strong = [
+            predicted_bin_masses(
+                psi, build_pattern_table(basis, make_setup(gN=gN)), 7)
+            for gN in (1.0001 * edge, 0.5)]
+        np.testing.assert_allclose(weak, strong, rtol=1e-12)
 
     def test_per_atom_coupling(self):
         assert make_setup(gN=0.5).g == pytest.approx(0.5 / 3)
