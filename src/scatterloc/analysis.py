@@ -412,8 +412,9 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     is built.  Every row's ground state is solved first, then all rows'
     trajectories advance together in one lockstep batch (_lockstep), cut
     once into blocks that one pool of workers runs.  No row output reads
-    snapshots, so snapshot_stride is only validated, with the other run
-    bounds, before anything is enumerated or solved.
+    snapshots or the angle histogram, so snapshot_stride and n_bins are
+    only validated, with the other run bounds, before anything is
+    enumerated or solved.
     """
     values = list(uj_values)
     for uj in values:
@@ -437,7 +438,8 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     seeds = np.array([trajectory_seed(trajectory_seed(master_seed, i), j)
                       for i in range(len(values)) for j in range(n_traj)],
                      dtype=np.uint64)
-    out = _lockstep(np.array(w0), n_traj, seeds, table, n_events, n_bins,
+    # no row output reads the histogram: one bin keeps it from growing
+    out = _lockstep(np.array(w0), n_traj, seeds, table, n_events, 1,
                     np.empty(0, dtype=np.int64), workers)
 
     rows = []

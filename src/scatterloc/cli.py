@@ -10,8 +10,10 @@ the full configuration, library versions, and output checksums.
 Exit codes: 0 success, 2 bad configuration, 3 coupling too strong for a
 probability interpretation, 4 runtime or I/O failure (a refused
 allocation included).  All files are written atomically (temp file in
-the target directory, then rename), the manifest last, so a manifest
-always describes complete outputs.
+the target directory, then rename) with the mode the umask gives any new
+file.  ``main`` writes the manifest once the command has returned, so a
+manifest always describes complete outputs, and a run that fails before
+its first CSV leaves no output directory.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,21 +43,21 @@ from .trajectory import run_trajectory, trajectory_seed
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    # temp file in the same directory so os.replace stays within one
-    # filesystem and is atomic; unlink on any failure so a crash leaves
-    # no partial file behind
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
+    # temp file beside the target so os.replace stays within one
+    # filesystem and is atomic.  "xb" (O_CREAT | O_EXCL) takes the umask's
+    # mode and never follows or truncates an existing file, nor, opened
+    # outside the try, unlinks one; a random suffix keeps a killed run's
+    # temp from colliding.  Any later failure unlinks the temp
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
-        tmp = None
-    finally:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class OutputWriter:
@@ -66,7 +67,6 @@ class OutputWriter:
         self.command = command
         self.cfg = cfg
         self.out_dir = Path(cfg.output_path)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.checksums: dict[str, str] = {}
 
     def write_csv(self, name: str, header, lines) -> None:
@@ -100,10 +100,9 @@ class OutputWriter:
         _atomic_write(self.out_dir / "manifest.json", text.encode("utf-8"))
 
 
-def cmd_predict(cfg: RunConfig) -> None:
+def cmd_predict(cfg: RunConfig, writer: OutputWriter) -> None:
     """Ground state, its scatter-density curve, and the class table."""
     system = prepare_system(cfg)
-    writer = OutputWriter("predict", cfg)
     psi = system.initial_state
     occ = " ".join(["%d"] * cfg.M)
 
@@ -132,17 +131,15 @@ def cmd_predict(cfg: RunConfig) -> None:
         [row % (k + 1, *cls.signature, len(cls.members),
                 "|".join([occ % m for m in cls.members]), probs[k])
          for k, cls in enumerate(system.classes)])
-    writer.write_manifest()
 
 
-def cmd_trajectory(cfg: RunConfig) -> None:
+def cmd_trajectory(cfg: RunConfig, writer: OutputWriter) -> None:
     """One measurement record: per-event rows plus coefficient snapshots."""
     system = prepare_system(cfg)
     record = run_trajectory(
         system.initial_state, system.table, cfg.n_events,
         seed=trajectory_seed(cfg.master_seed, 0),
         snapshot_stride=cfg.snapshot_stride)
-    writer = OutputWriter("trajectory", cfg)
 
     n_classes = len(system.classes)
     header = (["m", "kind", "theta", "overlap_sq"]
@@ -164,10 +161,9 @@ def cmd_trajectory(cfg: RunConfig) -> None:
                   for i, c in enumerate(coeffs.tolist())]
     writer.write_csv(
         "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"], lines)
-    writer.write_manifest()
 
 
-def cmd_ensemble(cfg: RunConfig) -> None:
+def cmd_ensemble(cfg: RunConfig, writer: OutputWriter) -> None:
     """Many trajectories: proportions, pooled angle histogram, convergence."""
     system = prepare_system(cfg)
     # no CSV reads the ensemble's snapshots: a stride of n_events keeps
@@ -176,7 +172,6 @@ def cmd_ensemble(cfg: RunConfig) -> None:
         system.initial_state, cfg.n_traj, cfg.n_events, system.table,
         system.classes, master_seed=cfg.master_seed, n_bins=cfg.n_bins,
         snapshot_stride=cfg.n_events, workers=cfg.workers)
-    writer = OutputWriter("ensemble", cfg)
 
     row = "%d," + " ".join(["%d"] * cfg.M) + ",%.17g,%.17g"
     writer.write_csv(
@@ -203,10 +198,9 @@ def cmd_ensemble(cfg: RunConfig) -> None:
             stats.n_traj, stats.n_events, n_converged,
             stats.convergence_rate, stats.aborted_count,
             stats.n_scatter_total)])
-    writer.write_manifest()
 
 
-def cmd_sweep(cfg: RunConfig) -> None:
+def cmd_sweep(cfg: RunConfig, writer: OutputWriter) -> None:
     """One ensemble per U/J value, one summary row each."""
     if not cfg.uj_values:
         raise ConfigError("uj_values: sweep needs at least one U/J value")
@@ -215,7 +209,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
         n_traj=cfg.n_traj, n_events=cfg.n_events,
         master_seed=cfg.master_seed, n_bins=cfg.n_bins,
         snapshot_stride=cfg.n_events, workers=cfg.workers)
-    writer = OutputWriter("sweep", cfg)
 
     n_classes = len(rows_out[0].predicted)
     header = (["uj", "energy"]
@@ -227,7 +220,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
         row % (r.uj, r.energy, *r.proportions.tolist(),
                *r.predicted.tolist(), r.convergence_rate)
         for r in rows_out])
-    writer.write_manifest()
 
 
 _COMMANDS = {
@@ -292,7 +284,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        _COMMANDS[args.command](cfg)
+        writer = OutputWriter(args.command, cfg)
+        _COMMANDS[args.command](cfg, writer)
+        writer.write_manifest()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,11 +82,12 @@ class ScatteringSetup:
         if self.envelope not in (UNIFORM, GAUSSIAN):
             raise ValueError(f"envelope must be one of "
                              f"{[UNIFORM, GAUSSIAN]}, got {self.envelope!r}")
-        if not (0 <= self.sigma_a < math.inf):
-            raise ValueError(f"sigma_a must be finite and >= 0, "
-                             f"got {self.sigma_a}")
-        if self.envelope == GAUSSIAN and not (self.sigma_a > 0):
-            raise ValueError("gaussian envelope requires sigma_a > 0")
+        # a width the uniform envelope never reads must not run unnoticed
+        gaussian = self.envelope == GAUSSIAN
+        if not (0 < self.sigma_a < math.inf if gaussian else self.sigma_a == 0):
+            raise ValueError(
+                f"sigma_a must be {'finite and > 0' if gaussian else '0'} for "
+                f"the {self.envelope} envelope, got {self.sigma_a}")
         if self.n_theta < 64 or self.n_theta % 2 != 0:
             raise ValueError(f"n_theta must be even and >= 64, got {self.n_theta}")
         # single-site states scatter hardest (|F| = N at every angle), so

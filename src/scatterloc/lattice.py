@@ -224,9 +224,12 @@ class ManyBodyState:
         if c.shape != (basis.dimension,):
             raise ValueError(f"coefficient vector has shape {c.shape}, "
                              f"expected ({basis.dimension},)")
-        norm = np.linalg.norm(c)
-        if norm == 0.0:
-            raise ValueError("coefficient vector has zero norm")
+        # entries near the float maximum overflow the norm to inf
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(c)
+        if not (0.0 < norm < math.inf):
+            raise ValueError(f"coefficient vector has norm {norm}; it must "
+                             f"be nonzero and finite")
         if normalize:
             c /= norm
         c.setflags(write=False)

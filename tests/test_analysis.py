@@ -704,6 +704,19 @@ class TestSweep:
             assert a.uj == b.uj and a.energy == b.energy
             np.testing.assert_array_equal(a.proportions, b.proportions)
 
+    def test_memory_does_not_grow_with_n_bins(self):
+        # no row reads the angle histogram; 10^6 bins once meant a
+        # (rows, 10^6) int64 histogram in every lockstep block
+        tracemalloc.start()
+        try:
+            sweep_uj([0.0, 1.0, 5.0, math.inf], LAT33,
+                     ScatteringSetup(lattice=LAT33), n_traj=5, n_events=20,
+                     master_seed=0, n_bins=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("m, gN, values", [
         (3, 0.5, [0.05, 1.0, math.inf]),
         (4, 0.8, [0.0, 0.5, 5.0, math.inf]),

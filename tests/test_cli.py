@@ -180,29 +180,57 @@ class TestAtomicity:
 
         monkeypatch.setattr(cli.os, "replace", boom)
         with pytest.raises(RuntimeError):
-            cli.cmd_predict(cfg)
+            cli.cmd_predict(cfg, cli.OutputWriter("predict", cfg))
         assert list(out.iterdir()) == []
 
     def test_manifest_written_last(self, tmp_path, monkeypatch):
-        # fail the third CSV; the manifest must not exist, so nothing
-        # downstream mistakes the partial run for a complete one
+        # fail the third CSV once its temp file is written; the manifest
+        # must not exist, so nothing downstream mistakes the partial run
+        # for a complete one, and the temp file must be gone
         out = tmp_path / "out"
         cfg = parse_config({"M": 2, "N": 2, "output_path": str(out)})
-        real_write = cli._atomic_write
+        real_write, real_replace = cli._atomic_write, cli.os.replace
         calls = []
 
         def counting(path, data):
             calls.append(path.name)
-            if len(calls) == 3:
-                raise OSError("injected write failure")
             real_write(path, data)
 
+        def failing_third(src, dst):
+            assert Path(src).exists()
+            if len(calls) == 3:
+                raise OSError("injected write failure")
+            real_replace(src, dst)
+
         monkeypatch.setattr(cli, "_atomic_write", counting)
+        monkeypatch.setattr(cli.os, "replace", failing_third)
         with pytest.raises(OSError):
-            cli.cmd_predict(cfg)
+            cli.cmd_predict(cfg, cli.OutputWriter("predict", cfg))
         names = {p.name for p in out.iterdir()}
         assert "manifest.json" not in names
         assert names == {"ground_state.csv", "scatter_density.csv"}
+
+    @pytest.mark.parametrize("command,extra", [
+        ("predict", []),
+        ("trajectory", ["--events", "20"]),
+        ("ensemble", ["--traj", "4", "--events", "20", "--bins", "8"]),
+        ("sweep", ["--traj", "4", "--events", "20",
+                   "--set", "uj_values=0,inf"]),
+    ])
+    def test_outputs_follow_the_umask(self, tmp_path, command, extra):
+        # outputs are created like any file the user makes, not with a
+        # private temp file's 0600
+        out = tmp_path / "out"
+        old = os.umask(0o027)
+        try:
+            assert run_cli(command, "--out", str(out), "--set", "M=2",
+                           "--set", "N=2", *extra) == 0
+        finally:
+            os.umask(old)
+        paths = list(out.iterdir())
+        assert "manifest.json" in {p.name for p in paths}
+        for path in paths:
+            assert path.stat().st_mode & 0o777 == 0o640, path.name
 
 
 class TestDeterminism:

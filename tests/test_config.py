@@ -86,6 +86,7 @@ class TestValidation:
         ("boundary", "twisted"),
         ("envelope", "lorentzian"),
         ("uj_values", "-1,2"),
+        ("sigma_a", 0.3),
     ])
     def test_bad_value_names_the_key(self, key, value):
         with pytest.raises(ConfigError, match=key):

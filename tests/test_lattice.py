@@ -603,6 +603,12 @@ class TestStatesAndOverlap:
             ManyBodyState.from_coefficients(basis, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             ManyBodyState.from_coefficients(basis, [1.0, 2.0])
+        # nan and inf once gave a state of nans, and entries whose squares
+        # overflow the norm to inf a silent zero state
+        for bad in ([math.nan, 1.0, 0.0], [math.inf, 1.0, 0.0],
+                    [1e200, 1e200, 0.0]):
+            with pytest.raises(ValueError, match="norm"):
+                ManyBodyState.from_coefficients(basis, bad)
 
     def test_coefficients_are_readonly(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=2))
