@@ -200,6 +200,8 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     k = len(classes)
     if k != len(table.ns_prob):
         raise ValueError(f"{k} classes for a table of {len(table.ns_prob)}")
+    if not np.array_equal([c.signature for c in classes], table.signatures):
+        raise ValueError("classes differ from the table's in signature order")
 
     w0 = _state_weights(initial, table)
     seeds = np.array([trajectory_seed(master_seed, i) for i in range(n_traj)],

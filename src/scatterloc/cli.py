@@ -1,11 +1,15 @@
 """Command line front end.
 
-Four subcommands share one configuration model: ``predict`` writes the
+Four commands share one configuration model: ``predict`` writes the
 ground state and its scattering predictions, ``trajectory`` records a
 single stochastic measurement sequence, ``ensemble`` aggregates many
 trajectories, ``sweep`` repeats the ensemble across interaction
 strengths.  Every run writes CSV files plus a ``manifest.json`` echoing
 the full configuration, library versions, and output checksums.
+
+One parser reads the command and its flags, before or after it.  Each
+dedicated flag spells --set of one key and wins over --set; the parser
+only routes, and parse_config turns every value's text into its type.
 
 Exit codes: 0 success, 2 bad configuration, 3 coupling too strong for a
 probability interpretation, 4 runtime or I/O failure (a refused
@@ -30,14 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    bin_centers,
-    prepare_system,
-    run_ensemble,
-    sweep_uj,
-)
+from .analysis import (bin_centers, class_weights, prepare_system,
+                       run_ensemble, sweep_uj)
 from .config import ConfigError, RunConfig, config_to_mapping, load_config_file, parse_config
-from .kernel import CouplingTooStrong, _state_weights, scatter_density
+from .kernel import CouplingTooStrong, scatter_density
 from .lattice import CapacityError, EigensolverError
 from .trajectory import run_trajectory, trajectory_seed
 
@@ -123,7 +123,7 @@ def cmd_predict(cfg: RunConfig, writer: OutputWriter) -> None:
         ["%.17g,%.17g" % td
          for td in zip(system.table.theta_grid.tolist(), density.tolist())])
 
-    probs = _state_weights(psi, system.table).tolist()
+    probs = class_weights(psi, system.classes).tolist()
     row = f"%d,{occ},%d,%s,%.17g"
     writer.write_csv(
         "classes.csv",
@@ -228,36 +228,28 @@ _COMMANDS = {
     "ensemble": cmd_ensemble,
     "sweep": cmd_sweep,
 }
+# each dedicated flag spells --set of one key
+_FLAGS = {"seed": "master_seed", "out": "output_path", "traj": "n_traj",
+          "events": "n_events", "bins": "n_bins"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scatterloc",
-        description="Simulate measurement-induced localization of lattice "
-                    "bosons under off-resonant light scattering.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "predict": "ground state, scatter density, and class probabilities",
-        "trajectory": "a single stochastic detection record",
-        "ensemble": "statistics over many independent trajectories",
-        "sweep": "one ensemble per U/J value",
-    }
-    for name, text in descriptions.items():
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", metavar="PATH",
-                       help="JSON file with configuration keys")
-        p.add_argument("--seed", type=int, metavar="INT",
-                       help="override master_seed")
-        p.add_argument("--out", metavar="DIR", help="override output_path")
-        p.add_argument("--traj", type=int, metavar="INT",
-                       help="override n_traj")
-        p.add_argument("--events", type=int, metavar="INT",
-                       help="override n_events")
-        p.add_argument("--bins", type=int, metavar="INT",
-                       help="override n_bins")
-        p.add_argument("--set", dest="overrides", action="append",
-                       default=[], metavar="KEY=VALUE",
-                       help="override any configuration key; repeatable")
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Simulate measurement-induced localization of lattice\n"
+                    "bosons under off-resonant light scattering.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<12}{cmd.__doc__}" for name, cmd in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", metavar="PATH",
+                        help="JSON file with configuration keys")
+    parser.add_argument("--set", dest="overrides", action="append",
+                        default=[], metavar="KEY=VALUE",
+                        help="override any configuration key; repeatable")
+    for flag, key in _FLAGS.items():
+        parser.add_argument(f"--{flag}", dest=key, metavar="VALUE",
+                            help=f"--set {key}=VALUE, winning over --set")
     return parser
 
 
@@ -270,13 +262,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key] = value
     # dedicated flags win over --set
-    for key, value in (("master_seed", args.seed),
-                       ("output_path", args.out),
-                       ("n_traj", args.traj),
-                       ("n_events", args.events),
-                       ("n_bins", args.bins)):
-        if value is not None:
-            overrides[key] = value
+    overrides.update((key, getattr(args, key)) for key in _FLAGS.values()
+                     if getattr(args, key) is not None)
     return parse_config(file_values, overrides)
 
 

@@ -112,7 +112,8 @@ class FockBasis:
     rows are in descending lexicographic order, which makes indices (and
     everything derived from them) reproducible across runs.  states is
     the same basis as a list of occupation tuples, built on first use.
-    The constructor takes the occupations as such a list or as an array.
+    The constructor takes the occupations as such a list or as an array,
+    and refuses any other rows or order with a ValueError.
     The index of an occupation is computed from it combinatorially
     (rank), so no lookup table is kept.
     """
@@ -129,6 +130,13 @@ class FockBasis:
         self._beyond = np.array(
             [[math.comb(s + M - j - 2, M - j - 1) for j in range(M - 1)]
              for s in range(N + 1)], dtype=np.int64)
+        # valid rows of a full count ranked 0, 1, ... are the basis itself
+        occ, D = self.occupations, fock_dimension(M, N)
+        if not (occ.shape == (D, M) and occ.min() >= 0
+                and (occ.sum(axis=1) == N).all()
+                and np.array_equal(self.rank(occ), np.arange(D))):
+            raise ValueError(f"states are not the M={M}, N={N} basis in "
+                             f"descending lexicographic order")
 
     @functools.cached_property
     def states(self) -> list[tuple[int, ...]]:
@@ -165,11 +173,13 @@ class FockBasis:
 
     def index_of(self, occ) -> int:
         """Basis index of an occupation tuple; raises ValueError if absent."""
+        occ = tuple(occ)
         key = tuple(int(n) for n in occ)
-        if (len(key) != self.spec.M or min(key) < 0
+        if (key != occ or len(key) != self.spec.M or min(key) < 0
                 or sum(key) != self.spec.N):
-            raise ValueError(f"occupation {key} is not a basis state "
-                             f"of M={self.spec.M}, N={self.spec.N}")
+            raise ValueError(f"occupation {key if key == occ else occ} is "
+                             f"not a basis state of M={self.spec.M}, "
+                             f"N={self.spec.N}")
         return int(self.rank(np.array([key], dtype=np.int64))[0])
 
     def __len__(self) -> int:

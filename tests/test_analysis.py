@@ -607,6 +607,13 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="2 classes for a table of 4"):
             run_ensemble(psi, 1, 10, table, classes22, master_seed=1)
 
+    def test_classes_in_another_order_are_rejected(self, system33):
+        # the proportions follow the table's class order, so reversed
+        # classes would put each signature on another class's numbers
+        _, classes, table, psi = system33
+        with pytest.raises(ValueError, match="signature order"):
+            run_ensemble(psi, 1, 10, table, classes[::-1], master_seed=1)
+
 
 # every entry point that reads a state's class weights from a table
 STATE_READERS = {

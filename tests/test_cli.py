@@ -82,6 +82,44 @@ class TestParsing:
         assert code == 2
         assert "N" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--traj", "abc", "n_traj"), ("--seed", "x", "master_seed"),
+        ("--events", "1.5", "n_events"), ("--bins", "", "n_bins")])
+    def test_bad_dedicated_flag_value_is_exit_2(self, tmp_path, capsys,
+                                                flag, value, key):
+        # the configuration parses a dedicated flag's text as it parses
+        # --set text, so the message names the key, not the flag
+        code = run_cli("predict", flag, value, "--set", "M=2",
+                       "--set", "N=2", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_flags_before_the_command_parse_the_same(self, tmp_path,
+                                                     command):
+        flags = ["--seed", "4", "--out", str(tmp_path), "--traj", "30",
+                 "--events", "50", "--bins", "12", "--set", "M=3",
+                 "--set", "N=3", "--set", "uj_values=0,inf"]
+
+        def config(argv):
+            return cli.config_from_args(cli.build_parser().parse_args(argv))
+
+        after = config([command, *flags])
+        assert config([*flags, command]) == after
+        assert config([*flags[:6], command, *flags[6:]]) == after
+        assert (after.master_seed, after.n_traj, after.n_events,
+                after.n_bins) == (4, 30, 50, 12)
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for command, fn in cli._COMMANDS.items():
+            assert command in text
+            assert fn.__doc__ in text
+
     def test_malformed_set_is_exit_2(self, tmp_path):
         code = run_cli("predict", "--out", str(tmp_path / "x"),
                        "--set", "M=2", "--set", "N=2", "--set", "n_theta")

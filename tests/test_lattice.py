@@ -116,9 +116,22 @@ class TestBasis:
 
     def test_index_of_rejects_non_basis_occupations(self):
         basis = enumerate_basis(LatticeSpec(M=3, N=3))
-        for occ in [(3, 0), (3, 0, 0, 0), (4, -1, 0), (1, 1, 0)]:
+        # an entry that is not an integer is refused, not truncated
+        for occ in [(3, 0), (3, 0, 0, 0), (4, -1, 0), (1, 1, 0),
+                    (1, 1, 1.5), ("1", "1", "1")]:
             with pytest.raises(ValueError):
                 basis.index_of(occ)
+
+    def test_constructor_refuses_rows_other_than_the_basis(self):
+        # rank and index_of read the descending order enumerate_basis
+        # builds: reversed rows once gave a wrong ground energy, and a
+        # subset a broadcast error far from the constructor
+        spec = LatticeSpec(M=3, N=2)
+        states = enumerate_basis(spec).states
+        for rows in (states[::-1], states[:4], states[:1] + states[:-1],
+                     [(2, 0, 0)] * len(states)):
+            with pytest.raises(ValueError, match="M=3, N=2"):
+                FockBasis(spec, rows)
 
     def test_occupations_array_is_readonly(self):
         basis = enumerate_basis(LatticeSpec(M=3, N=2))
