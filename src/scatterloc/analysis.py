@@ -87,9 +87,13 @@ def class_weights(state: ManyBodyState, classes) -> np.ndarray:
     Measurement preserves these in expectation, so the class weights of
     the prepared state are the predicted end-state proportions.  Each
     class is summed in ascending index order, as PatternTable.class_weights
-    sums it, so the two agree bit for bit.
+    sums it, so the two agree bit for bit.  The classes must partition
+    the state's basis.
     """
     idx = np.concatenate([c.indices for c in classes])
+    d = state.basis.dimension
+    if not np.array_equal(np.bincount(idx, minlength=d), np.ones(d)):
+        raise ValueError(f"classes do not partition the basis of dimension {d}")
     k = np.repeat(np.arange(len(classes)), [len(c.indices) for c in classes])
     return np.bincount(k, weights=state.probabilities[idx],
                        minlength=len(classes))
@@ -260,8 +264,11 @@ def _end_proportions(end_class, converged, k: int):
 
 
 def _pool_size(workers: int, n: int) -> int:
-    """Processes worth starting: no more than trajectories or CPUs."""
-    return min(workers, n, os.cpu_count() or 1)
+    """Processes worth starting: no more than trajectories or the CPUs
+    this process may run on."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(workers, n, cpus)
 
 
 def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, snap_idx,

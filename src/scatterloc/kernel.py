@@ -82,7 +82,7 @@ class ScatteringSetup:
         if self.envelope not in (UNIFORM, GAUSSIAN):
             raise ValueError(f"envelope must be one of "
                              f"{[UNIFORM, GAUSSIAN]}, got {self.envelope!r}")
-        # a width the uniform envelope never reads must not run unnoticed
+        # uniform sites are sigma_a = 0, so a width must not run unnoticed
         gaussian = self.envelope == GAUSSIAN
         if not (0 < self.sigma_a < math.inf if gaussian else self.sigma_a == 0):
             raise ValueError(
@@ -91,18 +91,13 @@ class ScatteringSetup:
         if self.n_theta < 64 or self.n_theta % 2 != 0:
             raise ValueError(f"n_theta must be even and >= 64, got {self.n_theta}")
         # single-site states scatter hardest (|F| = N at every angle), so
-        # admissibility reduces to a bound involving only the envelope.  A
-        # gaussian I^2 is at most 1 on the grid, so at gN <= 1 the bound
-        # holds to rounding and needs no grid
-        if self.envelope == GAUSSIAN and self.gN <= 1.0:
-            return
-        n = self.n_theta
-        if self.envelope == UNIFORM:
-            # the grid quadrature of I^2 = 1, bit for bit
-            env_sq_mean = (2.0 * math.pi / n) * n / (2.0 * math.pi)
-        else:
-            env_sq_mean = grid_quadrature(
-                envelope_factor(theta_grid(n), self) ** 2) / (2.0 * math.pi)
+        # the bound is gN^2 <I^2> <= 1, <I^2> = I_0(2s) / e^{2s} with s =
+        # (k0_a sigma_a)^2, exactly 1 at sigma_a = 0.  A grid's mean adds
+        # positive aliasing terms, so this never refuses what the table
+        # admits.  Past 2s ~ 709 both overflow: nan, and the table decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            two_s = 2.0 * np.float64(self.k0_a * self.sigma_a) ** 2
+            env_sq_mean = float(np.i0(two_s) / np.exp(two_s))
         if self.gN ** 2 * env_sq_mean > 1.0 + 1e-12:
             raise CouplingTooStrong(
                 f"gN={self.gN} gives a single-site scattering probability of "
@@ -117,13 +112,11 @@ class ScatteringSetup:
 def envelope_factor(theta, setup: ScatteringSetup):
     """On-site density envelope evaluated at the detection angle.
 
-    Uniform sites give 1 for every angle.  An isotropic gaussian density
-    of width sigma gives exp(-k0^2 sigma^2 (1 - cos(theta))), which is its
-    Fourier transform at |k(theta)|^2 = 2 k0^2 (1 - cos(theta)).
+    An isotropic gaussian density of width sigma gives exp(-k0^2 sigma^2
+    (1 - cos(theta))), its Fourier transform at |k(theta)|^2 =
+    2 k0^2 (1 - cos(theta)); uniform sites are sigma = 0, exactly 1.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if setup.envelope == UNIFORM:
-        return np.ones_like(theta) if theta.ndim else 1.0
     val = np.exp(-((setup.k0_a * setup.sigma_a) ** 2) * (1.0 - np.cos(theta)))
     return val if theta.ndim else float(val)
 

@@ -116,6 +116,13 @@ def multinomial_class_oracle():
     return [groups[sig] for sig in sorted(groups, reverse=True)]
 
 
+def allow_cpus(monkeypatch, n):
+    """Let the process run on n CPUs, as the pool size reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 class TestSignatures:
     def test_hand_computed_examples(self):
         assert pattern_signature((2, 0, 1)) == (5, 0, 2)
@@ -272,6 +279,23 @@ class TestClassWeights:
             np.testing.assert_array_equal(
                 class_weights(state, classes).view(np.int64),
                 table.class_weights(state.probabilities).view(np.int64))
+
+    def test_classes_of_another_lattice_are_refused(self, system33):
+        # the M=N=3 classes once summed part of an M=N=4 state without a
+        # word, and the M=N=4 ones indexed past the M=N=3 basis
+        _, classes33, _, psi33 = system33
+        basis44 = enumerate_basis(LatticeSpec(M=4, N=4))
+        psi44 = ManyBodyState.from_coefficients(
+            basis44, np.ones(len(basis44)))
+        with pytest.raises(ValueError, match="dimension 35"):
+            class_weights(psi44, classes33)
+        with pytest.raises(ValueError, match="dimension 10"):
+            class_weights(psi33, build_classes(basis44))
+        # nor may a class be left out or counted twice
+        with pytest.raises(ValueError, match="dimension 10"):
+            class_weights(psi33, classes33[1:])
+        with pytest.raises(ValueError, match="dimension 10"):
+            class_weights(psi33, classes33 + classes33[:1])
 
 
 class TestHistograms:
@@ -465,21 +489,31 @@ class TestRunEnsemble:
 
     def test_pool_size_is_capped(self, monkeypatch):
         # the computed size only: no pool is started here
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        allow_cpus(monkeypatch, 4)
         assert _pool_size(1, 1) == 1
         assert _pool_size(3, 3) == 3
         assert _pool_size(64, 3) == 3
         assert _pool_size(64, 1000) == 4
         assert _pool_size(2, 1000) == 2
+        # where the platform reports no affinity the CPU count caps it
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _pool_size(8, 8) == 1
+
+    def test_pool_size_is_capped_by_the_affinity(self, monkeypatch):
+        # pinned to one of two CPUs (taskset -c 0), two processes would
+        # share one core
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert _pool_size(8, 100) == 1
 
     def test_cut_is_sized_by_the_pool_not_by_workers(self, system33,
                                                      monkeypatch):
         # on one CPU no pool starts, and 10^7 requested workers cost no
         # per-worker list: the run is the in-process one of workers=1
         _, classes, table, psi = system33
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        allow_cpus(monkeypatch, 1)
 
         def run(workers):
             return run_ensemble(psi, 30, 80, table, classes, master_seed=5,
@@ -782,7 +816,7 @@ class TestSweep:
         assert steps == [21] * 40
         # on 2 CPUs, 3 or 4 workers cut all 21 trajectories into 2 blocks,
         # of 11 and 10 trajectories, inside a row
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         pools, blocks = [], []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):

@@ -158,6 +158,20 @@ class TestParsing:
         assert capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("probe", [
+        ("sigma_a=5", "gN=7.4", "n_theta=64"), ("sigma_a=7", "gN=9")])
+    def test_coupling_refused_by_the_table_is_exit_3(self, tmp_path, capsys,
+                                                     probe):
+        # probes the parse-time closed form admits and the table's grid
+        # check refuses, naming the state
+        sets = [arg for kv in ("envelope=gaussian", *probe)
+                for arg in ("--set", kv)]
+        code = run_cli("predict", "--out", str(tmp_path / "x"),
+                       "--set", "M=3", "--set", "N=3", *sets)
+        assert code == 3
+        assert "basis state (3, 0, 0)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_coupling_too_weak_is_exit_2(self, tmp_path, capsys):
         # a probe whose table prefactor underflows once wrote nan for
         # every predicted_density of histogram.csv and exited 0

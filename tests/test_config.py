@@ -112,18 +112,22 @@ class TestValidation:
                           "sigma_a": 0.2, "gN": 1.5})
 
     @pytest.mark.parametrize("probe", [
-        {}, {"envelope": "gaussian", "sigma_a": 0.2, "gN": 1.0}])
+        {}, {"envelope": "gaussian", "sigma_a": 0.2, "gN": 1.0},
+        {"envelope": "gaussian", "sigma_a": 0.2, "gN": 1.1,
+         "n_theta": 2 * 10**7}])
     def test_admissibility_builds_no_grid(self, probe):
-        # the uniform envelope's mean square is exactly 1, and a gaussian
-        # one at gN <= 1 cannot break the bound, so 10^9 angles (a 16 GB
-        # grid) are left for the memory guard to refuse
+        # the bound is a closed form in (k0_a sigma_a)^2, so 10^9 angles
+        # (a 16 GB grid) are left for the memory guard to refuse.  A
+        # gaussian probe at gN > 1 once built its 2 * 10^7-angle grid
+        # here, a 458 MiB peak
+        values = {"M": 3, "N": 3, "n_theta": 10**9} | probe
         tracemalloc.start()
         try:
-            cfg = parse_config({"M": 3, "N": 3, "n_theta": 10**9} | probe)
+            cfg = parse_config(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cfg.n_theta == 10**9
+        assert cfg.n_theta == values["n_theta"]
         assert peak < 2**20
 
     def test_kinds_come_from_the_annotations(self):

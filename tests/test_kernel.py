@@ -9,6 +9,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,48 @@ class TestSetupValidation:
         with pytest.raises(CouplingTooStrong):
             make_setup(gN=1.2)
         make_setup(gN=0.99)
+
+    @pytest.mark.parametrize("n_theta", [64, 256, 2048])
+    @pytest.mark.parametrize("k0_a", [0.5, math.pi, 6.0])
+    def test_bound_is_the_closed_form(self, k0_a, n_theta):
+        # <I^2> = e^{-2s} I_0(2s), s = (k0_a sigma_a)^2, is the grid mean
+        # of I^2 less positive aliasing terms: it never exceeds the grid
+        # mean beyond rounding, so the probe at the grid's own bound
+        # passes, and the bound falls where the closed form puts it
+        for sigma_a in (0.0, 1e-3, 0.05, 0.3, 1.0, 3.0):
+            envelope = "gaussian" if sigma_a else "uniform"
+            probe = dict(k0_a=k0_a, envelope=envelope, sigma_a=sigma_a,
+                         n_theta=n_theta)
+            grid_mean = grid_quadrature(envelope_factor(
+                theta_grid(n_theta), make_setup(**probe)) ** 2) / (2 * math.pi)
+            closed = scipy.special.i0e(2 * (k0_a * sigma_a) ** 2)
+            assert closed <= grid_mean * (1 + 2e-15)
+            make_setup(gN=1 / math.sqrt(grid_mean), **probe)
+            make_setup(gN=(1 - 1e-9) / math.sqrt(closed), **probe)
+            with pytest.raises(CouplingTooStrong):
+                make_setup(gN=(1 + 1e-9) / math.sqrt(closed), **probe)
+
+    @pytest.mark.parametrize("sigma_a,gN,n_theta", [(5.0, 7.4, 64),
+                                                    (7.0, 9.0, 2048)])
+    def test_the_table_refuses_what_the_closed_form_cannot(
+            self, sigma_a, gN, n_theta):
+        # 64 angles alias <I^2> from 0.017963 up to 0.018530, and at
+        # 2s = 967 I_0 overflows: the setup admits both probes without a
+        # warning, and the table's per-class check refuses them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            setup = make_setup(gN=gN, envelope="gaussian", sigma_a=sigma_a,
+                               n_theta=n_theta)
+        with pytest.raises(CouplingTooStrong, match=r"\(3, 0, 0\)"):
+            build_pattern_table(enumerate_basis(LAT33), setup)
+
+    def test_overflow_refuses_nothing(self):
+        # at 2s = 720 I_0(2s) overflows while e^{-2s} is still above 0,
+        # so their product would read inf; <I^2> is 0.0149 there and the
+        # table admits gN = 5
+        setup = make_setup(gN=5.0, envelope="gaussian",
+                           sigma_a=math.sqrt(360.0) / math.pi)
+        build_pattern_table(enumerate_basis(LAT33), setup)
 
     def test_coupling_too_weak_to_scatter(self):
         # every table density carries g^2 / 2 pi.  At gN = 1e-160 on
