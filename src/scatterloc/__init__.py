@@ -6,7 +6,7 @@ pattern table, and the one angle sampler), ``trajectory`` (the one event
 step on signature-class weights, and measurement records that add the
 per-basis phases of the scatter events), and ``analysis`` (equivalence
 classes, and ensembles and sweeps on class weights alone).  Both engines
-advance their trajectories through the same event step.  ``config`` and
+advance their trajectories through the same event loop.  ``config`` and
 ``cli`` wrap them for batch runs.
 """
 

@@ -5,8 +5,9 @@ identically, so measurement can never tell them apart: each signature
 group is an absorbing subspace of the detection dynamics.  A long
 trajectory localizes into one group, and the fraction of trajectories
 ending in group k reproduces the group's weight in the initial state.
-This module classifies, runs the ensembles, and aggregates the
-statistics that exhibit both facts.
+This module classifies, runs the ensembles through the trajectory
+module's one event loop, and aggregates the statistics that exhibit
+both facts; a float sum over trajectories adds fixed chunks of them.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from .lattice import (
 )
 from .trajectory import (
     CONVERGENCE_THRESHOLD,
-    _event_step,
-    _snapshot_indices,
-    _uniform_columns,
+    _lockstep_events,
+    _snapshot_slots,
     trajectory_seed,
 )
 
@@ -53,6 +53,9 @@ if TYPE_CHECKING:
 # class weights a lockstep block holds per array (8 MB), unless one
 # row's n_traj trajectories need more
 _BLOCK_WEIGHTS = 1 << 20
+
+# trajectories whose class weights a snapshot sums as one chunk
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,11 @@ class EnsembleStats:
     dominant class); convergence_rate reports how many converged.
     histogram pools every scatter angle of the whole ensemble;
     histogram_predicted holds the matching bin masses (summing to 1)
-    computed from the initial state.  mean_class_weights tracks the
-    ensemble-averaged class weights at snapshot_indices.
+    computed from the initial state.  mean_class_weights is the mean
+    class weights at snapshot_indices: sums over chunks of _CHUNK
+    trajectories, added in index order, divided by n_traj.  A scatter
+    that annihilates a trajectory's weights is not recorded: the
+    trajectory keeps the weights before it and counts as aborted.
     """
 
     n_traj: int
@@ -186,21 +192,16 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     Every detection operator is diagonal in the class index and acts on
     all members of a class by the same factor, so each recorded quantity
     (event kinds, angles, class weights) depends on the state only
-    through its K class weights.  The runner therefore evolves a
-    (trajectories, K) array of class weights and advances every live
-    trajectory of a block one event per step, in lockstep, through the
-    event step of the trajectory engine without its phases: the one-row
-    case of the lockstep batch that sweep_uj runs, one block per pool
-    process.  Each trajectory still draws from its own PCG64 stream in
-    order, and every reduction is an elementwise product summed along
-    one row, never a BLAS call whose rounding can depend on the batch
-    shape, so a trajectory's result does not depend, bit for bit, on
-    how many others share its block.  Results are merged by trajectory
-    index, so they do not depend on the execution order or the worker
-    count either.
+    through its K class weights.  The runner therefore advances a
+    (trajectories, K) array of class weights through the trajectory
+    engine's lockstep event loop without its phases: the one-row case of
+    the lockstep batch that sweep_uj runs.  Each trajectory draws from
+    its own PCG64 stream and no reduction goes through BLAS, so its
+    result does not depend, bit for bit, on which others share its
+    block; and float sums over trajectories are taken over fixed chunks,
+    so no result depends on the execution order or the worker count.
     """
-    snap_idx = _run_bounds(n_traj, n_events, workers, n_bins,
-                           snapshot_stride)
+    slots = _run_bounds(n_traj, n_events, workers, n_bins, snapshot_stride)
     k = len(classes)
     if k != len(table.ns_prob):
         raise ValueError(f"{k} classes for a table of {len(table.ns_prob)}")
@@ -211,11 +212,9 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     seeds = np.array([trajectory_seed(master_seed, i) for i in range(n_traj)],
                      dtype=np.uint64)
     out = _lockstep(w0[None, :], n_traj, seeds, table, n_events, n_bins,
-                    snap_idx, workers)
+                    slots, workers)
     histogram = out["histogram"][0]
-    snaps = out["snapshots"]
-    proportions, n_conv = _end_proportions(out["end_class"],
-                                           out["converged"], k)
+    proportions, n_conv, end_class, converged = _end_proportions(out["final"])
 
     return EnsembleStats(
         n_traj=n_traj, n_events=n_events, n_bins=n_bins,
@@ -226,41 +225,37 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
         histogram=histogram,
         histogram_predicted=predicted_bin_masses(initial, table, n_bins),
         convergence_rate=n_conv / n_traj,
-        # the last snapshot is event n_events
-        final_class_weights=snaps[:, -1].copy(),
-        converged_mask=out["converged"],
-        end_class_index=out["end_class"],
-        snapshot_indices=snap_idx,
-        mean_class_weights=np.mean(snaps, axis=0),
+        final_class_weights=out["final"],
+        converged_mask=converged,
+        end_class_index=end_class,
+        snapshot_indices=np.array(list(slots), dtype=np.int64),
+        mean_class_weights=out["sums"].sum(axis=0) / n_traj,
         scatter_counts=out["scatter_counts"],
         n_scatter_total=int(histogram.sum()),
         aborted_count=int(np.count_nonzero(~out["alive"])))
 
 
 def _run_bounds(n_traj: int, n_events: int, workers: int, n_bins: int,
-                snapshot_stride: int) -> np.ndarray:
-    """Snapshot indices of an ensemble run; ValueError for a trajectory
+                snapshot_stride: int) -> dict[int, int]:
+    """Snapshot schedule of an ensemble run; ValueError for a trajectory
     count, event count, worker count, bin count or stride no run can
     take."""
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if n_events < 1:
-        raise ValueError(f"n_events must be >= 1, got {n_events}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    return _snapshot_indices(n_events, snapshot_stride)
+    for name, value in (("n_traj", n_traj), ("n_events", n_events),
+                        ("workers", workers), ("n_bins", n_bins)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return _snapshot_slots(n_events, snapshot_stride)
 
 
-def _end_proportions(end_class, converged, k: int):
-    """Share of the converged trajectories ending in each of k classes,
-    and how many converged."""
+def _end_proportions(final):
+    """From trajectories' final class weights, shape (n, K): the share
+    of the converged ones ending in each class, how many converged, and
+    per trajectory its end class and whether it converged."""
+    end_class = np.argmax(final, axis=1)
+    converged = np.max(final, axis=1) > CONVERGENCE_THRESHOLD
     n_conv = int(np.count_nonzero(converged))
-    if n_conv == 0:
-        return np.zeros(k), 0
-    counts = np.bincount(end_class[converged], minlength=k)
-    return counts.astype(float) / n_conv, n_conv
+    counts = np.bincount(end_class[converged], minlength=final.shape[1])
+    return counts / max(n_conv, 1), n_conv, end_class, converged
 
 
 def _pool_size(workers: int, n: int) -> int:
@@ -271,25 +266,26 @@ def _pool_size(workers: int, n: int) -> int:
     return min(workers, n, cpus)
 
 
-def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, snap_idx,
-              workers):
+def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, slots, workers):
     """Run n_traj trajectories from each row of class weights w0, shape
     (rows, K): trajectory i starts from row i // n_traj on seeds[i].
 
     The list is cut once, from index 0, into lockstep blocks of
     min(max(n_traj, _BLOCK_WEIGHTS // K), ceil(n / procs)) trajectories,
-    procs being workers capped by the trajectory and CPU counts, and one
-    pool runs them, or this process if one suffices.  Returns each row's
-    histogram, shape (rows, n_bins), and per trajectory, in order: its
-    class weights at snap_idx, scatter count, alive flag, end class and
-    whether it converged.
+    in whole _CHUNKs, procs being workers capped by the trajectory and
+    CPU counts; one pool runs them, or this process if one suffices.
+    Returns each row's histogram, (rows, n_bins); the weight sums at the
+    slots' snapshots of each chunk, which do not depend on the cut,
+    (chunks, snapshots, K); and each trajectory's final class weights,
+    scatter count and alive flag.
     """
     n = len(seeds)
     row_of = np.repeat(np.arange(len(w0)), n_traj)
     procs = _pool_size(workers, n)
     size = min(max(n_traj, _BLOCK_WEIGHTS // w0.shape[1]), -(-n // procs))
+    size = -(-size // _CHUNK) * _CHUNK
     args = [(w0, row_of[a:a + size], seeds[a:a + size], table, n_events,
-             n_bins, snap_idx) for a in range(0, n, size)]
+             n_bins, slots) for a in range(0, n, size)]
     procs = min(procs, len(args))
     if procs == 1:
         parts = [_lockstep_block(*a) for a in args]
@@ -300,41 +296,36 @@ def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, snap_idx,
             parts = list(pool.map(_lockstep_block, *zip(*args)))
 
     out = {key: np.concatenate([p[key] for p in parts]) for key in
-           ("snapshots", "scatter_counts", "alive", "end_class", "converged")}
+           ("sums", "final", "scatter_counts", "alive")}
     out["histogram"] = np.sum([p["histogram"] for p in parts], axis=0)
     return out
 
 
-def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, snap_idx):
-    """Advance a block of trajectories' class weights in lockstep, one
-    event per call of the trajectory engine's event step.  A trajectory
-    whose update annihilates its weights keeps its last healthy state
-    and is reported as not alive rather than poisoning the statistics;
-    its fatal scatter is still counted."""
+def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, slots):
+    """Advance a block of trajectories through the lockstep event loop,
+    binning and counting each scatter, and at each snapshot of slots sum
+    the class weights over each _CHUNK trajectories from the block's
+    first.  A trajectory whose weights are annihilated is not alive."""
     n, k = len(seeds), w0.shape[1]
     histogram = np.zeros(len(w0) * n_bins, dtype=np.int64)
-    snapshots = np.empty((n, len(snap_idx), k))
+    starts = np.arange(0, n, _CHUNK)
+    sums = np.empty((len(starts), len(slots), k))
     scatter_counts = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     offset = row_of * n_bins
     w = w0[row_of]
-    si = 0
-    if len(snap_idx) and snap_idx[0] == 0:
-        snapshots[:, 0] = w
-        si = 1
-    for m, r in enumerate(_uniform_columns(seeds, n_events), start=1):
-        w, rows, theta, _ = _event_step(w, r, alive, table)
+    if 0 in slots:
+        sums[:, 0] = np.add.reduceat(w, starts)
+    for m, w, rows, theta, _ in _lockstep_events(w, seeds, alive, table,
+                                                 n_events):
         if rows.size:
             np.add.at(histogram, offset[rows] + _bin_index(theta, n_bins), 1)
             scatter_counts[rows] += 1
-        if si < len(snap_idx) and m == snap_idx[si]:
-            snapshots[:, si] = w
-            si += 1
+        if m in slots:
+            sums[:, slots[m]] = np.add.reduceat(w, starts)
 
-    return {"histogram": histogram.reshape(len(w0), n_bins),
-            "snapshots": snapshots, "scatter_counts": scatter_counts,
-            "alive": alive, "end_class": np.argmax(w, axis=1),
-            "converged": np.max(w, axis=1) > CONVERGENCE_THRESHOLD}
+    return {"histogram": histogram.reshape(len(w0), n_bins), "sums": sums,
+            "final": w, "scatter_counts": scatter_counts, "alive": alive}
 
 
 def _physical_memory() -> int:
@@ -448,14 +439,13 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
                       for i in range(len(values)) for j in range(n_traj)],
                      dtype=np.uint64)
     # no row output reads the histogram: one bin keeps it from growing
-    out = _lockstep(np.array(w0), n_traj, seeds, table, n_events, 1,
-                    np.empty(0, dtype=np.int64), workers)
+    out = _lockstep(np.array(w0), n_traj, seeds, table, n_events, 1, {},
+                    workers)
 
     rows = []
     for i, uj in enumerate(values):
-        mine = slice(i * n_traj, (i + 1) * n_traj)
-        proportions, n_conv = _end_proportions(
-            out["end_class"][mine], out["converged"][mine], len(w0[i]))
+        proportions, n_conv, _, _ = _end_proportions(
+            out["final"][i * n_traj:(i + 1) * n_traj])
         rows.append(SweepRow(uj=float(uj), energy=energies[i],
                              predicted=w0[i], proportions=proportions,
                              convergence_rate=n_conv / n_traj))

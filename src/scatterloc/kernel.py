@@ -82,12 +82,14 @@ class ScatteringSetup:
         if self.envelope not in (UNIFORM, GAUSSIAN):
             raise ValueError(f"envelope must be one of "
                              f"{[UNIFORM, GAUSSIAN]}, got {self.envelope!r}")
-        # uniform sites are sigma_a = 0, so a width must not run unnoticed
-        gaussian = self.envelope == GAUSSIAN
-        if not (0 < self.sigma_a < math.inf if gaussian else self.sigma_a == 0):
-            raise ValueError(
-                f"sigma_a must be {'finite and > 0' if gaussian else '0'} for "
-                f"the {self.envelope} envelope, got {self.sigma_a}")
+        # uniform sites are sigma_a = 0, so a width must not run unnoticed;
+        # an infinite exponent s^2 would give exp(-inf * 0), nan, at theta 0
+        gaussian, s = self.envelope == GAUSSIAN, self.k0_a * self.sigma_a
+        if not (0 < self.sigma_a and math.isfinite(s * s) if gaussian
+                else self.sigma_a == 0):
+            need = "> 0 with (k0_a sigma_a)^2 finite" if gaussian else "0"
+            raise ValueError(f"sigma_a must be {need} for the {self.envelope}"
+                             f" envelope, got {self.sigma_a}")
         if self.n_theta < 64 or self.n_theta % 2 != 0:
             raise ValueError(f"n_theta must be even and >= 64, got {self.n_theta}")
         # single-site states scatter hardest (|F| = N at every angle), so
@@ -96,7 +98,7 @@ class ScatteringSetup:
         # positive aliasing terms, so this never refuses what the table
         # admits.  Past 2s ~ 709 both overflow: nan, and the table decides
         with np.errstate(over="ignore", invalid="ignore"):
-            two_s = 2.0 * np.float64(self.k0_a * self.sigma_a) ** 2
+            two_s = 2.0 * np.float64(s) ** 2
             env_sq_mean = float(np.i0(two_s) / np.exp(two_s))
         if self.gN ** 2 * env_sq_mean > 1.0 + 1e-12:
             raise CouplingTooStrong(

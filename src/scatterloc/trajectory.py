@@ -16,10 +16,10 @@ One uniform draw decides each event.  If it falls below the current
 non-scatter probability the probe passed; otherwise the excess,
 rescaled to [0, 1), is pushed through the inverse CDF of the current
 angular density (kernel.sample_angles) to give the detection angle.
-One event step, _event_step, does this for a batch of trajectories in
-lockstep on their (rows, K) class weights.  run_trajectories adds the
-per-basis phase factors; analysis.run_ensemble needs the weights alone;
-step runs it on a single state.
+One event step, _event_step, does this for a batch of (rows, K) class
+weights; one loop, _lockstep_events, drives it for both engines and ends
+a trajectory before a scatter that annihilates its weights.  Records add
+the per-basis phases; analysis needs the weights alone.
 """
 
 from __future__ import annotations
@@ -89,26 +89,13 @@ class RngStream:
         return self._gen.random(out=out)
 
 
-def _uniform_columns(seeds, n_events: int):
-    """Yield each event's uniforms, one per seed, drawn from each seed's
-    own stream _UNIFORM_BLOCK events at a time.  A yielded column is
-    overwritten by later draws."""
-    streams = [RngStream(int(seed)) for seed in seeds]
-    block = np.empty((len(streams), _UNIFORM_BLOCK))
-    for m in range(n_events):
-        col = m % _UNIFORM_BLOCK
-        if col == 0:
-            for stream, row in zip(streams, block):
-                stream.fill(row)
-        yield block[:, col]
-
-
-def _snapshot_indices(n_events: int, stride: int) -> np.ndarray:
-    """Snapshot events: 0, every multiple of the stride, and the last."""
+def _snapshot_slots(n_events: int, stride: int) -> dict[int, int]:
+    """The snapshot schedule: the slot, in event order, of each snapshot
+    event: 0, every multiple of the stride, and the last."""
     if stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
-    idx = sorted({0, n_events, *range(stride, n_events + 1, stride)})
-    return np.array(idx, dtype=np.int64)
+    events = sorted({0, n_events, *range(stride, n_events + 1, stride)})
+    return {m: s for s, m in enumerate(events)}
 
 
 def _scatter_multipliers(theta, table: PatternTable) -> np.ndarray:
@@ -160,6 +147,29 @@ def _event_step(w, r, alive, table: PatternTable):
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(alive[:, None], q / s[:, None], w)
     return w, rows, theta, dying
+
+
+def _lockstep_events(w, seeds, alive, table: PatternTable, n_events: int):
+    """Advance the rows of class weights w, one per seed, n_events events
+    in lockstep through the event step, each row on its seed's stream.
+
+    Yields, for each event m = 1..n_events: m, the weights after it, the
+    rows that scattered and survived, their angles, and the mask of the
+    rows that died at m.  A dying row keeps its last weights and is
+    cleared from alive, in place; its fatal scatter is not yielded.
+    """
+    streams = [RngStream(int(seed)) for seed in seeds]
+    block = np.empty((len(streams), _UNIFORM_BLOCK))
+    for m in range(n_events):
+        if m % _UNIFORM_BLOCK == 0:
+            for stream, row in zip(streams, block):
+                stream.fill(row)
+        w, rows, theta, dying = _event_step(
+            w, block[:, m % _UNIFORM_BLOCK], alive, table)
+        if dying.any():
+            keep = ~dying[rows]
+            rows, theta = rows[keep], theta[keep]
+        yield m + 1, w, rows, theta, dying
 
 
 def _phase_kicks(theta, table: PatternTable) -> np.ndarray:
@@ -262,8 +272,8 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
     """
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
-    due = set() if snapshot_stride is None else set(
-        _snapshot_indices(n_events, snapshot_stride).tolist())
+    due = {} if snapshot_stride is None else _snapshot_slots(
+        n_events, snapshot_stride)
 
     seeds = [int(seed) for seed in seeds]
     n_traj = len(seeds)
@@ -284,11 +294,9 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
     overlap_sq[:, 0] = 1.0
     snaps = [(0, np.tile(c0, (n_traj, 1)))] if due else []
 
-    for m, r in enumerate(_uniform_columns(seeds, n_events), start=1):
-        w, rows, theta, dying = _event_step(w, r, alive, table)
-        end[dying] = m - 1
-        keep = alive[rows]
-        rows, theta = rows[keep], theta[keep]
+    for m, w, rows, theta, died in _lockstep_events(w, seeds, alive, table,
+                                                    n_events):
+        end[died] = m - 1
         if rows.size:
             thetas[rows, m - 1] = theta
             z[rows] *= _phase_kicks(theta, table)

@@ -461,6 +461,39 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(stats.histogram,
                                       angle_histogram(recs, 40))
 
+    def test_chunk_sums_are_worker_independent(self, system33, monkeypatch):
+        # 70 trajectories are chunks of 16 with a ragged last one of 6;
+        # one process runs them as one block, three as blocks of 32, 32
+        # and 6, and the mean class weights agree bit for bit
+        _, classes, table, psi = system33
+        allow_cpus(monkeypatch, 3)
+        one, three = (run_ensemble(psi, 70, 200, table, classes,
+                                   master_seed=3, n_bins=20,
+                                   snapshot_stride=20, workers=workers)
+                      for workers in (1, 3))
+        np.testing.assert_array_equal(one.mean_class_weights,
+                                      three.mean_class_weights)
+        # and are the records' mean to rounding
+        recs = run_trajectories(psi, table, 200, one.seeds)
+        weights = np.array([rec.class_weights for rec in recs])
+        np.testing.assert_allclose(
+            one.mean_class_weights,
+            np.mean(weights[:, one.snapshot_indices], axis=0),
+            rtol=0, atol=1e-15)
+
+    def test_memory_does_not_grow_with_snapshots(self, system55):
+        # every snapshot of every trajectory was once kept to be averaged:
+        # 2000 x 201 x 38 weights, a 233 MB traced peak
+        _, classes, table, psi = system55
+        tracemalloc.start()
+        try:
+            run_ensemble(psi, 2000, 200, table, classes, master_seed=2,
+                         n_bins=60, snapshot_stride=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
     def test_gaussian_envelope_matches_full_trajectory_engine(self):
         # the envelope branch of the ensemble multiplier against the
         # coefficient-evolving reference; the horizon stays short because
@@ -587,11 +620,11 @@ class TestRunEnsemble:
         w0 = stats.class_proportions_predicted
         split = analysis._lockstep(
             np.stack([w0, w0]), n_traj, np.tile(stats.seeds, 2), table,
-            n_events, 40, stats.snapshot_indices, workers=1)
+            n_events, 40, analysis._snapshot_slots(n_events, 50), workers=1)
         assert blocks == [16, 8]
         for row in (slice(None, n_traj), slice(n_traj, None)):
             np.testing.assert_array_equal(stats.final_class_weights,
-                                          split["snapshots"][row, -1])
+                                          split["final"][row])
             np.testing.assert_array_equal(stats.scatter_counts,
                                           split["scatter_counts"][row])
             assert stats.aborted_count == \
@@ -610,14 +643,26 @@ class TestRunEnsemble:
                 expected = rec.class_weights_final
             else:
                 n_aborted += 1
-                # the fatal scatter is still counted
-                assert stats.scatter_counts[i] == fatal[0] + 1
+                # the fatal scatter is not counted, as in the record
+                assert stats.scatter_counts[i] == fatal[0]
                 expected = rec.class_weights[scatters[fatal[0]].index - 1]
             np.testing.assert_allclose(stats.final_class_weights[i],
                                        expected, atol=1e-9)
         assert 0 < n_aborted < n_traj
         assert stats.aborted_count == n_aborted
         assert stats.histogram.sum() == stats.scatter_counts.sum()
+
+        # one rule for both engines: the records on the same seeds end
+        # before the fatal scatter too, bit for bit
+        recs = run_trajectories(psi, table, n_events, stats.seeds)
+        assert sum(rec.aborted for rec in recs) == n_aborted
+        np.testing.assert_array_equal(stats.scatter_counts,
+                                      [rec.n_scatter for rec in recs])
+        np.testing.assert_array_equal(
+            stats.final_class_weights,
+            np.array([rec.class_weights_final for rec in recs]))
+        np.testing.assert_array_equal(stats.histogram,
+                                      angle_histogram(recs, 40))
 
     def test_input_validation(self, system33):
         _, classes, table, psi = system33
@@ -796,13 +841,15 @@ class TestSweep:
         setup = ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi)
         k = 4
         steps = []
-        real_step = analysis._event_step
+        real_step = trajectory._event_step
 
         def counting(*args):
             steps.append(len(args[0]))
             return real_step(*args)
 
-        monkeypatch.setattr(analysis, "_event_step", counting)
+        monkeypatch.setattr(trajectory, "_event_step", counting)
+        # blocks of single trajectories, so the sizes below are the cut's
+        monkeypatch.setattr(analysis, "_CHUNK", 1)
 
         def sweep(values, n_traj, workers=1):
             steps.clear()

@@ -182,6 +182,18 @@ class TestParsing:
         assert "gN" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("gN", ["0.5", "2"])
+    def test_envelope_exponent_overflow_is_exit_2(self, tmp_path, capsys,
+                                                  gN):
+        # k0_a sigma_a = 1e200 once printed an OverflowError traceback
+        code = run_cli("predict", "--out", str(tmp_path / "x"),
+                       "--set", "M=3", "--set", "N=3",
+                       "--set", "envelope=gaussian", "--set", "sigma_a=1e100",
+                       "--set", "k0_a=1e100", "--set", f"gN={gN}")
+        assert code == 2
+        assert "(k0_a sigma_a)^2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unwritable_output_is_exit_4(self, tmp_path):
         target = tmp_path / "blocker"
         target.write_text("a file where a directory must go")

@@ -164,6 +164,15 @@ class TestSetupValidation:
             with pytest.raises(ValueError, match="sigma_a"):
                 make_setup(sigma_a=sigma_a)
 
+    @pytest.mark.parametrize("gN", [0.5, 2.0])
+    def test_rejects_an_envelope_exponent_that_overflows(self, gN):
+        # (k0_a sigma_a)^2 past the float range once passed construction
+        # and raised OverflowError in build_pattern_table
+        with pytest.raises(ValueError, match=r"\(k0_a sigma_a\)\^2"):
+            make_setup(gN=gN, envelope="gaussian", sigma_a=1e100, k0_a=1e100)
+        # the largest finite square is still a setup
+        make_setup(envelope="gaussian", sigma_a=1.3e154, k0_a=1.0)
+
     def test_coupling_bound(self):
         # a one-site condensate scatters with probability gN^2 under a
         # uniform envelope, so gN > 1 is inadmissible
