@@ -202,23 +202,19 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     so no result depends on the execution order or the worker count.
     """
     slots = _run_bounds(n_traj, n_events, workers, n_bins, snapshot_stride)
-    k = len(classes)
-    if k != len(table.ns_prob):
-        raise ValueError(f"{k} classes for a table of {len(table.ns_prob)}")
     if not np.array_equal([c.signature for c in classes], table.signatures):
-        raise ValueError("classes differ from the table's in signature order")
+        raise ValueError(f"{len(classes)} classes for a table of "
+                         f"{len(table.ns_prob)}, or out of its signature order")
 
     w0 = _state_weights(initial, table)
-    seeds = np.array([trajectory_seed(master_seed, i) for i in range(n_traj)],
-                     dtype=np.uint64)
-    out = _lockstep(w0[None, :], n_traj, seeds, table, n_events, n_bins,
-                    slots, workers)
-    histogram = out["histogram"][0]
+    out = _lockstep(w0[None, :], n_traj, [master_seed], table, n_events,
+                    n_bins, slots, workers)
+    histogram = out["histogram"]
     proportions, n_conv, end_class, converged = _end_proportions(out["final"])
 
     return EnsembleStats(
         n_traj=n_traj, n_events=n_events, n_bins=n_bins,
-        master_seed=master_seed, seeds=seeds,
+        master_seed=master_seed, seeds=out["seeds"],
         class_signatures=tuple(c.signature for c in classes),
         class_proportions=proportions,
         class_proportions_predicted=w0,
@@ -266,19 +262,23 @@ def _pool_size(workers: int, n: int) -> int:
     return min(workers, n, cpus)
 
 
-def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, slots, workers):
-    """Run n_traj trajectories from each row of class weights w0, shape
-    (rows, K): trajectory i starts from row i // n_traj on seeds[i].
+def _lockstep(w0, n_traj, row_seeds, table, n_events, n_bins, slots,
+              workers):
+    """Run n_traj trajectories from each row r of class weights w0, shape
+    (rows, K): trajectory j of row r on seed trajectory_seed(row_seeds[r],
+    j), at index r n_traj + j.
 
     The list is cut once, from index 0, into lockstep blocks of
     min(max(n_traj, _BLOCK_WEIGHTS // K), ceil(n / procs)) trajectories,
     in whole _CHUNKs, procs being workers capped by the trajectory and
     CPU counts; one pool runs them, or this process if one suffices.
-    Returns each row's histogram, (rows, n_bins); the weight sums at the
-    slots' snapshots of each chunk, which do not depend on the cut,
-    (chunks, snapshots, K); and each trajectory's final class weights,
-    scatter count and alive flag.
+    Returns the seeds it ran; the histogram of every scatter angle in
+    n_bins bins; the weight sums at the slots' snapshots of each chunk,
+    which do not depend on the cut, (chunks, snapshots, K); and each
+    trajectory's final class weights, scatter count and alive flag.
     """
+    seeds = np.array([trajectory_seed(s, j) for s in row_seeds
+                      for j in range(n_traj)], dtype=np.uint64)
     n = len(seeds)
     row_of = np.repeat(np.arange(len(w0)), n_traj)
     procs = _pool_size(workers, n)
@@ -298,34 +298,36 @@ def _lockstep(w0, n_traj, seeds, table, n_events, n_bins, slots, workers):
     out = {key: np.concatenate([p[key] for p in parts]) for key in
            ("sums", "final", "scatter_counts", "alive")}
     out["histogram"] = np.sum([p["histogram"] for p in parts], axis=0)
+    out["seeds"] = seeds
     return out
 
 
 def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, slots):
-    """Advance a block of trajectories through the lockstep event loop,
-    binning and counting each scatter, and at each snapshot of slots sum
-    the class weights over each _CHUNK trajectories from the block's
-    first.  A trajectory whose weights are annihilated is not alive."""
+    """Advance a block of trajectories, trajectory i from row row_of[i]
+    of w0, through the lockstep event loop, binning every scatter into
+    one histogram and counting each trajectory's, and at each snapshot
+    of slots sum the class weights over each _CHUNK trajectories from
+    the block's first.  A trajectory whose weights are annihilated is
+    not alive."""
     n, k = len(seeds), w0.shape[1]
-    histogram = np.zeros(len(w0) * n_bins, dtype=np.int64)
+    histogram = np.zeros(n_bins, dtype=np.int64)
     starts = np.arange(0, n, _CHUNK)
     sums = np.empty((len(starts), len(slots), k))
     scatter_counts = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    offset = row_of * n_bins
     w = w0[row_of]
     if 0 in slots:
         sums[:, 0] = np.add.reduceat(w, starts)
     for m, w, rows, theta, _ in _lockstep_events(w, seeds, alive, table,
                                                  n_events):
         if rows.size:
-            np.add.at(histogram, offset[rows] + _bin_index(theta, n_bins), 1)
+            np.add.at(histogram, _bin_index(theta, n_bins), 1)
             scatter_counts[rows] += 1
         if m in slots:
             sums[:, slots[m]] = np.add.reduceat(w, starts)
 
-    return {"histogram": histogram.reshape(len(w0), n_bins), "sums": sums,
-            "final": w, "scatter_counts": scatter_counts, "alive": alive}
+    return {"histogram": histogram, "sums": sums, "final": w,
+            "scatter_counts": scatter_counts, "alive": alive}
 
 
 def _physical_memory() -> int:
@@ -402,19 +404,19 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     Each U/J value prepares its own ground state with J = 1 as the energy
     unit; math.inf is accepted as the hard-interaction limit and realized
     as J = 0, U = 1, whose ground state is taken in the J -> 0+ limit
-    (see lattice.ground_state).  Trajectory j of row i has the seed
-    trajectory_seed(trajectory_seed(master_seed, i), j) and starts from
-    row i's class weights, so each row is the run_ensemble of its ground
-    state at master seed trajectory_seed(master_seed, i), bit for bit,
-    and the whole sweep is reproducible.  All rows share one basis, one
-    partition and one pattern table, whose class weights are all a row
-    reads, so no EquivalenceClass (nor the occupation tuples it holds)
-    is built.  Every row's ground state is solved first, then all rows'
-    trajectories advance together in one lockstep batch (_lockstep), cut
-    once into blocks that one pool of workers runs.  No row output reads
-    snapshots or the angle histogram, so snapshot_stride and n_bins are
-    only validated, with the other run bounds, before anything is
-    enumerated or solved.
+    (see lattice.ground_state).  Row i's trajectories start from its
+    class weights on the seeds _lockstep derives from the row's master
+    seed, trajectory_seed(master_seed, i), as run_ensemble derives them
+    from its own, so each row is the run_ensemble of its ground state at
+    that master seed, bit for bit, and the whole sweep is reproducible.
+    All rows share one basis, one partition and one pattern table, whose
+    class weights are all a row reads, so no EquivalenceClass (nor the
+    occupation tuples it holds) is built.  Every row's ground state is
+    solved first, then all rows' trajectories advance together in one
+    lockstep batch (_lockstep), cut once into blocks that one pool of
+    workers runs.  No row output reads snapshots or the angle histogram,
+    so snapshot_stride and n_bins are only validated, with the other run
+    bounds, before anything is enumerated or solved.
     """
     values = list(uj_values)
     for uj in values:
@@ -435,12 +437,11 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
         energies.append(energy)
         w0.append(_state_weights(psi, table))
 
-    seeds = np.array([trajectory_seed(trajectory_seed(master_seed, i), j)
-                      for i in range(len(values)) for j in range(n_traj)],
-                     dtype=np.uint64)
     # no row output reads the histogram: one bin keeps it from growing
-    out = _lockstep(np.array(w0), n_traj, seeds, table, n_events, 1, {},
-                    workers)
+    out = _lockstep(np.array(w0), n_traj,
+                    [trajectory_seed(master_seed, i)
+                     for i in range(len(values))],
+                    table, n_events, 1, {}, workers)
 
     rows = []
     for i, uj in enumerate(values):

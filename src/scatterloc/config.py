@@ -6,9 +6,10 @@ which override the built-in defaults.  Unknown keys are hard errors, not
 warnings: a typo in a parameter name must never silently run the default.
 
 A configuration is validated when it is built, each rule once, by its
-owner: RunConfig checks what each value is and the bounds only a run has,
-and the LatticeSpec, HubbardParams and ScatteringSetup it builds on
-creation check the physics.  So a command can build every RunConfig.
+owner: RunConfig turns each value, or its text, into its field's kind
+and checks the bounds only a run has, and the LatticeSpec, HubbardParams
+and ScatteringSetup it builds on creation check the physics.  So a
+command can build every RunConfig.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ class ConfigError(Exception):
 class RunConfig:
     """All knobs of a run.  Only M and N have no default.
 
-    A value of the wrong kind, or out of a lattice, Hubbard, probe or run
-    bound, raises ConfigError naming its key; an inadmissible probe
-    raises CouplingTooStrong.
+    Each value, or its text ("3", "pi", "0,1,inf"), becomes its field's
+    kind.  A value of no such kind, or out of a lattice, Hubbard, probe
+    or run bound, raises ConfigError naming its key; an inadmissible
+    probe raises CouplingTooStrong.
     """
 
     M: int
@@ -81,7 +83,8 @@ class RunConfig:
 _KINDS = {f.name: f.type for f in fields(RunConfig)}
 _KIND_NAMES = {"int": "an integer", "float": "a finite number",
                "str": "a non-empty string",
-               "tuple[float, ...]": "a list of U/J values"}
+               "tuple[float, ...]": "a list of U/J values",
+               "U/J": "a number >= 0"}
 _RUN_MINIMA = {"n_events": 1, "n_traj": 1, "master_seed": 0, "n_bins": 1,
                "snapshot_stride": 1, "workers": 1}
 
@@ -94,55 +97,32 @@ def _build(cls, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _of_kind(key: str, kind: str, value):
-    """The value as its field's kind, or ConfigError naming the key."""
-    if kind == "int" and _is_number(value) and isinstance(value, int):
+    """The value, or its text ("pi" for a float, a comma-separated list
+    of U/J values), as its field's kind, or ConfigError naming the key."""
+    if kind == "tuple[float, ...]":
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v != ""]
+        if isinstance(value, (list, tuple)):
+            return tuple(_of_kind(f"{key}[{i}]", "U/J", v)
+                         for i, v in enumerate(value))
+    elif kind != "str" and isinstance(value, str):
+        text = value.strip().lower()
+        try:
+            value = (int(text) if kind == "int" else
+                     math.pi if text in ("pi", "π") else float(text))
+        except ValueError:
+            pass
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int" and number and isinstance(value, int):
         return value
-    if kind == "float" and _is_number(value) and math.isfinite(value):
+    # nan fails v >= 0; inf is the hard-interaction limit
+    if number and (math.isfinite(value) if kind == "float" else
+                   kind == "U/J" and value >= 0):
         return float(value)
     if kind == "str" and isinstance(value, str) and value:
         return value
-    if kind == "tuple[float, ...]" and isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            # nan fails v >= 0; inf is the hard-interaction limit
-            if not (_is_number(v) and v >= 0):
-                raise ConfigError(f"uj_values[{i}]: must be a number >= 0, "
-                                  f"got {v!r}")
-        return tuple(float(v) for v in value)
     raise ConfigError(f"{key}: must be {_KIND_NAMES[kind]}, got {value!r}")
-
-
-def _coerce(key: str, value):
-    """Turn text into the number its field holds ("pi" included); every
-    other value passes unchanged, for RunConfig to check."""
-    if key not in _KINDS:
-        raise ConfigError(f"unknown configuration key: {key!r}")
-    kind = _KINDS[key]
-    if kind != "tuple[float, ...]":
-        return _number(key, value, kind)
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v != ""]
-    if not isinstance(value, (list, tuple)):
-        return value
-    return tuple(_number(f"{key}[{i}]", v, "float")
-                 for i, v in enumerate(value))
-
-
-def _number(key: str, value, kind: str):
-    if kind == "str" or not isinstance(value, str):
-        return value
-    text = value.strip().lower()
-    if kind == "float" and text in ("pi", "π"):
-        return math.pi
-    try:
-        return int(text) if kind == "int" else float(text)
-    except ValueError:
-        noun = "an integer" if kind == "int" else "a number"
-        raise ConfigError(f"{key}: must be {noun}, got {value!r}") from None
 
 
 def parse_config(file_values: dict | None = None,
@@ -150,11 +130,14 @@ def parse_config(file_values: dict | None = None,
     """Merge file values and overrides over the defaults, then validate.
 
     Both mappings use RunConfig field names as keys; overrides win.
-    Unknown keys and missing required keys (M, N) raise ConfigError.
+    The first unknown key and a missing required key (M, N) raise
+    ConfigError; RunConfig turns every other value, or its text, into
+    its field's kind.
     """
-    merged = {key: _coerce(key, value)
-              for source in (file_values or {}, overrides or {})
-              for key, value in source.items()}
+    merged = {**(file_values or {}), **(overrides or {})}
+    for key in merged:
+        if key not in _KINDS:
+            raise ConfigError(f"unknown configuration key: {key!r}")
     for required in ("M", "N"):
         if required not in merged:
             raise ConfigError(f"{required}: required key is missing")

@@ -83,11 +83,12 @@ class ScatteringSetup:
             raise ValueError(f"envelope must be one of "
                              f"{[UNIFORM, GAUSSIAN]}, got {self.envelope!r}")
         # uniform sites are sigma_a = 0, so a width must not run unnoticed;
-        # an infinite exponent s^2 would give exp(-inf * 0), nan, at theta 0
+        # the envelope's exponent s^2 (1 - cos(theta)) peaks at 2 s^2, at
+        # theta = pi, and must not overflow
         gaussian, s = self.envelope == GAUSSIAN, self.k0_a * self.sigma_a
-        if not (0 < self.sigma_a and math.isfinite(s * s) if gaussian
+        if not (0 < self.sigma_a and math.isfinite(2 * s * s) if gaussian
                 else self.sigma_a == 0):
-            need = "> 0 with (k0_a sigma_a)^2 finite" if gaussian else "0"
+            need = "> 0 with 2 (k0_a sigma_a)^2 finite" if gaussian else "0"
             raise ValueError(f"sigma_a must be {need} for the {self.envelope}"
                              f" envelope, got {self.sigma_a}")
         if self.n_theta < 64 or self.n_theta % 2 != 0:

@@ -53,8 +53,9 @@ class EigensolverError(Exception):
 
     Raised when the Lanczos eigensolver does not converge, when the
     returned pair misses the residual tolerance, when the Hamiltonian has
-    a non-finite entry, and when a hopping-free Hamiltonian has a ground
-    state the J -> 0+ limit does not single out.
+    a non-finite entry or squared norm, and when a hopping-free
+    Hamiltonian has a ground state the J -> 0+ limit does not single
+    out.
     """
 
 
@@ -341,7 +342,9 @@ def build_hamiltonian(basis: FockBasis, params: HubbardParams):
     a SparseSymmetric at every size; its toarray() is a dense copy.
     """
     n = basis.occupations.astype(np.float64)
-    diag = 0.5 * params.U * np.sum(n * (n - 1.0), axis=1)
+    # an overflow is an inf, which ground_state refuses
+    with np.errstate(over="ignore"):
+        diag = 0.5 * params.U * np.sum(n * (n - 1.0), axis=1)
     rows, cols, vals = [], [], []
     if params.J != 0.0:
         for i, j, amp in _hops(basis, basis.occupations):
@@ -460,12 +463,12 @@ def ground_state(H, basis: FockBasis) -> tuple[float, ManyBodyState]:
     attribute holds its stored entries.  Every H with hopping is solved
     by the numpy thick-restart Lanczos of _lanczos, and a diagonal one
     (no hopping) without an eigensolver, resolving a degenerate minimum
-    by the J -> 0+ limit.  A non-finite entry is refused before any
-    solver runs.  The eigenvector's global phase is fixed by making its
-    largest-magnitude coefficient real and positive, so repeated runs
-    are bit-comparable.  The returned pair satisfies
-    ||H v - E v|| <= 1e-10 max(||H||, 1), with ||H|| bounded below by
-    max(|E|, max|H_ii|).
+    by the J -> 0+ limit.  A non-finite entry, or on the Lanczos path a
+    non-finite squared norm, is refused before any solver runs.  The
+    eigenvector's global phase is fixed by making its largest-magnitude
+    coefficient real and positive, so repeated runs are bit-comparable.
+    The returned pair satisfies ||H v - E v|| <= 1e-10 max(||H||, 1),
+    with ||H|| bounded below by max(|E|, max|H_ii|).
     """
     if H.shape != (basis.dimension, basis.dimension):
         raise ValueError(f"Hamiltonian shape {H.shape} does not match basis "
@@ -477,6 +480,12 @@ def ground_state(H, basis: FockBasis) -> tuple[float, ManyBodyState]:
     if np.count_nonzero(stored) == np.count_nonzero(diag):
         energy, v = _hard_core_ground_state(diag, basis)
     else:
+        # 4 ||H||_F^2 bounds every squared norm the Lanczos and the
+        # residual take, so none overflows where this does not
+        with np.errstate(over="ignore"):
+            if not math.isfinite(4.0 * float(np.vdot(stored, stored))):
+                raise EigensolverError("Hamiltonian has a non-finite "
+                                       "squared norm")
         evals, evecs = _lanczos(H, 1)
         energy, v = float(evals[0]), evecs[:, 0]
 

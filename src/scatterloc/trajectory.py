@@ -17,9 +17,9 @@ non-scatter probability the probe passed; otherwise the excess,
 rescaled to [0, 1), is pushed through the inverse CDF of the current
 angular density (kernel.sample_angles) to give the detection angle.
 One event step, _event_step, does this for a batch of (rows, K) class
-weights; one loop, _lockstep_events, drives it for both engines and ends
-a trajectory before a scatter that annihilates its weights.  Records add
-the per-basis phases; analysis needs the weights alone.
+weights and ends a trajectory before a scatter that annihilates its
+weights; one loop, _lockstep_events, drives it for both engines.
+Records add the per-basis phases; analysis needs the weights alone.
 """
 
 from __future__ import annotations
@@ -123,11 +123,11 @@ def _event_step(w, r, alive, table: PatternTable):
     |F_k(theta)|^2; every other row by |A_k|^2.  Then each row is
     renormalized.  Rows not alive keep their weights.  A live row whose
     weights are annihilated keeps its last weights and is cleared from
-    alive, in place.  Returns the new weights, the scatter rows, their
-    angles and the mask of rows that died at this event.  Every
-    reduction is an elementwise product summed along one row, never a
-    BLAS call, so a row's result does not depend, bit for bit, on the
-    other rows.
+    alive, in place, and its fatal scatter is dropped.  Returns the new
+    weights, the rows that scattered and survived, their angles and the
+    mask of rows that died at this event.  Every reduction is an
+    elementwise product summed along one row, never a BLAS call, so a
+    row's result does not depend, bit for bit, on the other rows.
     """
     q = w * table.ns_prob
     p_ns = q.sum(axis=1)
@@ -144,19 +144,19 @@ def _event_step(w, r, alive, table: PatternTable):
         return q / s[:, None], rows, theta, ~healthy
     dying = alive & ~healthy
     alive &= ~dying
+    keep = ~dying[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(alive[:, None], q / s[:, None], w)
-    return w, rows, theta, dying
+    return w, rows[keep], theta[keep], dying
 
 
 def _lockstep_events(w, seeds, alive, table: PatternTable, n_events: int):
     """Advance the rows of class weights w, one per seed, n_events events
     in lockstep through the event step, each row on its seed's stream.
 
-    Yields, for each event m = 1..n_events: m, the weights after it, the
-    rows that scattered and survived, their angles, and the mask of the
-    rows that died at m.  A dying row keeps its last weights and is
-    cleared from alive, in place; its fatal scatter is not yielded.
+    Yields, for each event m = 1..n_events, m and what the event step
+    returns: the weights after it, the rows that scattered and survived,
+    their angles, and the mask of the rows that died at m.
     """
     streams = [RngStream(int(seed)) for seed in seeds]
     block = np.empty((len(streams), _UNIFORM_BLOCK))
@@ -164,12 +164,9 @@ def _lockstep_events(w, seeds, alive, table: PatternTable, n_events: int):
         if m % _UNIFORM_BLOCK == 0:
             for stream, row in zip(streams, block):
                 stream.fill(row)
-        w, rows, theta, dying = _event_step(
-            w, block[:, m % _UNIFORM_BLOCK], alive, table)
-        if dying.any():
-            keep = ~dying[rows]
-            rows, theta = rows[keep], theta[keep]
-        yield m + 1, w, rows, theta, dying
+        w, *event = _event_step(w, block[:, m % _UNIFORM_BLOCK], alive,
+                                table)
+        yield m + 1, w, *event
 
 
 def _phase_kicks(theta, table: PatternTable) -> np.ndarray:

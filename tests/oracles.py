@@ -3,8 +3,10 @@
 Each one computes its quantity for one input at a time, straight from
 its definition, and never reads the package's pattern table; the
 per-basis trajectory loop reads only its class densities and angle
-sampler, and evolves the complex coefficients themselves.  Tests read
-the table's per-class columns through class_columns.  The CSV
+sampler, and evolves the complex coefficients themselves, and the mean
+fidelity reads only the table's grid quadratures and non-scatter
+amplitudes.  Tests read the table's per-class columns through
+class_columns.  The CSV
 oracle at the end builds each command's files field by field through
 csv.writer.
 """
@@ -255,6 +257,47 @@ def per_basis_trajectory(initial_state: ManyBodyState, table: PatternTable,
         class_weights=np.array(rows),
         snapshots=tuple(snaps) if snaps is not None else None,
         aborted=aborted)
+
+
+def fidelity_multipliers(table: PatternTable) -> np.ndarray:
+    """lambda_uv = A_u A_v + sum_d X_uv(d) beta_d for every pair of basis
+    states: the factor by which the outcome-averaged detection channel
+    scales rho_uv.
+
+    X_uv(d) = sum_j n^u_j n^v_{j+d}, d = -(M-1)..M-1, over sites of the
+    line, and beta_d = (g^2 / 2 pi) int I^2 exp(i d k0_a sin theta) by
+    the table's grid quadrature: I^2 is even in theta and sin odd, so
+    beta_d is the quadrature of weights column |d| (which holds
+    2 cos(|d| k0_a sin theta) for d != 0), halved for d != 0.  So
+    lambda_uu = |A_u|^2 + scatter probability of u = 1, the per-class
+    sum rule.
+    """
+    n = table.basis.occupations.astype(np.float64)
+    cells = table.weights[:-1]
+    beta = (2.0 * math.pi / cells.shape[0]) * cells.sum(axis=0)
+    beta[1:] /= 2.0
+    a = table.ns_amp[table.class_of]
+    lam = np.outer(a, a) + beta[0] * (n @ n.T)
+    for d in range(1, n.shape[1]):
+        x = n[:, :-d] @ n[:, d:].T
+        lam += beta[d] * (x + x.T)
+    return lam
+
+
+def mean_fidelity(state: ManyBodyState, table: PatternTable,
+                  n_events: int) -> np.ndarray:
+    """E|<psi_0|psi_m>|^2 = sum_uv p_u p_v lambda_uv^m, m = 0..n_events:
+    averaged over records, |<psi_0|psi_m>|^2 is the squared overlap of
+    psi_0 with the unnormalized K_record psi_0, and each event's sum of
+    K_u conj(K_v) over outcomes is lambda_uv."""
+    lam = fidelity_multipliers(table)
+    p = state.probabilities
+    power = np.ones_like(lam)
+    out = np.empty(n_events + 1)
+    for m in range(n_events + 1):
+        out[m] = p @ power @ p
+        power *= lam
+    return out
 
 
 # The CLI's CSV rows as it built them before its one-template-per-file

@@ -619,9 +619,11 @@ class TestRunEnsemble:
         monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", 16 * len(classes))
         w0 = stats.class_proportions_predicted
         split = analysis._lockstep(
-            np.stack([w0, w0]), n_traj, np.tile(stats.seeds, 2), table,
+            np.stack([w0, w0]), n_traj, [master, master], table,
             n_events, 40, analysis._snapshot_slots(n_events, 50), workers=1)
         assert blocks == [16, 8]
+        np.testing.assert_array_equal(split["seeds"],
+                                      np.tile(stats.seeds, 2))
         for row in (slice(None, n_traj), slice(n_traj, None)):
             np.testing.assert_array_equal(stats.final_class_weights,
                                           split["final"][row])
@@ -630,7 +632,7 @@ class TestRunEnsemble:
             assert stats.aborted_count == \
                 np.count_nonzero(~split["alive"][row])
         np.testing.assert_array_equal(split["histogram"],
-                                      [stats.histogram] * 2)
+                                      2 * stats.histogram)
 
         n_aborted = 0
         for i in range(n_traj):
@@ -692,6 +694,32 @@ class TestRunEnsemble:
         _, classes, table, psi = system33
         with pytest.raises(ValueError, match="signature order"):
             run_ensemble(psi, 1, 10, table, classes[::-1], master_seed=1)
+
+
+class TestMartingaleOffAxis:
+    # the class weights are a martingale, so the mean final weights are
+    # the initial weights P at any event count, converged or not.  The
+    # acceptance tests run at M=N=3, open, uniform, k0_a = pi; these
+    # points leave each of those axes.  At k0_a = 1.3 few trajectories
+    # converge in 1000 events, so only the mean weights are unbiased
+    @pytest.mark.parametrize("point", [
+        {"boundary": "periodic", "U": 1.0},
+        {"envelope": "gaussian", "sigma_a": 0.3, "gN": 0.8},
+        {"k0_a": 2 * math.pi},
+        {"M": 5, "N": 3},
+        {"k0_a": 1.3}],
+        ids=["periodic", "gaussian", "k0_a-2pi", "M5-N3", "k0_a-1.3"])
+    def test_mean_final_weights_are_the_initial_weights(self, point):
+        cfg = RunConfig(**({"M": 4, "N": 4, "U": 0.5, "gN": 0.5} | point))
+        system = prepare_system(cfg)
+        n_traj = 500
+        stats = run_ensemble(system.initial_state, n_traj, 1000,
+                             system.table, system.classes, master_seed=0)
+        assert stats.aborted_count == 0
+        final = stats.final_class_weights
+        se = final.std(axis=0, ddof=1) / math.sqrt(n_traj)
+        z = (final.mean(axis=0) - stats.class_proportions_predicted) / se
+        assert np.max(np.abs(z)) <= 4.0, z
 
 
 # every entry point that reads a state's class weights from a table

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,33 @@ class TestParsing:
         assert code == 2
         assert "(k0_a sigma_a)^2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command,sets,code", [
+        ("predict", ["envelope=gaussian", "k0_a=1", "gN=0.5",
+                     "sigma_a=1.3e154"], 2),
+        ("predict", ["envelope=gaussian", "k0_a=1", "gN=0.5",
+                     "sigma_a=9e153"], 0),
+        ("predict", ["J=1e200"], 4),
+        ("predict", ["U=1e308"], 4),
+        ("sweep", ["uj_values=1e308"], 4),
+        ("predict", ["J=0", "U=1e300"], 0)],
+        ids=["sigma_a", "sigma_a-below", "J", "U", "sweep-U", "hard-core-U"])
+    def test_overflow_is_an_exit_code_not_a_warning(self, tmp_path, capsys,
+                                                    command, sets, code):
+        # each failing run once printed a RuntimeWarning and went on, a
+        # traceback and exit 1 where warnings are errors
+        argv = [command, "--out", str(tmp_path / "x"), "--set", "M=3",
+                "--set", "N=3"]
+        for item in sets:
+            argv += ["--set", item]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (code != 0)
+        assert all(line.startswith("error: ") for line in err)
+        if code == 2:
+            assert "sigma_a" in err[0]
 
     def test_unwritable_output_is_exit_4(self, tmp_path):
         target = tmp_path / "blocker"

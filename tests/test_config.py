@@ -10,7 +10,6 @@ import pytest
 from scatterloc.config import (
     ConfigError,
     RunConfig,
-    _coerce,
     config_to_mapping,
     load_config_file,
     parse_config,
@@ -20,8 +19,7 @@ from scatterloc.kernel import CouplingTooStrong
 
 def with_overrides(cfg: RunConfig, **kw) -> RunConfig:
     """Copy of cfg with the given fields replaced (and revalidated)."""
-    coerced = {k: _coerce(k, v) for k, v in kw.items()}
-    return replace(cfg, **coerced)
+    return replace(cfg, **kw)
 
 
 class TestDefaults:
@@ -67,6 +65,16 @@ class TestCoercion:
     def test_numeric_strings_for_ints(self):
         cfg = parse_config({"M": "3", "N": "2", "n_traj": "17"})
         assert (cfg.M, cfg.N, cfg.n_traj) == (3, 2, 17)
+
+    def test_run_config_reads_text_as_a_config_file_does(self):
+        # one step from text to value, whoever builds the RunConfig
+        assert RunConfig(M="3", N=3) == parse_config({"M": "3", "N": 3})
+        cfg = RunConfig(M=3, N=3, k0_a=" PI ", uj_values="0,1,inf")
+        assert cfg.k0_a == math.pi and cfg.uj_values == (0.0, 1.0, math.inf)
+        for key, value in (("M", "3.0"), ("gN", "pi pi"),
+                           ("uj_values", "1,x")):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig(**{"M": 3, "N": 3, key: value})
 
 
 class TestValidation:

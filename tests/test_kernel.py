@@ -167,11 +167,24 @@ class TestSetupValidation:
     @pytest.mark.parametrize("gN", [0.5, 2.0])
     def test_rejects_an_envelope_exponent_that_overflows(self, gN):
         # (k0_a sigma_a)^2 past the float range once passed construction
-        # and raised OverflowError in build_pattern_table
-        with pytest.raises(ValueError, match=r"\(k0_a sigma_a\)\^2"):
-            make_setup(gN=gN, envelope="gaussian", sigma_a=1e100, k0_a=1e100)
-        # the largest finite square is still a setup
-        make_setup(envelope="gaussian", sigma_a=1.3e154, k0_a=1.0)
+        # and raised OverflowError in build_pattern_table, and 2 (k0_a
+        # sigma_a)^2, the exponent at theta = pi, once overflowed there
+        for sigma_a in (1e100, 1.3e154 / 1e100):
+            with pytest.raises(ValueError, match=r"2 \(k0_a sigma_a\)\^2"):
+                make_setup(gN=gN, envelope="gaussian", sigma_a=sigma_a,
+                           k0_a=1e100)
+        # the largest finite exponent is still a setup
+        make_setup(envelope="gaussian", sigma_a=9e153, k0_a=1.0)
+
+    def test_largest_envelope_exponent_builds_its_table(self):
+        # 2 (k0_a sigma_a)^2 = 1.6e308 is finite, so the envelope takes no
+        # floating-point warning on the grid
+        setup = make_setup(envelope="gaussian", sigma_a=9e153, k0_a=1.0,
+                           gN=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = build_pattern_table(enumerate_basis(LAT33), setup)
+        assert np.all(np.isfinite(table.weights))
 
     def test_coupling_bound(self):
         # a one-site condensate scatters with probability gN^2 under a

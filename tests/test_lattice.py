@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,18 @@ class TestGroundState:
         assert np.all(np.isfinite(H.diagonal()))
         with pytest.raises(EigensolverError, match="non-finite"):
             ground_state(H, basis)
+
+    @pytest.mark.parametrize("J,U", [(1e200, 0.0), (1.0, 1e308)])
+    def test_overflow_is_refused_without_a_warning(self, J, U):
+        # U = 1e308 overflows the diagonal, and J = 1e200 the squared
+        # norms the Lanczos and the residual take: each once leaked a
+        # RuntimeWarning
+        basis = enumerate_basis(LatticeSpec(M=3, N=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = build_hamiltonian(basis, HubbardParams(J=J, U=U))
+            with pytest.raises(EigensolverError, match="non-finite"):
+                ground_state(H, basis)
 
 
 # the benchmark's four working points, M = N and U, on both boundaries

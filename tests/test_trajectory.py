@@ -18,9 +18,13 @@ from oracles import (
     class_columns,
     density_cdf,
     density_quantile,
+    fidelity_multipliers,
+    mean_fidelity,
     per_basis_trajectory,
 )
 from scatterloc import trajectory
+from scatterloc.analysis import prepare_system
+from scatterloc.config import RunConfig
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
@@ -303,13 +307,14 @@ class TestNonScatterBackaction:
             step(state, table33, ScriptedRng([1.0 - 1e-12]), 1)
 
         # in the batched step the annihilated row dies with its last
-        # weights and stays frozen, while the other row goes on
+        # weights and stays frozen, while the other row goes on; its
+        # fatal scatter is dropped from the scatter rows
         w = np.tile(table33.class_weights(
             fock_state(table33.basis, (2, 1, 0)).probabilities), (2, 1))
         r = np.array([0.0, 1.0 - 1e-12])
         alive = np.ones(2, dtype=bool)
-        new, rows, _, dying = _event_step(w, r, alive, table33)
-        assert rows.tolist() == [1]
+        new, rows, theta, dying = _event_step(w, r, alive, table33)
+        assert rows.size == 0 and theta.size == 0
         assert dying.tolist() == [False, True]
         assert alive.tolist() == [True, False]
         np.testing.assert_array_equal(new[1], w[1])
@@ -591,3 +596,23 @@ class TestAgainstPerBasisLoop:
                                    atol=1e-9)
         np.testing.assert_allclose(coeffs, [c for _, c in ref.snapshots],
                                    atol=1e-9)
+
+
+class TestMeanFidelity:
+    def test_records_match_the_closed_form(self):
+        # averaged over outcomes, the detection channel scales rho_uv by
+        # lambda_uv, so the mean of overlap_sq after m events is
+        # sum_uv p_u p_v lambda_uv^m: a check of the phase kicks that
+        # the class weights alone cannot give
+        system = prepare_system(RunConfig(M=4, N=4, U=0.5, gN=0.5))
+        psi, table = system.initial_state, system.table
+        lam = fidelity_multipliers(table)
+        assert np.max(np.abs(np.diag(lam) - 1.0)) <= 1e-13
+        n_traj, n_events = 1000, 300
+        recs = run_trajectories(psi, table, n_events,
+                                [trajectory_seed(0, i) for i in range(n_traj)])
+        assert not any(rec.aborted for rec in recs)
+        f = np.array([rec.overlap_sq_series for rec in recs])[:, 1:]
+        se = f.std(axis=0, ddof=1) / math.sqrt(n_traj)
+        z = (f.mean(axis=0) - mean_fidelity(psi, table, n_events)[1:]) / se
+        assert np.max(np.abs(z)) <= 4.0, np.max(np.abs(z))
