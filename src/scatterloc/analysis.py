@@ -41,6 +41,7 @@ from .lattice import (
     ground_state,
 )
 from .trajectory import (
+    _UNIFORM_BLOCK,
     CONVERGENCE_THRESHOLD,
     _lockstep_events,
     _snapshot_slots,
@@ -200,11 +201,17 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     result does not depend, bit for bit, on which others share its
     block; and float sums over trajectories are taken over fixed chunks,
     so no result depends on the execution order or the worker count.
+    CapacityError if the table's set-up and the arrays the run holds
+    (_ensemble_memory) would not fit in physical memory, before any of
+    them is allocated.
     """
     slots = _run_bounds(n_traj, n_events, workers, n_bins, snapshot_stride)
     if not np.array_equal([c.signature for c in classes], table.signatures):
         raise ValueError(f"{len(classes)} classes for a table of "
                          f"{len(table.ns_prob)}, or out of its signature order")
+    setup = table.setup
+    _check_memory(setup, _ensemble_memory(
+        n_traj, n_bins, len(slots), len(classes), setup.lattice.M))
 
     w0 = _state_weights(initial, table)
     out = _lockstep(w0[None, :], n_traj, [master_seed], table, n_events,
@@ -360,21 +367,71 @@ def _memory_need(setup: ScatteringSetup) -> int:
     return need + 36 * nnz + 8 * dim * per_state
 
 
-def _check_memory(setup: ScatteringSetup) -> None:
-    """Raise CapacityError if prepare_system's basis, Hamiltonian and
-    pattern table would not fit in physical memory.
+def _trajectory_memory(n_events: int, snapshot_stride: int, dim: int,
+                       n_classes: int, M: int) -> int:
+    """Upper bound, in bytes, of what run_trajectory holds for one record
+    of n_events events over dim basis states of M sites in n_classes
+    classes.
 
-    Called before anything of the basis' size is allocated, so that an
-    oversized run exits cleanly instead of being killed for memory.
+    The (n_events + 1) x K class weights and the overlap series, the
+    n_events angles, and per event its DetectionEvent, index, angle and
+    two list slots, under 128 bytes.  The snapshots, (n_events //
+    snapshot_stride + 2) x D complex, each with its array and tuple
+    objects, under 512 bytes; the phase kicks' D x M complex products,
+    twelve D-wide complex vectors of phase factors, amplitude ratios and
+    the final state, and 64 kB of fixed objects.
+    """
+    snapshots = n_events // snapshot_stride + 2
+    return (8 * (n_events + 1) * (n_classes + 1) + 136 * n_events
+            + snapshots * (16 * dim + 512) + 16 * dim * (M + 12) + (1 << 16))
+
+
+def _ensemble_memory(n_traj: int, n_bins: int, snapshots: int,
+                     n_classes: int, M: int) -> int:
+    """Upper bound, in bytes, of what run_ensemble holds for n_traj
+    trajectories, n_bins histogram bins, snapshots snapshot sums and
+    n_classes classes on M sites.
+
+    Per bin: the histogram and a block's, the bin edges and centres, the
+    predicted masses and angle_cdf's (n_bins + 1) x M temporaries, under
+    (16 + 8 M) words.  Per trajectory: its final weights, six K-wide
+    rows of the lockstep block's working arrays, its PCG64 stream (under
+    1 kB), its uniforms and a few words of seed, row, scatter count and
+    flags.  Per chunk of _CHUNK trajectories: its K class weights at
+    each snapshot, in its block and in the concatenated sums.  And 64 kB
+    of fixed objects.
+    """
+    chunks = -(-n_traj // _CHUNK)
+    return (8 * (n_bins + 1) * (16 + 8 * M)
+            + 8 * n_classes * (7 * n_traj + 2 * snapshots * chunks)
+            + n_traj * (1024 + 8 * _UNIFORM_BLOCK + 64) + (1 << 16))
+
+
+def _gib(n: int) -> str:
+    """n bytes in GiB to one decimal; inf where no float holds it."""
+    return f"{n / 2**30 if n < 2**1000 else math.inf:.1f}"
+
+
+def _check_memory(setup: ScatteringSetup, engine: int = 0) -> None:
+    """Raise CapacityError if prepare_system's basis, Hamiltonian and
+    pattern table, and the engine bytes an engine holds on top of them,
+    would not fit in physical memory.
+
+    Called with engine = 0 before anything of the basis' size is
+    allocated, and again by run_ensemble, sweep_uj and the trajectory
+    command with their engine's bytes before the engine allocates them,
+    so that an oversized run exits cleanly instead of being killed for
+    memory.
     """
     dim = fock_dimension(setup.lattice.M, setup.lattice.N)
-    need = _memory_need(setup)
+    need = _memory_need(setup) + engine
     have = _physical_memory()
     if need > have:
+        held = f", with {_gib(engine)} GiB for its engine" if engine else ""
         raise CapacityError(
             f"Fock dimension {dim} at n_theta={setup.n_theta} needs "
-            f"{need / 2**30:.1f} GiB for its basis, Hamiltonian and pattern "
-            f"table, more than the {have / 2**30:.1f} GiB of physical memory")
+            f"{_gib(need)} GiB for its basis, Hamiltonian and pattern "
+            f"table{held}, more than the {_gib(have)} GiB of physical memory")
 
 
 def _tabulate(lattice: LatticeSpec, setup: ScatteringSetup):
@@ -416,7 +473,8 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
     lockstep batch (_lockstep), cut once into blocks that one pool of
     workers runs.  No row output reads snapshots or the angle histogram,
     so snapshot_stride and n_bins are only validated, with the other run
-    bounds, before anything is enumerated or solved.
+    bounds, before anything is enumerated or solved.  Once the table is
+    built, the memory guard counts the batch's arrays too.
     """
     values = list(uj_values)
     for uj in values:
@@ -427,6 +485,8 @@ def sweep_uj(uj_values, lattice: LatticeSpec, setup: ScatteringSetup,
         return []
 
     basis, table = _tabulate(lattice, setup)
+    _check_memory(setup, _ensemble_memory(
+        len(values) * n_traj, 1, 0, len(table.signatures), lattice.M))
     energies, w0 = [], []
     for uj in values:
         if math.isinf(uj):

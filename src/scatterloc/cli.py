@@ -15,15 +15,17 @@ Exit codes: 0 success, 2 bad configuration, 3 coupling too strong for a
 probability interpretation, 4 runtime or I/O failure (a refused
 allocation included).  All files are written atomically (temp file in
 the target directory, then rename) with the mode the umask gives any new
-file.  ``main`` writes the manifest once the command has returned, so a
-manifest always describes complete outputs, and a run that fails before
-its first CSV leaves no output directory.
+file.  A CSV is formatted, hashed and written in blocks of rows, so its
+text is never held whole.  ``main`` writes the manifest once the command
+has returned, so a manifest always describes complete outputs, and a run
+that fails before its first CSV leaves no output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -34,26 +36,46 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (bin_centers, class_weights, prepare_system,
-                       run_ensemble, sweep_uj)
+from .analysis import (_check_memory, _trajectory_memory, bin_centers,
+                       class_weights, prepare_system, run_ensemble, sweep_uj)
 from .config import ConfigError, RunConfig, config_to_mapping, load_config_file, parse_config
 from .kernel import CouplingTooStrong, scatter_density
 from .lattice import CapacityError, EigensolverError
 from .trajectory import run_trajectory, trajectory_seed
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+# fields of CSV text one block holds: a file whose rows hold F fields is
+# formatted, hashed and written max(1, _BLOCK_FIELDS // F) rows at a time
+_BLOCK_FIELDS = 1 << 15
+
+# bytes a formatted field takes at most while its block is alive: its
+# float or int, its list slot, its text in the line, the joined block
+# and the encoded bytes
+_FIELD_BYTES = 128
+
+
+def _blocks(n_rows: int, fields: int, rows):
+    """rows(a, b), the formatted lines of rows a..b-1, for each block of
+    a file of n_rows rows of the given number of fields each, in order.
+    Each block is formatted only when the writer asks for it."""
+    size = max(1, _BLOCK_FIELDS // fields)
+    return (rows(a, min(a + size, n_rows)) for a in range(0, n_rows, size))
+
+
+def _atomic_write(path: Path, chunks) -> None:
     # temp file beside the target so os.replace stays within one
     # filesystem and is atomic.  "xb" (O_CREAT | O_EXCL) takes the umask's
     # mode and never follows or truncates an existing file, nor, opened
     # outside the try, unlinks one; a random suffix keeps a killed run's
-    # temp from colliding.  Any later failure unlinks the temp
+    # temp from colliding.  Any later failure, including one raised while
+    # a chunk is made, unlinks the temp
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -69,9 +91,10 @@ class OutputWriter:
         self.out_dir = Path(cfg.output_path)
         self.checksums: dict[str, str] = {}
 
-    def write_csv(self, name: str, header, lines) -> None:
-        """Write the header and the formatted lines, each ending in a
-        newline.
+    def write_csv(self, name: str, header, blocks) -> None:
+        """Write the header, then each block of formatted lines as it
+        comes, every line ending in a newline, and feed the sha256 the
+        same bytes as they are written.
 
         Each command formats its rows with one %-template per file:
         floats as %.17g, which round-trips IEEE doubles exactly and is
@@ -81,9 +104,16 @@ class OutputWriter:
         digits, spaces and "|", none of which holds a comma, a quote or
         a line break.
         """
-        data = "\n".join([",".join(header), *lines, ""]).encode("utf-8")
-        _atomic_write(self.out_dir / name, data)
-        self.checksums[name] = hashlib.sha256(data).hexdigest()
+        digest = hashlib.sha256()
+
+        def chunks():
+            for lines in itertools.chain([[",".join(header)]], blocks):
+                data = "\n".join([*lines, ""]).encode("utf-8")
+                digest.update(data)
+                yield data
+
+        _atomic_write(self.out_dir / name, chunks())
+        self.checksums[name] = digest.hexdigest()
 
     def write_manifest(self) -> None:
         manifest = {
@@ -97,7 +127,7 @@ class OutputWriter:
             "checksums": dict(sorted(self.checksums.items())),
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        _atomic_write(self.out_dir / "manifest.json", text.encode("utf-8"))
+        _atomic_write(self.out_dir / "manifest.json", [text.encode("utf-8")])
 
 
 def cmd_predict(cfg: RunConfig, writer: OutputWriter) -> None:
@@ -111,56 +141,79 @@ def cmd_predict(cfg: RunConfig, writer: OutputWriter) -> None:
         "ground_state.csv",
         ["basis_index", "occupation", "coeff_re", "coeff_im", "probability",
          "energy"],
-        [row % (i, *n, c.real, c.imag, p, system.energy)
-         for i, (n, c, p) in enumerate(zip(
-             system.basis.occupations.tolist(), psi.coeffs.tolist(),
-             psi.probabilities.tolist()))])
+        _blocks(len(psi.coeffs), cfg.M + 5, lambda a, b: [
+            row % (i, *n, c.real, c.imag, p, system.energy)
+            for i, n, c, p in zip(
+                range(a, b), system.basis.occupations[a:b].tolist(),
+                psi.coeffs[a:b].tolist(), psi.probabilities[a:b].tolist())]))
 
+    theta = system.table.theta_grid
     density = scatter_density(psi, system.table)
     writer.write_csv(
         "scatter_density.csv",
         ["theta", "density"],
-        ["%.17g,%.17g" % td
-         for td in zip(system.table.theta_grid.tolist(), density.tolist())])
+        _blocks(len(theta), 2, lambda a, b: [
+            "%.17g,%.17g" % td
+            for td in zip(theta[a:b].tolist(), density[a:b].tolist())]))
 
-    probs = class_weights(psi, system.classes).tolist()
-    row = f"%d,{occ},%d,%s,%.17g"
+    classes = system.classes
+    probs = class_weights(psi, classes)
+    class_row = f"%d,{occ},%d,%s,%.17g"
     writer.write_csv(
         "classes.csv",
         ["class_index", "signature", "size", "members", "probability"],
-        [row % (k + 1, *cls.signature, len(cls.members),
-                "|".join([occ % m for m in cls.members]), probs[k])
-         for k, cls in enumerate(system.classes)])
+        _blocks(len(classes), cfg.M + 4, lambda a, b: [
+            class_row % (k + 1, *cls.signature, len(cls.members),
+                         "|".join([occ % m for m in cls.members]), p)
+            for k, cls, p in zip(range(a, b), classes[a:b],
+                                 probs[a:b].tolist())]))
 
 
 def cmd_trajectory(cfg: RunConfig, writer: OutputWriter) -> None:
     """One measurement record: per-event rows plus coefficient snapshots."""
     system = prepare_system(cfg)
+    n_classes = len(system.classes)
+    # the engine's arrays and one block of events.csv, the wider file
+    _check_memory(system.table.setup, _trajectory_memory(
+        cfg.n_events, cfg.snapshot_stride, system.basis.dimension,
+        n_classes, cfg.M) + _FIELD_BYTES * max(_BLOCK_FIELDS, n_classes + 4))
     record = run_trajectory(
         system.initial_state, system.table, cfg.n_events,
         seed=trajectory_seed(cfg.master_seed, 0),
         snapshot_stride=cfg.snapshot_stride)
 
-    n_classes = len(system.classes)
     header = (["m", "kind", "theta", "overlap_sq"]
               + [f"weight_{k + 1}" for k in range(n_classes)])
-    # row m: overlap_sq, then the class weights, after the m-th event
-    series = np.column_stack(
-        [record.overlap_sq_series, record.class_weights]).tolist()
     row = "%d,%s,%s" + ",%.17g" * (n_classes + 1)
-    lines = [row % (0, "start", "", *series[0])]
-    lines += [row % (e.index, e.kind.value,
-                     "" if e.theta is None else "%.17g" % e.theta,
-                     *series[e.index])
-              for e in record.events]
-    writer.write_csv("events.csv", header, lines)
+    events = record.events
 
-    lines = []
-    for m, coeffs in record.snapshots or ():
-        lines += ["%d,%d,%.17g,%.17g" % (m, i, c.real, c.imag)
-                  for i, c in enumerate(coeffs.tolist())]
+    def event_rows(a, b):
+        # row m: overlap_sq, then the class weights, after the m-th event
+        series = np.column_stack([record.overlap_sq_series[a:b],
+                                  record.class_weights[a:b]]).tolist()
+        lines = []
+        if a == 0:
+            lines.append(row % (0, "start", "", *series[0]))
+            series, a = series[1:], 1
+        lines += [row % (e.index, e.kind.value,
+                         "" if e.theta is None else "%.17g" % e.theta,
+                         *values)
+                  for e, values in zip(events[a - 1:b - 1], series)]
+        return lines
+
+    writer.write_csv("events.csv", header,
+                     _blocks(len(events) + 1, n_classes + 4, event_rows))
+
+    def snapshot_rows(m, coeffs):
+        return lambda a, b: ["%d,%d,%.17g,%.17g" % (m, i, c.real, c.imag)
+                             for i, c in zip(range(a, b),
+                                             coeffs[a:b].tolist())]
+
     writer.write_csv(
-        "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"], lines)
+        "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"],
+        itertools.chain.from_iterable(
+            _blocks(len(coeffs), 4, snapshot_rows(m, coeffs))
+            for m, coeffs in record.snapshots or ()))
 
 
 def cmd_ensemble(cfg: RunConfig, writer: OutputWriter) -> None:
@@ -177,27 +230,31 @@ def cmd_ensemble(cfg: RunConfig, writer: OutputWriter) -> None:
     writer.write_csv(
         "class_proportions.csv",
         ["class_index", "signature", "empirical", "predicted"],
-        [row % (k + 1, *sig, emp, pred)
-         for k, (sig, emp, pred) in enumerate(zip(
-             stats.class_signatures, stats.class_proportions.tolist(),
-             stats.class_proportions_predicted.tolist()))])
+        _blocks(len(stats.class_signatures), cfg.M + 3, lambda a, b: [
+            row % (k + 1, *sig, emp, pred)
+            for k, sig, emp, pred in zip(
+                range(a, b), stats.class_signatures[a:b],
+                stats.class_proportions[a:b].tolist(),
+                stats.class_proportions_predicted[a:b].tolist())]))
 
-    width = 2.0 * math.pi / cfg.n_bins
+    centers = bin_centers(cfg.n_bins)
+    density = stats.histogram_predicted / (2.0 * math.pi / cfg.n_bins)
     writer.write_csv(
         "histogram.csv", ["bin_center", "count", "predicted_density"],
-        ["%.17g,%d,%.17g" % row for row in zip(
-            bin_centers(cfg.n_bins).tolist(), stats.histogram.tolist(),
-            (stats.histogram_predicted / width).tolist())])
+        _blocks(cfg.n_bins, 3, lambda a, b: [
+            "%.17g,%d,%.17g" % fields for fields in zip(
+                centers[a:b].tolist(), stats.histogram[a:b].tolist(),
+                density[a:b].tolist())]))
 
     n_converged = int(np.count_nonzero(stats.converged_mask))
     writer.write_csv(
         "convergence.csv",
         ["n_traj", "n_events", "n_converged", "convergence_rate", "aborted",
          "total_scatter_events"],
-        ["%d,%d,%d,%.17g,%d,%d" % (
+        [["%d,%d,%d,%.17g,%d,%d" % (
             stats.n_traj, stats.n_events, n_converged,
             stats.convergence_rate, stats.aborted_count,
-            stats.n_scatter_total)])
+            stats.n_scatter_total)]])
 
 
 def cmd_sweep(cfg: RunConfig, writer: OutputWriter) -> None:
@@ -216,10 +273,11 @@ def cmd_sweep(cfg: RunConfig, writer: OutputWriter) -> None:
               + [f"predicted_{k + 1}" for k in range(n_classes)]
               + ["convergence_rate"])
     row = ",".join(["%.17g"] * len(header))
-    writer.write_csv("sweep.csv", header, [
-        row % (r.uj, r.energy, *r.proportions.tolist(),
-               *r.predicted.tolist(), r.convergence_rate)
-        for r in rows_out])
+    writer.write_csv("sweep.csv", header, _blocks(
+        len(rows_out), len(header), lambda a, b: [
+            row % (r.uj, r.energy, *r.proportions.tolist(),
+                   *r.predicted.tolist(), r.convergence_rate)
+            for r in rows_out[a:b]]))
 
 
 _COMMANDS = {

@@ -116,10 +116,17 @@ def _of_kind(key: str, kind: str, value):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "int" and number and isinstance(value, int):
         return value
+    if number and kind in ("float", "U/J"):
+        # a JSON integer may be beyond any float
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{key}: must be {_KIND_NAMES[kind]}, got an "
+                              f"integer beyond the float range") from None
     # nan fails v >= 0; inf is the hard-interaction limit
     if number and (math.isfinite(value) if kind == "float" else
                    kind == "U/J" and value >= 0):
-        return float(value)
+        return value
     if kind == "str" and isinstance(value, str) and value:
         return value
     raise ConfigError(f"{key}: must be {_KIND_NAMES[kind]}, got {value!r}")
@@ -151,8 +158,9 @@ def load_config_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: "
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer of more digits than int reads
+        raise ConfigError(f"config file {path} cannot be read as JSON: "
                           f"{exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

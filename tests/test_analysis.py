@@ -961,6 +961,51 @@ class TestPrepareSystem:
             tracemalloc.stop()
         assert analysis._memory_need(cfg.scattering_setup()) >= peak
 
+    @pytest.mark.parametrize("m,n_events,stride", [
+        (3, 3000, 1), (4, 3000, 1), (6, 600, 50), (7, 200, 1)])
+    def test_trajectory_estimate_bounds_the_traced_peak(self, m, n_events,
+                                                        stride):
+        # a snapshot at every event is the tightest case: 0.95 of the
+        # estimate at M=N=3 and 4
+        cfg = RunConfig(M=m, N=m, U=0.3, J=1.0, gN=0.5, k0_a=math.pi)
+        system = prepare_system(cfg)
+        tracemalloc.start()
+        try:
+            run_trajectory(system.initial_state, system.table, n_events,
+                           seed=1, snapshot_stride=stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert analysis._trajectory_memory(
+            n_events, stride, system.basis.dimension, len(system.classes),
+            m) >= peak
+
+    @pytest.mark.parametrize("m,n_traj,n_events,n_bins,stride", [
+        (3, 200, 1000, 600, 1000), (4, 2000, 100, 24, 100),
+        (4, 16, 50, 100000, 50), (6, 1000, 100, 600, 100),
+        (5, 300, 400, 600, 1)])
+    def test_ensemble_estimate_bounds_the_traced_peak(
+            self, monkeypatch, m, n_traj, n_events, n_bins, stride):
+        # the estimate run_ensemble checks before its engine runs,
+        # recorded by a guard that never refuses
+        cfg = RunConfig(M=m, N=m, U=0.3, J=1.0, gN=0.5, k0_a=math.pi)
+        system = prepare_system(cfg)
+        needs = []
+        monkeypatch.setattr(analysis, "_check_memory",
+                            lambda setup, engine=0: needs.append(engine))
+        tracemalloc.start()
+        try:
+            run_ensemble(system.initial_state, n_traj, n_events,
+                         system.table, system.classes, master_seed=0,
+                         n_bins=n_bins, snapshot_stride=stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert needs == [analysis._ensemble_memory(
+            n_traj, n_bins, n_events // stride + 1 + (n_events % stride > 0),
+            len(system.classes), m)]
+        assert needs[0] >= peak
+
     def test_huge_angular_grid_is_refused_before_allocation(
             self, monkeypatch):
         # 10^9 grid angles pass validation without a grid; the guard then

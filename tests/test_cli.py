@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -132,6 +133,17 @@ class TestParsing:
         assert code == 2
         assert "does_not_exist" in capsys.readouterr().err
 
+    def test_json_integer_beyond_the_float_range_is_exit_2(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"M": 3, "N": 3, "U": 1' + "0" * 400 + "}")
+        code = run_cli("predict", "--config", str(path),
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: U: "), err
+        assert not (tmp_path / "x").exists()
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps(
@@ -238,6 +250,38 @@ class TestParsing:
         assert "physical memory" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command,extra,module,engine", [
+        ("trajectory", ["--events", "10000000"], cli, "run_trajectory"),
+        ("trajectory", ["--events", "1" + "0" * 400], cli, "run_trajectory"),
+        ("ensemble", ["--traj", "1000000", "--events", "10"], analysis,
+         "_lockstep"),
+        ("ensemble", ["--traj", "1" + "0" * 400], analysis, "_lockstep"),
+        ("sweep", ["--traj", "500000", "--set", "uj_values=0,inf"],
+         analysis, "_lockstep")],
+        ids=["trajectory", "trajectory-10^400", "ensemble",
+             "ensemble-10^400", "sweep"])
+    def test_engine_arrays_beyond_physical_memory_are_exit_4(
+            self, tmp_path, monkeypatch, capsys, command, extra, module,
+            engine):
+        # the set-up fits with 64 MiB to spare; 10^7 events of class
+        # weights, or 10^6 trajectories' streams and weights, do not.  A
+        # 400-digit count once ran until killed
+        setup = parse_config({"M": 3, "N": 3}).scattering_setup()
+        have = analysis._memory_need(setup) + 2**26
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: have)
+        called = []
+        monkeypatch.setattr(module, engine, lambda *a, **k: called.append(a))
+        start = time.perf_counter()
+        code = run_cli(command, "--out", str(tmp_path / "x"),
+                       "--set", "M=3", "--set", "N=3", *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert called == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "for its engine" in err[0] and "physical memory" in err[0]
+        assert not (tmp_path / "x").exists()
+
     def test_refused_allocation_is_exit_4(self, tmp_path, monkeypatch,
                                           capsys):
         # what numpy raises when the host refuses an array, e.g. the
@@ -301,6 +345,49 @@ class TestAtomicity:
         names = {p.name for p in out.iterdir()}
         assert "manifest.json" not in names
         assert names == {"ground_state.csv", "scatter_density.csv"}
+
+    @pytest.mark.parametrize("error", [OSError, ValueError])
+    def test_failure_mid_stream_leaves_nothing(self, tmp_path, monkeypatch,
+                                               capsys, error):
+        # the first block of events.csv reaches its temp file, then the
+        # rows fail: the temp file goes, no file or manifest is left and
+        # the exit code is that of the exception
+        real_blocks = cli._blocks
+
+        def failing(*args):
+            yield next(real_blocks(*args))
+            raise error("injected failure after the first block")
+
+        monkeypatch.setattr(cli, "_blocks", failing)
+        out = tmp_path / "out"
+        code = run_cli("trajectory", "--out", str(out), "--set", "M=2",
+                       "--set", "N=2", "--events", "20")
+        assert code == 4
+        assert capsys.readouterr().err == \
+            "error: injected failure after the first block\n"
+        assert list(out.iterdir()) == []
+
+    def test_writer_streams_blocks_and_unlinks_on_failure(self, tmp_path):
+        cfg = parse_config({"M": 2, "N": 2, "output_path": str(tmp_path)})
+        writer = cli.OutputWriter("trajectory", cfg)
+        # no block, and an empty block, write the header alone
+        writer.write_csv("empty.csv", ["a", "b"], [])
+        writer.write_csv("hollow.csv", ["a", "b"], [[], ["1,2"], []])
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+        assert (tmp_path / "hollow.csv").read_bytes() == b"a,b\n1,2\n"
+        for name in ("empty.csv", "hollow.csv"):
+            assert writer.checksums[name] == hashlib.sha256(
+                (tmp_path / name).read_bytes()).hexdigest()
+
+        def blocks():
+            yield ["1,2"]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            writer.write_csv("broken.csv", ["a", "b"], blocks())
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["empty.csv", "hollow.csv"]
+        assert "broken.csv" not in writer.checksums
 
     @pytest.mark.parametrize("command,extra", [
         ("predict", []),
@@ -489,18 +576,42 @@ class TestOutputs:
         assert (out / "manifest.json").exists()
 
 
+# the oracle's runs, at the writer's block size and at blocks of one
+# row, or of a few rows of a narrow file (9 fields)
+_CSV_RUNS = [
+    ("predict", []),
+    ("trajectory", ["--events", "300", "--set", "snapshot_stride=40"]),
+    ("ensemble", ["--traj", "40", "--events", "200", "--bins", "32"]),
+    ("sweep", ["--traj", "20", "--events", "100", "--bins", "32",
+               "--set", "uj_values=0,2,inf"]),
+]
+
+
 class TestCsvFormat:
     """Every CSV of every command, byte for byte, against the oracle that
     formats field by field and writes through csv.writer."""
 
-    @pytest.mark.parametrize("command,extra", [
-        ("predict", []),
-        ("trajectory", ["--events", "300", "--set", "snapshot_stride=40"]),
-        ("ensemble", ["--traj", "40", "--events", "200", "--bins", "32"]),
-        ("sweep", ["--traj", "20", "--events", "100", "--bins", "32",
-                   "--set", "uj_values=0,2,inf"]),
-    ])
-    def test_matches_field_by_field_oracle(self, tmp_path, command, extra):
+    @pytest.mark.parametrize("command,extra,block_fields", [
+        *(pytest.param(command, extra, None, id=f"{command}-extra{i}")
+          for i, (command, extra) in enumerate(_CSV_RUNS)),
+        *(pytest.param(command, extra, fields, id=f"{command}-fields{fields}")
+          for command, extra in _CSV_RUNS for fields in (1, 9))])
+    def test_matches_field_by_field_oracle(self, tmp_path, monkeypatch,
+                                           command, extra, block_fields):
+        chunks = {}
+        if block_fields is not None:
+            # count the chunks each file is written in
+            real_write = cli._atomic_write
+
+            def counting(path, data):
+                def counted():
+                    for chunk in data:
+                        chunks[path.name] = chunks.get(path.name, 0) + 1
+                        yield chunk
+                real_write(path, counted())
+
+            monkeypatch.setattr(cli, "_BLOCK_FIELDS", block_fields)
+            monkeypatch.setattr(cli, "_atomic_write", counting)
         argv = [command, "--out", str(tmp_path), "--seed", "5",
                 "--set", "M=4", "--set", "N=4", "--set", "gN=0.5",
                 "--set", "U=0.3", *extra]
@@ -514,6 +625,12 @@ class TestCsvFormat:
             data = text.encode("utf-8")
             assert (tmp_path / name).read_bytes() == data, name
             assert checksums[name] == hashlib.sha256(data).hexdigest(), name
+            lines = text.count("\n")
+            if block_fields == 1:
+                # the header, then every row alone in its block
+                assert chunks[name] == lines, name
+            elif block_fields == 9 and lines > 10:
+                assert chunks[name] > 2, name
         # the rows cover every kind of field
         if command == "trajectory":
             assert ",scatter," in expected["events.csv"]

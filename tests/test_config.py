@@ -145,6 +145,14 @@ class TestValidation:
             with pytest.raises(ConfigError, match=key):
                 parse_config({"M": 3, "N": 3, key: value})
 
+    @pytest.mark.parametrize("key,value", [
+        ("U", 10**400), ("J", -10**400), ("sigma_a", 10**400),
+        ("uj_values", [1, 10**400])])
+    def test_integer_beyond_the_float_range_names_the_key(self, key, value):
+        # a JSON integer of 400 digits once ended in an OverflowError
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(M=3, N=3, **{key: value})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="hopping"):
             parse_config({"M": 2, "N": 2, "hopping": 1.0})
@@ -170,6 +178,14 @@ class TestFileLoading:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config_file(str(path))
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # json reads integers through int(), which refuses more than
+        # sys.get_int_max_str_digits() digits with a ValueError
+        path = tmp_path / "long.json"
+        path.write_text('{"M": 3, "N": 3, "U": 1' + "0" * 5000 + "}")
+        with pytest.raises(ConfigError, match="long.json"):
             load_config_file(str(path))
 
     def test_non_object_json(self, tmp_path):
