@@ -143,6 +143,8 @@ def predicted_bin_masses(state: ManyBodyState, table: PatternTable,
     inverts (kernel.angle_cdf), so sampled histograms converge to
     exactly these masses, up to the clamp at 0 of a rounding step down
     of the signed CDF where the density vanishes.  They sum to 1."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     w = _state_weights(state, table)[None, :]
     masses = np.maximum(np.diff(angle_cdf(w, bin_edges(n_bins), table)), 0.0)
     return masses / masses.sum()

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (_check_memory, _trajectory_memory, bin_centers,
-                       class_weights, prepare_system, run_ensemble, sweep_uj)
+                       prepare_system, run_ensemble, sweep_uj)
 from .config import ConfigError, RunConfig, config_to_mapping, load_config_file, parse_config
 from .kernel import CouplingTooStrong, scatter_density
 from .lattice import CapacityError, EigensolverError
@@ -54,12 +54,20 @@ _BLOCK_FIELDS = 1 << 15
 _FIELD_BYTES = 128
 
 
-def _blocks(n_rows: int, fields: int, rows):
-    """rows(a, b), the formatted lines of rows a..b-1, for each block of
-    a file of n_rows rows of the given number of fields each, in order.
-    Each block is formatted only when the writer asks for it."""
-    size = max(1, _BLOCK_FIELDS // fields)
-    return (rows(a, min(a + size, n_rows)) for a in range(0, n_rows, size))
+def _lines(template: str, n_rows: int, *columns):
+    """The lines template % row of a file of n_rows rows, one list per
+    block of max(1, _BLOCK_FIELDS // F) rows, F the template's fields.
+    Column j holds field j of every row: a 1-D array, sliced and listed
+    one block at a time (a 2-D array a is passed as *a.T), or any other
+    iterable, read one block at a time.  Each block is formatted only
+    when the writer asks for it."""
+    size = max(1, _BLOCK_FIELDS // template.count("%"))
+    columns = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
+    for a in range(0, n_rows, size):
+        n = min(size, n_rows - a)
+        yield [template % row for row in zip(*[
+            c[a:a + n].tolist() if isinstance(c, np.ndarray)
+            else list(itertools.islice(c, n)) for c in columns])]
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -136,83 +144,65 @@ def cmd_predict(cfg: RunConfig, writer: OutputWriter) -> None:
     psi = system.initial_state
     occ = " ".join(["%d"] * cfg.M)
 
-    row = f"%d,{occ},%.17g,%.17g,%.17g,%.17g"
     writer.write_csv(
         "ground_state.csv",
         ["basis_index", "occupation", "coeff_re", "coeff_im", "probability",
          "energy"],
-        _blocks(len(psi.coeffs), cfg.M + 5, lambda a, b: [
-            row % (i, *n, c.real, c.imag, p, system.energy)
-            for i, n, c, p in zip(
-                range(a, b), system.basis.occupations[a:b].tolist(),
-                psi.coeffs[a:b].tolist(), psi.probabilities[a:b].tolist())]))
+        _lines(f"%d,{occ},%.17g,%.17g,%.17g,%.17g", len(psi.coeffs),
+               range(len(psi.coeffs)), *system.basis.occupations.T,
+               psi.coeffs.real, psi.coeffs.imag, psi.probabilities,
+               itertools.repeat(system.energy)))
 
     theta = system.table.theta_grid
-    density = scatter_density(psi, system.table)
     writer.write_csv(
-        "scatter_density.csv",
-        ["theta", "density"],
-        _blocks(len(theta), 2, lambda a, b: [
-            "%.17g,%.17g" % td
-            for td in zip(theta[a:b].tolist(), density[a:b].tolist())]))
+        "scatter_density.csv", ["theta", "density"],
+        _lines("%.17g,%.17g", len(theta), theta,
+               scatter_density(psi, system.table)))
 
     classes = system.classes
-    probs = class_weights(psi, classes)
-    class_row = f"%d,{occ},%d,%s,%.17g"
     writer.write_csv(
         "classes.csv",
         ["class_index", "signature", "size", "members", "probability"],
-        _blocks(len(classes), cfg.M + 4, lambda a, b: [
-            class_row % (k + 1, *cls.signature, len(cls.members),
-                         "|".join([occ % m for m in cls.members]), p)
-            for k, cls, p in zip(range(a, b), classes[a:b],
-                                 probs[a:b].tolist())]))
+        _lines(f"%d,{occ},%d,%s,%.17g", len(classes),
+               range(1, len(classes) + 1),
+               *zip(*(cls.signature for cls in classes)),
+               (len(cls.members) for cls in classes),
+               ("|".join([occ % m for m in cls.members]) for cls in classes),
+               system.table.class_weights(psi.probabilities)))
 
 
 def cmd_trajectory(cfg: RunConfig, writer: OutputWriter) -> None:
     """One measurement record: per-event rows plus coefficient snapshots."""
     system = prepare_system(cfg)
     n_classes = len(system.classes)
+    # row m: overlap_sq, then the class weights, after the m-th event
+    row = "%d,%s,%s" + ",%.17g" * (n_classes + 1)
     # the engine's arrays and one block of events.csv, the wider file
     _check_memory(system.table.setup, _trajectory_memory(
         cfg.n_events, cfg.snapshot_stride, system.basis.dimension,
-        n_classes, cfg.M) + _FIELD_BYTES * max(_BLOCK_FIELDS, n_classes + 4))
+        n_classes, cfg.M) + _FIELD_BYTES * max(_BLOCK_FIELDS, row.count("%")))
     record = run_trajectory(
         system.initial_state, system.table, cfg.n_events,
         seed=trajectory_seed(cfg.master_seed, 0),
         snapshot_stride=cfg.snapshot_stride)
 
-    header = (["m", "kind", "theta", "overlap_sq"]
-              + [f"weight_{k + 1}" for k in range(n_classes)])
-    row = "%d,%s,%s" + ",%.17g" * (n_classes + 1)
     events = record.events
-
-    def event_rows(a, b):
-        # row m: overlap_sq, then the class weights, after the m-th event
-        series = np.column_stack([record.overlap_sq_series[a:b],
-                                  record.class_weights[a:b]]).tolist()
-        lines = []
-        if a == 0:
-            lines.append(row % (0, "start", "", *series[0]))
-            series, a = series[1:], 1
-        lines += [row % (e.index, e.kind.value,
-                         "" if e.theta is None else "%.17g" % e.theta,
-                         *values)
-                  for e, values in zip(events[a - 1:b - 1], series)]
-        return lines
-
-    writer.write_csv("events.csv", header,
-                     _blocks(len(events) + 1, n_classes + 4, event_rows))
-
-    def snapshot_rows(m, coeffs):
-        return lambda a, b: ["%d,%d,%.17g,%.17g" % (m, i, c.real, c.imag)
-                             for i, c in zip(range(a, b),
-                                             coeffs[a:b].tolist())]
+    writer.write_csv(
+        "events.csv",
+        ["m", "kind", "theta", "overlap_sq"]
+        + [f"weight_{k + 1}" for k in range(n_classes)],
+        _lines(row, len(events) + 1, range(len(events) + 1),
+               itertools.chain(["start"], (e.kind.value for e in events)),
+               itertools.chain([""], ("" if e.theta is None
+                                      else "%.17g" % e.theta
+                                      for e in events)),
+               record.overlap_sq_series, *record.class_weights.T))
 
     writer.write_csv(
         "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"],
         itertools.chain.from_iterable(
-            _blocks(len(coeffs), 4, snapshot_rows(m, coeffs))
+            _lines("%d,%d,%.17g,%.17g", len(coeffs), itertools.repeat(m),
+                   range(len(coeffs)), coeffs.real, coeffs.imag)
             for m, coeffs in record.snapshots or ()))
 
 
@@ -226,25 +216,20 @@ def cmd_ensemble(cfg: RunConfig, writer: OutputWriter) -> None:
         system.classes, master_seed=cfg.master_seed, n_bins=cfg.n_bins,
         snapshot_stride=cfg.n_events, workers=cfg.workers)
 
-    row = "%d," + " ".join(["%d"] * cfg.M) + ",%.17g,%.17g"
+    signatures = stats.class_signatures
     writer.write_csv(
         "class_proportions.csv",
         ["class_index", "signature", "empirical", "predicted"],
-        _blocks(len(stats.class_signatures), cfg.M + 3, lambda a, b: [
-            row % (k + 1, *sig, emp, pred)
-            for k, sig, emp, pred in zip(
-                range(a, b), stats.class_signatures[a:b],
-                stats.class_proportions[a:b].tolist(),
-                stats.class_proportions_predicted[a:b].tolist())]))
+        _lines("%d," + " ".join(["%d"] * cfg.M) + ",%.17g,%.17g",
+               len(signatures), range(1, len(signatures) + 1),
+               *zip(*signatures), stats.class_proportions,
+               stats.class_proportions_predicted))
 
-    centers = bin_centers(cfg.n_bins)
-    density = stats.histogram_predicted / (2.0 * math.pi / cfg.n_bins)
     writer.write_csv(
         "histogram.csv", ["bin_center", "count", "predicted_density"],
-        _blocks(cfg.n_bins, 3, lambda a, b: [
-            "%.17g,%d,%.17g" % fields for fields in zip(
-                centers[a:b].tolist(), stats.histogram[a:b].tolist(),
-                density[a:b].tolist())]))
+        _lines("%.17g,%d,%.17g", cfg.n_bins, bin_centers(cfg.n_bins),
+               stats.histogram,
+               stats.histogram_predicted / (2.0 * math.pi / cfg.n_bins)))
 
     n_converged = int(np.count_nonzero(stats.converged_mask))
     writer.write_csv(
@@ -272,12 +257,10 @@ def cmd_sweep(cfg: RunConfig, writer: OutputWriter) -> None:
               + [f"empirical_{k + 1}" for k in range(n_classes)]
               + [f"predicted_{k + 1}" for k in range(n_classes)]
               + ["convergence_rate"])
-    row = ",".join(["%.17g"] * len(header))
-    writer.write_csv("sweep.csv", header, _blocks(
-        len(rows_out), len(header), lambda a, b: [
-            row % (r.uj, r.energy, *r.proportions.tolist(),
-                   *r.predicted.tolist(), r.convergence_rate)
-            for r in rows_out[a:b]]))
+    table = np.array([[r.uj, r.energy, *r.proportions, *r.predicted,
+                       r.convergence_rate] for r in rows_out])
+    writer.write_csv("sweep.csv", header, _lines(
+        ",".join(["%.17g"] * len(header)), len(rows_out), *table.T))
 
 
 _COMMANDS = {

@@ -336,6 +336,14 @@ class TestHistograms:
         assert np.all(masses >= 0.0)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_predicted_masses_refuse_no_bins(self, system33, n_bins):
+        # these once returned an empty array, where angle_histogram and
+        # run_ensemble refuse the count
+        _, _, table, psi = system33
+        with pytest.raises(ValueError, match=f">= 1, got {n_bins}"):
+            predicted_bin_masses(psi, table, n_bins)
+
     def test_predicted_masses_against_fine_quadrature(self, system33):
         _, _, table, psi = system33
         masses = predicted_bin_masses(psi, table, 60)

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -352,13 +353,13 @@ class TestAtomicity:
         # the first block of events.csv reaches its temp file, then the
         # rows fail: the temp file goes, no file or manifest is left and
         # the exit code is that of the exception
-        real_blocks = cli._blocks
+        real_lines = cli._lines
 
         def failing(*args):
-            yield next(real_blocks(*args))
+            yield next(real_lines(*args))
             raise error("injected failure after the first block")
 
-        monkeypatch.setattr(cli, "_blocks", failing)
+        monkeypatch.setattr(cli, "_lines", failing)
         out = tmp_path / "out"
         code = run_cli("trajectory", "--out", str(out), "--set", "M=2",
                        "--set", "N=2", "--events", "20")
@@ -621,16 +622,27 @@ class TestCsvFormat:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted([*expected, "manifest.json"])
         checksums = read_manifest(tmp_path)["checksums"]
+        # F, the fields of a file's row template: an occupation or a
+        # signature is M = 4 of them, and K classes give K weights
+        n_classes = len(analysis.prepare_system(cfg).classes)
+        fields = {"ground_state.csv": 9, "scatter_density.csv": 2,
+                  "classes.csv": 8, "events.csv": n_classes + 4,
+                  "snapshots.csv": 4, "class_proportions.csv": 7,
+                  "histogram.csv": 3, "convergence.csv": 6,
+                  "sweep.csv": 2 * n_classes + 3}
         for name, text in expected.items():
             data = text.encode("utf-8")
             assert (tmp_path / name).read_bytes() == data, name
             assert checksums[name] == hashlib.sha256(data).hexdigest(), name
-            lines = text.count("\n")
-            if block_fields == 1:
-                # the header, then every row alone in its block
-                assert chunks[name] == lines, name
-            elif block_fields == 9 and lines > 10:
-                assert chunks[name] > 2, name
+            if block_fields is not None:
+                # the header, then ceil(rows / max(1, block_fields // F))
+                # blocks, counted per snapshot for snapshots.csv
+                rows = text.splitlines()[1:]
+                runs = ([len(rows)] if name != "snapshots.csv" else
+                        Counter(r.partition(",")[0] for r in rows).values())
+                size = max(1, block_fields // fields[name])
+                assert chunks[name] == 1 + sum(-(-n // size) for n in runs), \
+                    name
         # the rows cover every kind of field
         if command == "trajectory":
             assert ",scatter," in expected["events.csv"]
