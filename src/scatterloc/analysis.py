@@ -12,9 +12,12 @@ both facts; a float sum over trajectories adds fixed chunks of them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import resource
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -204,8 +207,7 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     block; and float sums over trajectories are taken over fixed chunks,
     so no result depends on the execution order or the worker count.
     CapacityError if the table's set-up and the arrays the run holds
-    (_ensemble_memory) would not fit in physical memory, before any of
-    them is allocated.
+    (_ensemble_memory) exceed _memory_limit, before any is allocated.
     """
     slots = _run_bounds(n_traj, n_events, workers, n_bins, snapshot_stride)
     if not np.array_equal([c.signature for c in classes], table.signatures):
@@ -344,6 +346,26 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _memory_limit(root: str = "/") -> tuple[int, str]:
+    """Bytes this process may hold, and what limits them: the least of
+    physical memory, RLIMIT_DATA and its cgroup's memory.max (v2) or
+    memory.limit_in_bytes (v1); an absent, unreadable or "max" file not."""
+    data = resource.getrlimit(resource.RLIMIT_DATA)[0]
+    limits = [(_physical_memory(), "physical memory"), (
+        math.inf if data == resource.RLIM_INFINITY else data, "RLIMIT_DATA")]
+    with contextlib.suppress(OSError):
+        lines = Path(root, "proc/self/cgroup").read_text().splitlines()
+        for _, controllers, path in (line.split(":", 2) for line in lines):
+            v1 = "memory" in controllers.split(",")
+            limit = Path(root, "sys/fs/cgroup", "memory" * v1, path[1:],
+                         "memory.limit_in_bytes" if v1 else "memory.max")
+            with contextlib.suppress(OSError, ValueError):
+                if v1 or not controllers:
+                    limits.append((int(limit.read_text()),
+                                   f"the cgroup's {limit.name}"))
+    return min(limits, key=lambda limit: limit[0])
+
+
 def _memory_need(setup: ScatteringSetup) -> int:
     """Upper bound, in bytes, of what prepare_system allocates at its peak.
 
@@ -417,7 +439,7 @@ def _gib(n: int) -> str:
 def _check_memory(setup: ScatteringSetup, engine: int = 0) -> None:
     """Raise CapacityError if prepare_system's basis, Hamiltonian and
     pattern table, and the engine bytes an engine holds on top of them,
-    would not fit in physical memory.
+    would not fit in the memory this process may use (_memory_limit).
 
     Called with engine = 0 before anything of the basis' size is
     allocated, and again by run_ensemble, sweep_uj and the trajectory
@@ -427,13 +449,13 @@ def _check_memory(setup: ScatteringSetup, engine: int = 0) -> None:
     """
     dim = fock_dimension(setup.lattice.M, setup.lattice.N)
     need = _memory_need(setup) + engine
-    have = _physical_memory()
+    have, limit = _memory_limit()
     if need > have:
         held = f", with {_gib(engine)} GiB for its engine" if engine else ""
         raise CapacityError(
             f"Fock dimension {dim} at n_theta={setup.n_theta} needs "
             f"{_gib(need)} GiB for its basis, Hamiltonian and pattern "
-            f"table{held}, more than the {_gib(have)} GiB of physical memory")
+            f"table{held}, more than the {_gib(have)} GiB of {limit}")
 
 
 def _tabulate(lattice: LatticeSpec, setup: ScatteringSetup):

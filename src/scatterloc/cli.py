@@ -53,21 +53,44 @@ _BLOCK_FIELDS = 1 << 15
 # and the encoded bytes
 _FIELD_BYTES = 128
 
+# fewest trailing floats a block vectorizes, and most per format_17g call
+_VECTOR_FIELDS = 1 << 13
+
 
 def _lines(template: str, n_rows: int, *columns):
-    """The lines template % row of a file of n_rows rows, one list per
-    block of max(1, _BLOCK_FIELDS // F) rows, F the template's fields.
-    Column j holds field j of every row: a 1-D array, sliced and listed
-    one block at a time (a 2-D array a is passed as *a.T), or any other
-    iterable, read one block at a time.  Each block is formatted only
-    when the writer asks for it."""
+    """The bytes of the lines template % row of n_rows rows, in blocks of
+    max(1, _BLOCK_FIELDS // F) rows, F the template's fields, each made
+    when the writer asks.  A 1-D array fills one field, a 2-D array one
+    per column, any other iterable one.  A block's trailing ",%.17g" run
+    filled by float64 arrays goes through _float17.format_17g if it holds
+    at least _VECTOR_FIELDS values, and all else through %."""
     size = max(1, _BLOCK_FIELDS // template.count("%"))
     columns = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
+    run = width = 0
+    for c in reversed(columns):
+        w = c.shape[1] if getattr(c, "ndim", 0) == 2 else 1
+        if not (getattr(c, "dtype", None) == np.float64 and
+                ("," + template).endswith(",%.17g" * (width + w))):
+            break
+        run, width = run + 1, width + w
+    # the template with the run as one %s, and rows per format_17g call
+    head = (("," + template)[:len(template) + 1 - 6 * width] + ",%s")[1:]
+    step = max(1, _VECTOR_FIELDS // max(1, width))
     for a in range(0, n_rows, size):
         n = min(size, n_rows - a)
-        yield [template % row for row in zip(*[
-            c[a:a + n].tolist() if isinstance(c, np.ndarray)
-            else list(itertools.islice(c, n)) for c in columns])]
+        vector = n * width >= _VECTOR_FIELDS
+        fields = []
+        for c in columns[:len(columns) - run] if vector else columns:
+            fields += (c[a:a + n].reshape(n, -1).T.tolist()
+                       if isinstance(c, np.ndarray)
+                       else [list(itertools.islice(c, n))])
+        if vector:
+            from ._float17 import format_17g
+            values = np.column_stack([c[a:a + n] for c in columns[-run:]])
+            fields.append(b"".join(map(format_17g, np.split(
+                values, range(step, n, step)))).decode().splitlines())
+        yield ("\n".join([(head if vector else template) % row
+                          for row in zip(*fields)]) + "\n").encode()
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -100,9 +123,9 @@ class OutputWriter:
         self.checksums: dict[str, str] = {}
 
     def write_csv(self, name: str, header, blocks) -> None:
-        """Write the header, then each block of formatted lines as it
-        comes, every line ending in a newline, and feed the sha256 the
-        same bytes as they are written.
+        """Write the header line, then each block, the bytes of whole
+        lines each ending in a newline, as it comes, and feed the sha256
+        the same bytes as they are written.
 
         Each command formats its rows with one %-template per file:
         floats as %.17g, which round-trips IEEE doubles exactly and is
@@ -115,8 +138,8 @@ class OutputWriter:
         digest = hashlib.sha256()
 
         def chunks():
-            for lines in itertools.chain([[",".join(header)]], blocks):
-                data = "\n".join([*lines, ""]).encode("utf-8")
+            for data in itertools.chain(
+                    [(",".join(header) + "\n").encode()], blocks):
                 digest.update(data)
                 yield data
 
@@ -151,7 +174,7 @@ def cmd_predict(cfg: RunConfig, writer: OutputWriter) -> None:
         _lines(f"%d,{occ},%.17g,%.17g,%.17g,%.17g", len(psi.coeffs),
                range(len(psi.coeffs)), *system.basis.occupations.T,
                psi.coeffs.real, psi.coeffs.imag, psi.probabilities,
-               itertools.repeat(system.energy)))
+               np.broadcast_to(system.energy, psi.coeffs.shape)))
 
     theta = system.table.theta_grid
     writer.write_csv(
@@ -196,7 +219,7 @@ def cmd_trajectory(cfg: RunConfig, writer: OutputWriter) -> None:
                itertools.chain([""], ("" if e.theta is None
                                       else "%.17g" % e.theta
                                       for e in events)),
-               record.overlap_sq_series, *record.class_weights.T))
+               record.overlap_sq_series, record.class_weights))
 
     writer.write_csv(
         "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"],
@@ -236,10 +259,10 @@ def cmd_ensemble(cfg: RunConfig, writer: OutputWriter) -> None:
         "convergence.csv",
         ["n_traj", "n_events", "n_converged", "convergence_rate", "aborted",
          "total_scatter_events"],
-        [["%d,%d,%d,%.17g,%d,%d" % (
+        [("%d,%d,%d,%.17g,%d,%d\n" % (
             stats.n_traj, stats.n_events, n_converged,
             stats.convergence_rate, stats.aborted_count,
-            stats.n_scatter_total)]])
+            stats.n_scatter_total)).encode()])
 
 
 def cmd_sweep(cfg: RunConfig, writer: OutputWriter) -> None:
@@ -260,7 +283,7 @@ def cmd_sweep(cfg: RunConfig, writer: OutputWriter) -> None:
     table = np.array([[r.uj, r.energy, *r.proportions, *r.predicted,
                        r.convergence_rate] for r in rows_out])
     writer.write_csv("sweep.csv", header, _lines(
-        ",".join(["%.17g"] * len(header)), len(rows_out), *table.T))
+        ",".join(["%.17g"] * len(header)), len(rows_out), table))
 
 
 _COMMANDS = {

@@ -45,7 +45,7 @@ class Boundary(str, Enum):
 
 class CapacityError(Exception):
     """Fock-space dimension over the configured maximum, or a run's tables
-    over physical memory (the memory guard of analysis._tabulate)."""
+    over what the process may hold (analysis._check_memory)."""
 
 
 class EigensolverError(Exception):

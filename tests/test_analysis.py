@@ -10,6 +10,8 @@ import concurrent.futures
 import functools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1066,3 +1068,67 @@ class TestPrepareSystem:
         monkeypatch.undo()
         monkeypatch.setattr(analysis, "_physical_memory", lambda: need)
         assert prepare_system(cfg).basis.dimension == 10
+
+
+class TestMemoryLimit:
+    """The guard's limit is the least of what this process may use."""
+
+    @pytest.mark.parametrize("files,want", [
+        ({"proc/self/cgroup": "0::/job\n",
+          "sys/fs/cgroup/job/memory.max": "1048576\n"},
+         (1 << 20, "the cgroup's memory.max")),
+        ({"proc/self/cgroup": "5:cpu,cpuacct:/job\n4:memory:/job\n0::/\n",
+          "sys/fs/cgroup/memory/job/memory.limit_in_bytes": "2097152\n"},
+         (2 << 20, "the cgroup's memory.limit_in_bytes")),
+        ({"proc/self/cgroup": "4:memory:/job\n0::/job\n",
+          "sys/fs/cgroup/memory/job/memory.limit_in_bytes": "2097152\n",
+          "sys/fs/cgroup/job/memory.max": "3145728\n"},
+         (2 << 20, "the cgroup's memory.limit_in_bytes")),
+        ({"proc/self/cgroup": "0::/job\n",
+          "sys/fs/cgroup/job/memory.max": "max\n"},
+         (8 << 30, "physical memory")),
+        ({"proc/self/cgroup": "0::/job\n",
+          "sys/fs/cgroup/job/memory.max/": None},
+         (8 << 30, "physical memory")),
+        ({"proc/self/cgroup": "0::/job\n"}, (8 << 30, "physical memory")),
+        ({}, (8 << 30, "physical memory")),
+    ], ids=["v2", "v1", "v1-and-v2", "v2-max", "v2-unreadable",
+            "v2-absent", "no-cgroup-file"])
+    def test_reads_the_cgroup_of_this_process(self, tmp_path, monkeypatch,
+                                              files, want):
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: 8 << 30)
+        monkeypatch.setattr(analysis.resource, "getrlimit", lambda which: (
+            analysis.resource.RLIM_INFINITY,) * 2)
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+        assert analysis._memory_limit(str(tmp_path)) == want
+
+    def test_rlimit_data_limits(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: 8 << 30)
+        monkeypatch.setattr(analysis.resource, "getrlimit",
+                            lambda which: (300 << 20, 1 << 40))
+        assert analysis._memory_limit(str(tmp_path)) == \
+            (300 << 20, "RLIMIT_DATA")
+
+    def test_small_rlimit_data_exits_from_the_guard(self, tmp_path):
+        # M = N = 11: the guard's estimate is 723 MB.  Under a 300 MB
+        # RLIMIT_DATA the command once built the basis for 2.2 s and
+        # then failed in numpy; now the guard refuses it first
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_DATA, (300 << 20, "
+                "resource.getrlimit(resource.RLIMIT_DATA)[1]))\n"
+                "from scatterloc.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        run = subprocess.run(
+            [sys.executable, "-c", code, "predict", "--out",
+             str(tmp_path / "x"), "--set", "M=11", "--set", "N=11"],
+            capture_output=True, text=True, timeout=120)
+        assert run.returncode == 4, run.stderr
+        assert run.stderr.startswith("error: Fock dimension 352716 "), \
+            run.stderr
+        assert "0.3 GiB of RLIMIT_DATA" in run.stderr
+        assert not (tmp_path / "x").exists()

@@ -19,6 +19,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from scatterloc import analysis, cli
+from scatterloc import _float17, analysis, cli
 from scatterloc.config import ConfigError, config_to_mapping, parse_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -373,7 +374,7 @@ class TestAtomicity:
         writer = cli.OutputWriter("trajectory", cfg)
         # no block, and an empty block, write the header alone
         writer.write_csv("empty.csv", ["a", "b"], [])
-        writer.write_csv("hollow.csv", ["a", "b"], [[], ["1,2"], []])
+        writer.write_csv("hollow.csv", ["a", "b"], [b"", b"1,2\n", b""])
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
         assert (tmp_path / "hollow.csv").read_bytes() == b"a,b\n1,2\n"
         for name in ("empty.csv", "hollow.csv"):
@@ -381,7 +382,7 @@ class TestAtomicity:
                 (tmp_path / name).read_bytes()).hexdigest()
 
         def blocks():
-            yield ["1,2"]
+            yield b"1,2\n"
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
@@ -592,13 +593,27 @@ class TestCsvFormat:
     """Every CSV of every command, byte for byte, against the oracle that
     formats field by field and writes through csv.writer."""
 
-    @pytest.mark.parametrize("command,extra,block_fields", [
-        *(pytest.param(command, extra, None, id=f"{command}-extra{i}")
+    @pytest.mark.parametrize("command,extra,block_fields,vector_fields", [
+        *(pytest.param(command, extra, None, None, id=f"{command}-extra{i}")
           for i, (command, extra) in enumerate(_CSV_RUNS)),
-        *(pytest.param(command, extra, fields, id=f"{command}-fields{fields}")
-          for command, extra in _CSV_RUNS for fields in (1, 9))])
+        *(pytest.param(command, extra, fields, None,
+                       id=f"{command}-fields{fields}")
+          for command, extra in _CSV_RUNS for fields in (1, 9)),
+        # every block's trailing float run through _float17.format_17g
+        *(pytest.param(command, extra, fields, 1, id=f"{command}-vector"
+                       + (f"-fields{fields}" if fields else ""))
+          for command, extra in _CSV_RUNS for fields in (None, 1, 9))])
     def test_matches_field_by_field_oracle(self, tmp_path, monkeypatch,
-                                           command, extra, block_fields):
+                                           command, extra, block_fields,
+                                           vector_fields):
+        # at M = N = 4 no block holds 2^13 fields, so the writer's own
+        # size rule formats every field through %
+        formatted = []
+        real_format = _float17.format_17g
+        monkeypatch.setattr(_float17, "format_17g", lambda values: (
+            formatted.append(values.size), real_format(values))[1])
+        if vector_fields is not None:
+            monkeypatch.setattr(cli, "_VECTOR_FIELDS", vector_fields)
         chunks = {}
         if block_fields is not None:
             # count the chunks each file is written in
@@ -650,10 +665,68 @@ class TestCsvFormat:
             assert "\n300,0," in expected["snapshots.csv"]
         if command == "sweep":
             assert "\ninf," in expected["sweep.csv"]
+        assert bool(formatted) == (vector_fields is not None)
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     def test_percent_17g_is_format_17g(self, x):
         assert "%.17g" % x == format(x, ".17g")
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_format_17g_is_percent_17g(self, x):
+        assert _float17.format_17g(np.array([[x]])) == b"%.17g\n" % x
+
+
+class TestFormat17g:
+    """_float17.format_17g against Python's b"%.17g" % v, byte for byte."""
+
+    @staticmethod
+    def mismatches(values, width=1):
+        x = np.asarray(values, dtype=np.float64)
+        x = x[:len(x) // width * width].reshape(-1, width)
+        bad = []
+        # the writer's largest call, so the arrays stay small
+        for a in range(0, len(x), cli._VECTOR_FIELDS // width):
+            rows = x[a:a + cli._VECTOR_FIELDS // width]
+            got = _float17.format_17g(rows)
+            want = b"".join(b",".join([b"%.17g" % v for v in row]) + b"\n"
+                            for row in rows.tolist())
+            if got != want:
+                bad += [(row, line) for row, line in zip(
+                    rows.tolist(), got.split(b"\n"))
+                    if line != b",".join([b"%.17g" % v for v in row])]
+        return bad
+
+    def test_random_bit_patterns(self):
+        # every exponent, nan payloads, infinities and subnormals among
+        # them; values on rows of 1 and of 7 fields
+        bits = np.random.default_rng(20261020).integers(
+            0, 2**64, 210_000, dtype=np.uint64, endpoint=False)
+        x = np.concatenate([bits.view(np.float64), [
+            0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+            np.uint64(0x7FF0000000000001).view(np.float64),
+            np.uint64(0xFFF800000000ABCD).view(np.float64),
+            np.uint64(1).view(np.float64), -np.uint64(12345).view(np.float64)]])
+        assert np.isnan(x).sum() > 50 and (np.abs(x) < 2.0**-1022).sum() > 50
+        assert self.mismatches(x) == []
+        assert self.mismatches(x, width=7) == []
+
+    def test_powers_of_two_and_ten(self):
+        x = [2.0**e for e in range(-1074, 1024)]
+        x += [float(f"1e{e}") for e in range(-323, 309)]
+        assert self.mismatches(x + [-v for v in x]) == []
+
+    def test_ties_switch_points_and_extremes(self):
+        # 2^-25 and 3 * 2^-25 end in an exact half at the 18th digit, as
+        # do 1607 more odd multiples i * 2^-j; half of them round up
+        ties = [x for j in range(1, 80) for i in range(1, 2000, 2) if len(
+            Decimal(x := i * 2.0**-j).as_tuple().digits) == 18]
+        assert len(ties) == 1607
+        x = [2.0**-25, 3 * 2.0**-25, *ties, 1e-5, 1e-4,
+             math.nextafter(1e-4, 0), 1e16, 1e17, 5e-324,
+             sys.float_info.max]
+        assert self.mismatches(x + [-v for v in x]) == []
+        assert _float17.format_17g(np.array([x[:2]])) == \
+            b"2.9802322387695312e-08,8.9406967163085938e-08\n"
 
 
 def _golden_argv(command: str, out: Path) -> list[str]:
