@@ -44,6 +44,7 @@ from .lattice import (
     ground_state,
 )
 from .trajectory import (
+    _PASS_EVENTS,
     _UNIFORM_BLOCK,
     CONVERGENCE_THRESHOLD,
     _lockstep_events,
@@ -403,11 +404,14 @@ def _trajectory_memory(n_events: int, snapshot_stride: int, dim: int,
     snapshot_stride + 2) x D complex, each with its array and tuple
     objects, under 512 bytes; the phase kicks' D x M complex products,
     twelve D-wide complex vectors of phase factors, amplitude ratios and
-    the final state, and 64 kB of fixed objects.
+    the final state; a pass's _PASS_EVENTS x D amplitude ratios and their
+    complex products with the phases, and its two K-wide weight
+    quotients per event; and 64 kB of fixed objects.
     """
     snapshots = n_events // snapshot_stride + 2
     return (8 * (n_events + 1) * (n_classes + 1) + 136 * n_events
-            + snapshots * (16 * dim + 512) + 16 * dim * (M + 12) + (1 << 16))
+            + snapshots * (16 * dim + 512) + 16 * dim * (M + 12)
+            + _PASS_EVENTS * (24 * dim + 16 * n_classes) + (1 << 16))
 
 
 def _ensemble_memory(n_traj: int, n_bins: int, snapshots: int,

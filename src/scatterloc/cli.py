@@ -200,16 +200,20 @@ def cmd_trajectory(cfg: RunConfig, writer: OutputWriter) -> None:
     n_classes = len(system.classes)
     # row m: overlap_sq, then the class weights, after the m-th event
     row = "%d,%s,%s" + ",%.17g" * (n_classes + 1)
-    # the engine's arrays and one block of events.csv, the wider file
+    snap, dim = "%d,%d,%.17g,%.17g", system.basis.dimension
+    per = max(1, _BLOCK_FIELDS // snap.count("%") // dim)
+    # the engine's arrays, one block of events.csv, the wider file, and
+    # one group of per snapshots' coefficients, m and basis indices
     _check_memory(system.table.setup, _trajectory_memory(
-        cfg.n_events, cfg.snapshot_stride, system.basis.dimension,
-        n_classes, cfg.M) + _FIELD_BYTES * max(_BLOCK_FIELDS, row.count("%")))
+        cfg.n_events, cfg.snapshot_stride, dim, n_classes, cfg.M)
+        + _FIELD_BYTES * max(_BLOCK_FIELDS, row.count("%"))
+        + 32 * per * dim)
     record = run_trajectory(
         system.initial_state, system.table, cfg.n_events,
         seed=trajectory_seed(cfg.master_seed, 0),
         snapshot_stride=cfg.snapshot_stride)
 
-    events = record.events
+    events, snapshots = record.events, record.snapshots or ()
     writer.write_csv(
         "events.csv",
         ["m", "kind", "theta", "overlap_sq"]
@@ -221,12 +225,17 @@ def cmd_trajectory(cfg: RunConfig, writer: OutputWriter) -> None:
                                       for e in events)),
                record.overlap_sq_series, record.class_weights))
 
+    def groups():
+        # as many whole snapshots as one block holds, in one _lines call
+        for i in range(0, len(snapshots), per):
+            ms, coeffs = zip(*snapshots[i:i + per])
+            c = np.concatenate(coeffs)
+            yield from _lines(snap, len(c), np.repeat(ms, dim), np.tile(
+                np.arange(dim), len(ms)), c.real, c.imag)
+
     writer.write_csv(
         "snapshots.csv", ["m", "basis_index", "coeff_re", "coeff_im"],
-        itertools.chain.from_iterable(
-            _lines("%d,%d,%.17g,%.17g", len(coeffs), itertools.repeat(m),
-                   range(len(coeffs)), coeffs.real, coeffs.imag)
-            for m, coeffs in record.snapshots or ()))
+        groups())
 
 
 def cmd_ensemble(cfg: RunConfig, writer: OutputWriter) -> None:

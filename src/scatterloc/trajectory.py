@@ -41,6 +41,9 @@ CONVERGENCE_THRESHOLD = 0.99
 # events of uniforms drawn per trajectory at a time
 _UNIFORM_BLOCK = 32
 
+# trajectories x events of overlaps and snapshots computed per pass
+_PASS_EVENTS = 16
+
 
 class EventKind(str, Enum):
     SCATTER = "scatter"
@@ -130,15 +133,15 @@ def _event_step(w, r, alive, table: PatternTable):
     row's result does not depend, bit for bit, on the other rows.
     """
     q = w * table.ns_prob
-    p_ns = q.sum(axis=1)
-    rows = np.flatnonzero((r >= p_ns) & alive)
+    s = p_ns = np.add.reduce(q, axis=1)
+    rows = ((r >= p_ns) & alive).nonzero()[0]
     theta = np.empty(0)
     if rows.size:
         wr = w[rows]
         v = (r[rows] - p_ns[rows]) / (1.0 - p_ns[rows])
         theta = sample_angles(wr, v, table)
         q[rows] = wr * _scatter_multipliers(theta, table)
-    s = q.sum(axis=1)
+        s = np.add.reduce(q, axis=1)
     healthy = (s > 0.0) & np.isfinite(s)
     if healthy.all() and alive.all():
         return q / s[:, None], rows, theta, ~healthy
@@ -260,7 +263,8 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
     z_u = exp(i Phi_u), which only scatter events change.  Snapshots and
     the final state are c_u(0) sqrt(w_k / P_k) z_u, so a class with
     P_k = 0 stays exactly 0, and the overlap <psi_0|psi_m> is
-    sum_u |c_u(0)|^2 sqrt(w_k / P_k) z_u.  Row m of a record's
+    sum_u |c_u(0)|^2 sqrt(w_k / P_k) z_u, both computed over each run of
+    events between scatters once it is in.  Row m of a record's
     class_weights holds the summed probability in each signature class
     of the table, in the order of build_classes, after the m-th
     detection.  A zero-norm projection ends its record before that event
@@ -291,20 +295,34 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
     overlap_sq[:, 0] = 1.0
     snaps = [(0, np.tile(c0, (n_traj, 1)))] if due else []
 
+    span = max(1, _PASS_EVENTS // max(1, n_traj))
+
+    def flush(start, stop):
+        # events start..stop - 1, over which no row's z changed, span at
+        # a time; take keeps each event's (rows, D) sum in its own order
+        for a in range(start, stop, span):
+            b = min(a + span, stop)
+            ratios = _amplitude_ratios(weights[:, a:b], big_p).take(
+                class_of, axis=-1)
+            overlap_sq[:, a:b] = np.abs(
+                (pz[:, None] * ratios).sum(axis=2)) ** 2
+            snaps.extend((m, c0 * ratios[:, m - a] * z)
+                         for m in range(a, b) if m in due)
+
+    start = 1
     for m, w, rows, theta, died in _lockstep_events(w, seeds, alive, table,
                                                     n_events):
         end[died] = m - 1
+        weights[:, m] = w
         if rows.size:
+            flush(start, m)
+            start = m
             thetas[rows, m - 1] = theta
             z[rows] *= _phase_kicks(theta, table)
             pz[rows] = p0 * z[rows]
-        ratios = _amplitude_ratios(w, big_p)[:, class_of]
-        weights[:, m] = w
-        overlap_sq[:, m] = np.abs((pz * ratios).sum(axis=1)) ** 2
-        if m in due:
-            snaps.append((m, c0 * ratios * z))
+    flush(start, n_events + 1)
 
-    final = c0 * ratios * z
+    final = c0 * _amplitude_ratios(w, big_p)[:, class_of] * z
     # events are immutable, so the records share their non-scatter ones
     nonscatter = [DetectionEvent(m, EventKind.NONSCATTER)
                   for m in range(1, n_events + 1)]

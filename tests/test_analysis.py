@@ -972,11 +972,12 @@ class TestPrepareSystem:
         assert analysis._memory_need(cfg.scattering_setup()) >= peak
 
     @pytest.mark.parametrize("m,n_events,stride", [
-        (3, 3000, 1), (4, 3000, 1), (6, 600, 50), (7, 200, 1)])
+        (3, 3000, 1), (4, 3000, 1), (6, 600, 50), (6, 2000, 50),
+        (7, 200, 1)])
     def test_trajectory_estimate_bounds_the_traced_peak(self, m, n_events,
                                                         stride):
-        # a snapshot at every event is the tightest case: 0.95 of the
-        # estimate at M=N=3 and 4
+        # the tightest cases read 0.93-0.95 of the estimate: a snapshot
+        # at every event at M=N=3 and 4, and a pass's buffers at M=N=6
         cfg = RunConfig(M=m, N=m, U=0.3, J=1.0, gN=0.5, k0_a=math.pi)
         system = prepare_system(cfg)
         tracemalloc.start()

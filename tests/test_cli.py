@@ -593,16 +593,17 @@ class TestCsvFormat:
     """Every CSV of every command, byte for byte, against the oracle that
     formats field by field and writes through csv.writer."""
 
+    # 280 block fields hold two whole snapshots of D = 35 rows of 4 fields
     @pytest.mark.parametrize("command,extra,block_fields,vector_fields", [
         *(pytest.param(command, extra, None, None, id=f"{command}-extra{i}")
           for i, (command, extra) in enumerate(_CSV_RUNS)),
         *(pytest.param(command, extra, fields, None,
                        id=f"{command}-fields{fields}")
-          for command, extra in _CSV_RUNS for fields in (1, 9)),
+          for command, extra in _CSV_RUNS for fields in (1, 9, 280)),
         # every block's trailing float run through _float17.format_17g
         *(pytest.param(command, extra, fields, 1, id=f"{command}-vector"
                        + (f"-fields{fields}" if fields else ""))
-          for command, extra in _CSV_RUNS for fields in (None, 1, 9))])
+          for command, extra in _CSV_RUNS for fields in (None, 1, 9, 280))])
     def test_matches_field_by_field_oracle(self, tmp_path, monkeypatch,
                                            command, extra, block_fields,
                                            vector_fields):
@@ -651,10 +652,16 @@ class TestCsvFormat:
             assert checksums[name] == hashlib.sha256(data).hexdigest(), name
             if block_fields is not None:
                 # the header, then ceil(rows / max(1, block_fields // F))
-                # blocks, counted per snapshot for snapshots.csv
+                # blocks, counted per group for snapshots.csv: as many
+                # whole snapshots of D rows as one block holds, at least 1
                 rows = text.splitlines()[1:]
-                runs = ([len(rows)] if name != "snapshots.csv" else
-                        Counter(r.partition(",")[0] for r in rows).values())
+                runs = [len(rows)]
+                if name == "snapshots.csv":
+                    snaps = list(Counter(r.partition(",")[0]
+                                         for r in rows).values())
+                    per = max(1, block_fields // fields[name] // snaps[0])
+                    runs = [sum(snaps[i:i + per])
+                            for i in range(0, len(snaps), per)]
                 size = max(1, block_fields // fields[name])
                 assert chunks[name] == 1 + sum(-(-n // size) for n in runs), \
                     name

@@ -539,6 +539,81 @@ class TestRunTrajectories:
         assert run_trajectories(state, table33, 10, []) == []
 
 
+def rebuild_event_by_event(rec, table):
+    """A record's overlaps, snapshots at every event and final state,
+    rebuilt one event at a time from its class weights and angles with
+    one (1, D) row of ratios and phases per event.  Event 0 is the
+    initial state, with overlap 1."""
+    c0 = rec.initial_state.coeffs
+    p0 = rec.initial_state.probabilities
+    big_p = table.class_weights(p0)
+    angles = {e.index: e.theta for e in rec.events
+              if e.kind is EventKind.SCATTER}
+    z = np.ones((1, len(c0)), dtype=np.complex128)
+    overlap_sq, coeffs = [np.ones(1)], [c0[None, :]]
+    for m, w in enumerate(rec.class_weights[1:], 1):
+        if m in angles:
+            z *= _phase_kicks(np.array([angles[m]]), table)
+        ratios = _amplitude_ratios(w[None, :], big_p)[:, table.class_of]
+        overlap_sq.append(np.abs((p0 * z * ratios).sum(axis=1)) ** 2)
+        coeffs.append(c0 * ratios * z)
+    return np.concatenate(overlap_sq), [c[0] for c in coeffs]
+
+
+class TestPasses:
+    """Overlaps and snapshots are computed after the event loop, in
+    passes over events between scatters; they must be bit for bit what
+    one event at a time gives."""
+
+    def assert_rebuilt(self, rec, table):
+        overlap_sq, coeffs = rebuild_event_by_event(rec, table)
+        np.testing.assert_array_equal(rec.overlap_sq_series, overlap_sq)
+        assert [m for m, _ in rec.snapshots] == list(range(len(coeffs)))
+        for (_, a), b in zip(rec.snapshots, coeffs):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(rec.final_state.coeffs, coeffs[-1])
+
+    def test_single_record_over_several_passes(self):
+        # 32 scatters, one run of 80 events between two of them: more
+        # than two passes' worth
+        table, psi = ground_state_system(6, 6, U=0.05, gN=0.5)
+        rec = run_trajectory(psi, table, 600, trajectory_seed(0, 0),
+                             snapshot_stride=1)
+        scatters = [0, *(e.index for e in rec.events
+                         if e.kind is EventKind.SCATTER), 600]
+        assert len(scatters) > 20
+        assert max(np.diff(scatters)) > 2 * trajectory._PASS_EVENTS
+        self.assert_rebuilt(rec, table)
+
+    def test_batch_wider_than_a_pass(self, table33):
+        _, psi = ground_state(build_hamiltonian(
+            table33.basis, HubbardParams(J=1.0, U=0.0)), table33.basis)
+        n_traj = 3 * trajectory._PASS_EVENTS // 2
+        recs = run_trajectories(psi, table33, 200,
+                                [trajectory_seed(7, i) for i in range(n_traj)],
+                                snapshot_stride=1)
+        for rec in recs:
+            assert rec.n_scatter > 0
+            self.assert_rebuilt(rec, table33)
+
+    def test_abort_inside_a_pass(self, monkeypatch):
+        # no scatter before the fatal one, so each batch is one run of
+        # passes of span events from event 1, and records end inside them
+        monkeypatch.setattr(trajectory, "_scatter_multipliers",
+                            zero_multipliers)
+        table, psi = ground_state_system(3, 3, U=0.05, gN=0.2)
+        for n_traj in (1, 5):
+            span = max(1, trajectory._PASS_EVENTS // n_traj)
+            recs = run_trajectories(
+                psi, table, 300, [trajectory_seed(0, i) for i in range(n_traj)],
+                snapshot_stride=1)
+            ends = [len(rec.events) for rec in recs]
+            assert all(rec.aborted for rec in recs)
+            assert any(n > span and n % span for n in ends), ends
+            for rec in recs:
+                self.assert_rebuilt(rec, table)
+
+
 class TestAgainstPerBasisLoop:
     def test_criterion_8_point_matches(self):
         # criterion 8's working point: the same event kinds, and angles,
