@@ -55,8 +55,7 @@ from .trajectory import (
 if TYPE_CHECKING:
     from .config import RunConfig
 
-# class weights a lockstep block holds per array (8 MB), unless one
-# row's n_traj trajectories need more
+# class weights a lockstep block holds per array (8 MB)
 _BLOCK_WEIGHTS = 1 << 20
 
 # trajectories whose class weights a snapshot sums as one chunk
@@ -281,7 +280,7 @@ def _lockstep(w0, n_traj, row_seeds, table, n_events, n_bins, slots,
     j), at index r n_traj + j.
 
     The list is cut once, from index 0, into lockstep blocks of
-    min(max(n_traj, _BLOCK_WEIGHTS // K), ceil(n / procs)) trajectories,
+    min(max(1, _BLOCK_WEIGHTS // K), ceil(n / procs)) trajectories,
     in whole _CHUNKs, procs being workers capped by the trajectory and
     CPU counts; one pool runs them, or this process if one suffices.
     Returns the seeds it ran; the histogram of every scatter angle in
@@ -294,7 +293,7 @@ def _lockstep(w0, n_traj, row_seeds, table, n_events, n_bins, slots,
     n = len(seeds)
     row_of = np.repeat(np.arange(len(w0)), n_traj)
     procs = _pool_size(workers, n)
-    size = min(max(n_traj, _BLOCK_WEIGHTS // w0.shape[1]), -(-n // procs))
+    size = min(max(1, _BLOCK_WEIGHTS // w0.shape[1]), -(-n // procs))
     size = -(-size // _CHUNK) * _CHUNK
     args = [(w0, row_of[a:a + size], seeds[a:a + size], table, n_events,
              n_bins, slots) for a in range(0, n, size)]

@@ -58,39 +58,38 @@ _VECTOR_FIELDS = 1 << 13
 
 
 def _lines(template: str, n_rows: int, *columns):
-    """The bytes of the lines template % row of n_rows rows, in blocks of
-    max(1, _BLOCK_FIELDS // F) rows, F the template's fields, each made
-    when the writer asks.  A 1-D array fills one field, a 2-D array one
-    per column, any other iterable one.  A block's trailing ",%.17g" run
-    filled by float64 arrays goes through _float17.format_17g if it holds
-    at least _VECTOR_FIELDS values, and all else through %."""
-    size = max(1, _BLOCK_FIELDS // template.count("%"))
+    """The bytes of n_rows lines, in blocks of max(1, _BLOCK_FIELDS // F)
+    rows, each made when the writer asks.  The template's fields lead,
+    filled one each by the first template.count("%") columns, 1-D arrays
+    or iterables; every further column is a float64 array appended as
+    ",%.17g" fields, one per column of a 2-D array.  F counts both.  A
+    block's float tail of _VECTOR_FIELDS values or more goes through
+    _float17.format_17g, and all else through %."""
+    lead = template.count("%")
     columns = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
-    run = width = 0
-    for c in reversed(columns):
-        w = c.shape[1] if getattr(c, "ndim", 0) == 2 else 1
-        if not (getattr(c, "dtype", None) == np.float64 and
-                ("," + template).endswith(",%.17g" * (width + w))):
-            break
-        run, width = run + 1, width + w
-    # the template with the run as one %s, and rows per format_17g call
-    head = (("," + template)[:len(template) + 1 - 6 * width] + ",%s")[1:]
+    tail = columns[lead:]
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in tail)
+    size = max(1, _BLOCK_FIELDS // (lead + width))
+    # rows per format_17g call
     step = max(1, _VECTOR_FIELDS // max(1, width))
     for a in range(0, n_rows, size):
         n = min(size, n_rows - a)
         vector = n * width >= _VECTOR_FIELDS
-        fields = []
-        for c in columns[:len(columns) - run] if vector else columns:
-            fields += (c[a:a + n].reshape(n, -1).T.tolist()
-                       if isinstance(c, np.ndarray)
-                       else [list(itertools.islice(c, n))])
+        fields = [c[a:a + n].tolist() if isinstance(c, np.ndarray)
+                  else list(itertools.islice(c, n)) for c in columns[:lead]]
         if vector:
             from ._float17 import format_17g
-            values = np.column_stack([c[a:a + n] for c in columns[-run:]])
+            values = np.column_stack([c[a:a + n] for c in tail])
             fields.append(b"".join(map(format_17g, np.split(
                 values, range(step, n, step)))).decode().splitlines())
-        yield ("\n".join([(head if vector else template) % row
-                          for row in zip(*fields)]) + "\n").encode()
+        else:
+            for c in tail:
+                fields += c[a:a + n].reshape(n, -1).T.tolist()
+        # a vectorized tail is one %s field
+        line = ",".join(filter(None, [template] + (
+            ["%s"] if vector else ["%.17g"] * width)))
+        yield ("\n".join([line % row for row in zip(*fields)])
+               + "\n").encode()
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -171,7 +170,7 @@ def cmd_predict(cfg: RunConfig, writer: OutputWriter) -> None:
         "ground_state.csv",
         ["basis_index", "occupation", "coeff_re", "coeff_im", "probability",
          "energy"],
-        _lines(f"%d,{occ},%.17g,%.17g,%.17g,%.17g", len(psi.coeffs),
+        _lines(f"%d,{occ}", len(psi.coeffs),
                range(len(psi.coeffs)), *system.basis.occupations.T,
                psi.coeffs.real, psi.coeffs.imag, psi.probabilities,
                np.broadcast_to(system.energy, psi.coeffs.shape)))
@@ -179,14 +178,13 @@ def cmd_predict(cfg: RunConfig, writer: OutputWriter) -> None:
     theta = system.table.theta_grid
     writer.write_csv(
         "scatter_density.csv", ["theta", "density"],
-        _lines("%.17g,%.17g", len(theta), theta,
-               scatter_density(psi, system.table)))
+        _lines("", len(theta), theta, scatter_density(psi, system.table)))
 
     classes = system.classes
     writer.write_csv(
         "classes.csv",
         ["class_index", "signature", "size", "members", "probability"],
-        _lines(f"%d,{occ},%d,%s,%.17g", len(classes),
+        _lines(f"%d,{occ},%d,%s", len(classes),
                range(1, len(classes) + 1),
                *zip(*(cls.signature for cls in classes)),
                (len(cls.members) for cls in classes),
@@ -198,15 +196,16 @@ def cmd_trajectory(cfg: RunConfig, writer: OutputWriter) -> None:
     """One measurement record: per-event rows plus coefficient snapshots."""
     system = prepare_system(cfg)
     n_classes = len(system.classes)
-    # row m: overlap_sq, then the class weights, after the m-th event
-    row = "%d,%s,%s" + ",%.17g" * (n_classes + 1)
-    snap, dim = "%d,%d,%.17g,%.17g", system.basis.dimension
-    per = max(1, _BLOCK_FIELDS // snap.count("%") // dim)
+    # row m: m, kind and angle, then overlap_sq and the class weights
+    # after the m-th event; a snapshot row: m and basis index, then the
+    # coefficient's two parts
+    row, snap, dim = "%d,%s,%s", "%d,%d", system.basis.dimension
+    per = max(1, _BLOCK_FIELDS // (snap.count("%") + 2) // dim)
     # the engine's arrays, one block of events.csv, the wider file, and
     # one group of per snapshots' coefficients, m and basis indices
     _check_memory(system.table.setup, _trajectory_memory(
         cfg.n_events, cfg.snapshot_stride, dim, n_classes, cfg.M)
-        + _FIELD_BYTES * max(_BLOCK_FIELDS, row.count("%"))
+        + _FIELD_BYTES * max(_BLOCK_FIELDS, row.count("%") + 1 + n_classes)
         + 32 * per * dim)
     record = run_trajectory(
         system.initial_state, system.table, cfg.n_events,
@@ -252,26 +251,24 @@ def cmd_ensemble(cfg: RunConfig, writer: OutputWriter) -> None:
     writer.write_csv(
         "class_proportions.csv",
         ["class_index", "signature", "empirical", "predicted"],
-        _lines("%d," + " ".join(["%d"] * cfg.M) + ",%.17g,%.17g",
-               len(signatures), range(1, len(signatures) + 1),
-               *zip(*signatures), stats.class_proportions,
-               stats.class_proportions_predicted))
+        _lines("%d," + " ".join(["%d"] * cfg.M), len(signatures),
+               range(1, len(signatures) + 1), *zip(*signatures),
+               stats.class_proportions, stats.class_proportions_predicted))
 
     writer.write_csv(
         "histogram.csv", ["bin_center", "count", "predicted_density"],
-        _lines("%.17g,%d,%.17g", cfg.n_bins, bin_centers(cfg.n_bins),
+        _lines("%.17g,%d", cfg.n_bins, bin_centers(cfg.n_bins),
                stats.histogram,
                stats.histogram_predicted / (2.0 * math.pi / cfg.n_bins)))
 
-    n_converged = int(np.count_nonzero(stats.converged_mask))
     writer.write_csv(
         "convergence.csv",
         ["n_traj", "n_events", "n_converged", "convergence_rate", "aborted",
          "total_scatter_events"],
-        [("%d,%d,%d,%.17g,%d,%d\n" % (
-            stats.n_traj, stats.n_events, n_converged,
-            stats.convergence_rate, stats.aborted_count,
-            stats.n_scatter_total)).encode()])
+        _lines("%d,%d,%d,%.17g,%d,%d", 1, *([v] for v in (
+            stats.n_traj, stats.n_events,
+            np.count_nonzero(stats.converged_mask), stats.convergence_rate,
+            stats.aborted_count, stats.n_scatter_total))))
 
 
 def cmd_sweep(cfg: RunConfig, writer: OutputWriter) -> None:
@@ -291,8 +288,7 @@ def cmd_sweep(cfg: RunConfig, writer: OutputWriter) -> None:
               + ["convergence_rate"])
     table = np.array([[r.uj, r.energy, *r.proportions, *r.predicted,
                        r.convergence_rate] for r in rows_out])
-    writer.write_csv("sweep.csv", header, _lines(
-        ",".join(["%.17g"] * len(header)), len(rows_out), table))
+    writer.write_csv("sweep.csv", header, _lines("", len(rows_out), table))
 
 
 _COMMANDS = {

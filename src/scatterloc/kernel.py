@@ -43,16 +43,6 @@ def theta_grid(n_theta: int) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
 
 
-def grid_quadrature(values: np.ndarray) -> float:
-    """Periodic trapezoid rule over the uniform angular grid.
-
-    For a 2*pi-periodic integrand sampled on theta_grid(n) this reduces to
-    (2*pi/n) * sum(values) and is spectrally accurate for smooth densities.
-    """
-    n = values.shape[-1]
-    return float((2.0 * math.pi / n) * np.sum(values, axis=-1))
-
-
 @dataclass(frozen=True)
 class ScatteringSetup:
     """Probe geometry, coupling and envelope for one lattice.
@@ -119,9 +109,7 @@ def envelope_factor(theta, setup: ScatteringSetup):
     (1 - cos(theta))), its Fourier transform at |k(theta)|^2 =
     2 k0^2 (1 - cos(theta)); uniform sites are sigma = 0, exactly 1.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    val = np.exp(-((setup.k0_a * setup.sigma_a) ** 2) * (1.0 - np.cos(theta)))
-    return val if theta.ndim else float(val)
+    return np.exp(-((setup.k0_a * setup.sigma_a) ** 2) * (1.0 - np.cos(theta)))
 
 
 def _structure_amplitudes(occupations, theta, k0_a: float) -> np.ndarray:
@@ -131,13 +119,6 @@ def _structure_amplitudes(occupations, theta, k0_a: float) -> np.ndarray:
     sites = np.arange(occupations.shape[1], dtype=np.float64)
     phases = np.exp(-1j * (k0_a * np.sin(theta))[:, None] * sites)
     return (phases[:, None, :] * occupations).sum(axis=2)
-
-
-def structure_amplitudes(basis: FockBasis, theta: float,
-                         setup: ScatteringSetup) -> np.ndarray:
-    """F_u(theta) for every basis state at once."""
-    return _structure_amplitudes(basis.occupations, np.array([theta]),
-                                 setup.k0_a)[0]
 
 
 def pattern_signature(occ) -> tuple[int, ...]:

@@ -285,9 +285,9 @@ class SparseSymmetric:
     data[:D] is the diagonal.  data[D:] holds the off-diagonal entries,
     entry k at (rows[k], cols[k]); each is listed with its mirror and no
     position twice.  The class offers what ground_state and the memory
-    accounting read from a matrix: shape, diagonal(), data, nnz, nbytes,
-    toarray() and the product H @ x with a real vector, one gather and
-    one np.bincount scatter, with no BLAS call.
+    accounting read from a matrix: shape, diagonal(), data, nbytes and
+    the product H @ x with a real vector, one gather and one np.bincount
+    scatter, with no BLAS call.
     """
 
     def __init__(self, data: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -297,21 +297,11 @@ class SparseSymmetric:
         self._diag, self._vals = data[:dim], data[dim:]
 
     @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    @property
     def nbytes(self) -> int:
         return self.data.nbytes + self.rows.nbytes + self.cols.nbytes
 
     def diagonal(self) -> np.ndarray:
         return self._diag.copy()
-
-    def toarray(self) -> np.ndarray:
-        H = np.zeros(self.shape, dtype=np.float64)
-        H[np.diag_indices(self.shape[0])] = self._diag
-        H[self.rows, self.cols] = self._vals
-        return H
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         # every index is in range by construction, and clipping skips
@@ -339,7 +329,7 @@ def build_hamiltonian(basis: FockBasis, params: HubbardParams):
 
     H = -J sum_<i,j> (b_i^dag b_j + h.c.) + (U/2) sum_j n_j (n_j - 1),
     with the bond set fixed by the lattice boundary condition.  Returns
-    a SparseSymmetric at every size; its toarray() is a dense copy.
+    a SparseSymmetric at every size.
     """
     n = basis.occupations.astype(np.float64)
     # an overflow is an inf, which ground_state refuses

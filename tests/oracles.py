@@ -47,6 +47,20 @@ def momentum_transfer(theta) -> np.ndarray:
     return np.array([1.0 - np.cos(theta), -np.sin(theta)])
 
 
+def grid_quadrature(values: np.ndarray) -> float:
+    """Periodic trapezoid rule on theta_grid(n): (2 pi / n) sum(values)."""
+    return float((2.0 * math.pi / values.shape[-1]) * np.sum(values, axis=-1))
+
+
+def dense(H) -> np.ndarray:
+    """Dense copy of a SparseSymmetric, from its data, rows and cols."""
+    dim = H.shape[0]
+    out = np.zeros(H.shape)
+    out[np.diag_indices(dim)] = H.data[:dim]
+    out[H.rows, H.cols] = H.data[dim:]
+    return out
+
+
 def structure_amplitude(occ, theta: float, setup) -> complex:
     """Phase sum F(theta) = sum_j n_j exp(-i (j-1) k0_a sin(theta))."""
     phase = -setup.k0_a * math.sin(theta)

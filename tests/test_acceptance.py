@@ -29,13 +29,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import class_columns
+from oracles import class_columns, grid_quadrature
 from scatterloc.analysis import build_classes, run_ensemble
 from scatterloc.cli import main as cli_main
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
-    grid_quadrature,
     nonscatter_prob,
     scatter_density,
 )

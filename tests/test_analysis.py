@@ -921,20 +921,21 @@ class TestSweep:
             assert sweep(three, 7, workers=workers) == base
             assert pools == [{"max_workers": 2}]
             assert blocks == [2]
-        # a block holds max(n_traj, _BLOCK_WEIGHTS // K) trajectories:
-        # blocks of 10 straddle rows, and no run takes more steps than
-        # one per row and event
+        # a block holds max(1, _BLOCK_WEIGHTS // K) trajectories: blocks
+        # of 10 straddle rows, and no run takes more steps than one per
+        # row and event
         monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", 10 * k)
         assert sweep(three, 7) == base
         assert steps == [10] * 40 + [10] * 40 + [1] * 40
-        # nor fewer than one row's, so an ensemble runs as one block
+        # the budget alone caps a block, at one trajectory at least, in a
+        # sweep and in an ensemble alike
         monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", k)
         assert sweep(three, 7) == base
-        assert steps == [7] * 120
+        assert steps == [1] * (21 * 40)
         _, classes, table, psi = system33
         steps.clear()
         run_ensemble(psi, 9, 40, table, classes, master_seed=8)
-        assert steps == [9] * 40
+        assert steps == [1] * (9 * 40)
 
         # one trajectory per row: blocks of 1 and of 5 against one block
         seven = [0.0, 0.05, 0.3, 1.0, 2.0, 10.0, math.inf]

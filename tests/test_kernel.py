@@ -21,6 +21,7 @@ from oracles import (
     class_columns,
     density_cdf,
     density_quantile,
+    grid_quadrature,
     momentum_transfer,
     structure_amplitude,
 )
@@ -32,11 +33,9 @@ from scatterloc.kernel import (
     angle_cdf,
     build_pattern_table,
     envelope_factor,
-    grid_quadrature,
     nonscatter_prob,
     sample_angles,
     scatter_density,
-    structure_amplitudes,
     theta_grid,
 )
 from scatterloc.lattice import (
@@ -137,11 +136,13 @@ class TestStructureAmplitude:
         batch = _structure_amplitudes(basis.occupations, np.array(thetas),
                                       setup.k0_a)
         for theta, row in zip(thetas, batch):
-            vec = structure_amplitudes(basis, theta, setup)
+            vec = _structure_amplitudes(basis.occupations, np.array([theta]),
+                                        setup.k0_a)[0]
             for i, occ in enumerate(basis.states):
                 assert vec[i] == pytest.approx(
                     structure_amplitude(occ, theta, setup), abs=1e-12)
-            # one implementation: the one-angle call is the batch's row
+            # an angle's row ignores the others: the one-angle call is the
+            # batch's row, bit for bit
             np.testing.assert_array_equal(vec.view(np.int64),
                                           row.view(np.int64))
 

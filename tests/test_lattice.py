@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense
 import scatterloc
 from scatterloc import lattice
 from scatterloc.lattice import (
@@ -233,11 +234,11 @@ class TestHamiltonian:
         basis = enumerate_basis(LatticeSpec(M=2, N=1))
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0))
         assert isinstance(H, SparseSymmetric)
-        np.testing.assert_array_equal(H.toarray(), [[0.0, -1.0], [-1.0, 0.0]])
+        np.testing.assert_array_equal(dense(H), [[0.0, -1.0], [-1.0, 0.0]])
 
     def test_interaction_diagonal(self):
         basis = enumerate_basis(LatticeSpec(M=3, N=3))
-        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0)).toarray()
+        H = dense(build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0)))
         assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
         assert H[basis.index_of((3, 0, 0)), basis.index_of((3, 0, 0))] == 3.0
         assert H[basis.index_of((2, 1, 0)), basis.index_of((2, 1, 0))] == 1.0
@@ -246,14 +247,14 @@ class TestHamiltonian:
     def test_single_particle_chain_spectrum(self):
         # open tridiagonal hopping matrix: eigenvalues -2J cos(k pi / (M+1))
         basis = enumerate_basis(LatticeSpec(M=3, N=1))
-        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)).toarray()
+        H = dense(build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)))
         evals = np.linalg.eigvalsh(H)
         expected = sorted(-2.0 * math.cos(k * math.pi / 4) for k in (1, 2, 3))
         np.testing.assert_allclose(evals, expected, atol=1e-12)
 
     def test_hop_amplitude_bose_factor(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=3))
-        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)).toarray()
+        H = dense(build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)))
         i = basis.index_of((2, 1))
         j = basis.index_of((1, 2))
         # b_2^dag b_1 on |2,1>: sqrt(2) * sqrt(2) = 2
@@ -264,7 +265,7 @@ class TestHamiltonian:
                          (2, 4, Boundary.OPEN)]:
             basis = enumerate_basis(LatticeSpec(M=M, N=N, boundary=bc))
             H = build_hamiltonian(basis, HubbardParams(J=0.7, U=1.3))
-            H = H.toarray()
+            H = dense(H)
             assert np.array_equal(H, H.T)
 
     @pytest.mark.parametrize("M,N,bc", [
@@ -280,12 +281,13 @@ class TestHamiltonian:
             H = build_hamiltonian(basis, params)
             ref = reference_hamiltonian(basis, params)
             assert isinstance(H, SparseSymmetric)
-            np.testing.assert_array_equal(H.toarray().view(np.uint64),
+            np.testing.assert_array_equal(dense(H).view(np.uint64),
                                           ref.view(np.uint64))
             # each entry stored once: the diagonal and every nonzero hop
             # with its mirror, no position twice, none on the diagonal
-            assert len(H.rows) == len(H.cols) == H.nnz - dim
-            assert H.nnz == dim + np.count_nonzero(ref - np.diag(np.diag(ref)))
+            assert len(H.rows) == len(H.cols) == len(H.data) - dim
+            assert len(H.data) == dim + np.count_nonzero(
+                ref - np.diag(np.diag(ref)))
             assert not np.any(H.rows == H.cols)
             keys = H.rows * dim + H.cols
             assert np.unique(keys).size == keys.size
@@ -295,7 +297,7 @@ class TestHamiltonian:
     def test_offdiagonals_are_single_neighbour_hops(self):
         spec = LatticeSpec(M=3, N=2)
         basis = enumerate_basis(spec)
-        H = build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)).toarray()
+        H = dense(build_hamiltonian(basis, HubbardParams(J=1.0, U=0.0)))
         bonds = set(spec.bonds)
         occs = basis.occupations
         for i in range(len(basis)):
@@ -363,7 +365,7 @@ class TestGroundState:
     def test_non_finite_input_is_never_certified(self, monkeypatch):
         # hopping-free dense H with a NaN diagonal entry
         basis = enumerate_basis(LatticeSpec(M=3, N=3))
-        H = build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0)).toarray()
+        H = dense(build_hamiltonian(basis, HubbardParams(J=0.0, U=1.0)))
         H[2, 2] = np.nan
         with pytest.raises(EigensolverError):
             ground_state(H, basis)
@@ -446,7 +448,7 @@ class TestSparseGroundState:
         H = build_hamiltonian(basis, HubbardParams(J=1.0, U=U))
         assert isinstance(H, SparseSymmetric)
         energy, state = ground_state(H, basis)
-        assert_matches_dense_eigh(H.toarray(), energy, state)
+        assert_matches_dense_eigh(dense(H), energy, state)
 
     def test_free_bosons_energy_at_m9_n9(self):
         # D = 24310, where a dense H would take 4.7 GB; U = 0 puts all
@@ -487,9 +489,9 @@ class TestSparseGroundState:
         import scipy.sparse
 
         basis = enumerate_basis(LatticeSpec(M=m, N=m, boundary=bc))
-        dense = build_hamiltonian(basis, HubbardParams(J=1.0, U=U)).toarray()
-        energy, state = ground_state(scipy.sparse.csr_array(dense), basis)
-        assert_matches_dense_eigh(dense, energy, state)
+        full = dense(build_hamiltonian(basis, HubbardParams(J=1.0, U=U)))
+        energy, state = ground_state(scipy.sparse.csr_array(full), basis)
+        assert_matches_dense_eigh(full, energy, state)
 
     def test_breakdown_continues_to_the_lowest_pairs(self):
         # the vector of ones is the top eigenvector of a ring's adjacency

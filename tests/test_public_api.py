@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 import scatterloc
-from scatterloc import kernel, lattice
+from scatterloc import lattice
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -99,8 +99,6 @@ def test_signatures_are_unchanged():
     for name, expected in SIGNATURES.items():
         got = str(inspect.signature(getattr(scatterloc, name)))
         assert got == expected, name
-    assert list(inspect.signature(kernel.structure_amplitudes).parameters) \
-        == ["basis", "theta", "setup"]
     for name, params in CONSTRUCTORS.items():
         got = list(inspect.signature(getattr(scatterloc, name)).parameters)
         assert got == params, name

@@ -19,6 +19,7 @@ from oracles import (
     density_cdf,
     density_quantile,
     fidelity_multipliers,
+    grid_quadrature,
     mean_fidelity,
     per_basis_trajectory,
 )
@@ -28,7 +29,6 @@ from scatterloc.config import RunConfig
 from scatterloc.kernel import (
     ScatteringSetup,
     build_pattern_table,
-    grid_quadrature,
     nonscatter_prob,
     scatter_density,
 )
