@@ -118,16 +118,9 @@ def bin_centers(n_bins: int) -> np.ndarray:
 
 def bin_angles(angles, n_bins: int) -> np.ndarray:
     """Histogram counts of angles over the uniform [-pi, pi) bins."""
-    a = np.asarray(angles, dtype=np.float64)
-    if a.size == 0:
-        return np.zeros(n_bins, dtype=np.int64)
-    k = _bin_index(a, n_bins)
-    return np.bincount(k, minlength=n_bins).astype(np.int64)
-
-
-def _bin_index(theta, n_bins: int):
-    k = np.floor((np.asarray(theta) + math.pi) * (n_bins / (2.0 * math.pi)))
-    return np.clip(k.astype(np.int64), 0, n_bins - 1)
+    k = np.floor((np.asarray(angles, dtype=np.float64) + math.pi)
+                 * (n_bins / (2.0 * math.pi))).astype(np.int64)
+    return np.bincount(np.clip(k, 0, n_bins - 1), minlength=n_bins)
 
 
 def angle_histogram(records, n_bins: int) -> np.ndarray:
@@ -273,16 +266,22 @@ def _pool_size(workers: int, n: int) -> int:
     return min(workers, n, cpus)
 
 
+def _block_size(n: int, k: int, procs: int) -> int:
+    """Trajectories per lockstep block of n over k classes on procs
+    processes, in whole _CHUNKs, the one rule _lockstep cuts by."""
+    size = min(max(1, _BLOCK_WEIGHTS // k), -(-n // procs))
+    return -(-size // _CHUNK) * _CHUNK
+
+
 def _lockstep(w0, n_traj, row_seeds, table, n_events, n_bins, slots,
               workers):
     """Run n_traj trajectories from each row r of class weights w0, shape
     (rows, K): trajectory j of row r on seed trajectory_seed(row_seeds[r],
     j), at index r n_traj + j.
 
-    The list is cut once, from index 0, into lockstep blocks of
-    min(max(1, _BLOCK_WEIGHTS // K), ceil(n / procs)) trajectories,
-    in whole _CHUNKs, procs being workers capped by the trajectory and
-    CPU counts; one pool runs them, or this process if one suffices.
+    The list is cut once, from index 0, into blocks of _block_size(n, K,
+    procs), procs being workers capped by the trajectory and CPU counts;
+    one pool runs them, or this process if one suffices.
     Returns the seeds it ran; the histogram of every scatter angle in
     n_bins bins; the weight sums at the slots' snapshots of each chunk,
     which do not depend on the cut, (chunks, snapshots, K); and each
@@ -293,8 +292,7 @@ def _lockstep(w0, n_traj, row_seeds, table, n_events, n_bins, slots,
     n = len(seeds)
     row_of = np.repeat(np.arange(len(w0)), n_traj)
     procs = _pool_size(workers, n)
-    size = min(max(1, _BLOCK_WEIGHTS // w0.shape[1]), -(-n // procs))
-    size = -(-size // _CHUNK) * _CHUNK
+    size = _block_size(n, w0.shape[1], procs)
     args = [(w0, row_of[a:a + size], seeds[a:a + size], table, n_events,
              n_bins, slots) for a in range(0, n, size)]
     procs = min(procs, len(args))
@@ -332,7 +330,7 @@ def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, slots):
     for m, w, rows, theta, _ in _lockstep_events(w, seeds, alive, table,
                                                  n_events):
         if rows.size:
-            np.add.at(histogram, _bin_index(theta, n_bins), 1)
+            histogram += bin_angles(theta, n_bins)
             scatter_counts[rows] += 1
         if m in slots:
             sums[:, slots[m]] = np.add.reduceat(w, starts)
@@ -394,12 +392,13 @@ def _memory_need(setup: ScatteringSetup) -> int:
 def _trajectory_memory(n_events: int, snapshot_stride: int, dim: int,
                        n_classes: int, M: int) -> int:
     """Upper bound, in bytes, of what run_trajectory holds for one record
-    of n_events events over dim basis states of M sites in n_classes
-    classes.
+    of n_events events over dim Fock states of M sites in n_classes classes.
 
     The (n_events + 1) x K class weights and the overlap series, the
-    n_events angles, and per event its DetectionEvent, index, angle and
-    two list slots, under 128 bytes.  The snapshots, (n_events //
+    n_events angles, and per event, under 272 bytes, the shared
+    non-scatter DetectionEvent, index and two list slots and, as if it
+    scattered, the record's own DetectionEvent, index and angle and the
+    scatter-index list's entry.  The snapshots, (n_events //
     snapshot_stride + 2) x D complex, each with its array and tuple
     objects, under 512 bytes; the phase kicks' D x M complex products,
     twelve D-wide complex vectors of phase factors, amplitude ratios and
@@ -408,7 +407,7 @@ def _trajectory_memory(n_events: int, snapshot_stride: int, dim: int,
     quotients per event; and 64 kB of fixed objects.
     """
     snapshots = n_events // snapshot_stride + 2
-    return (8 * (n_events + 1) * (n_classes + 1) + 136 * n_events
+    return (8 * (n_events + 1) * (n_classes + 1) + 280 * n_events
             + snapshots * (16 * dim + 512) + 16 * dim * (M + 12)
             + _PASS_EVENTS * (24 * dim + 16 * n_classes) + (1 << 16))
 
@@ -421,17 +420,21 @@ def _ensemble_memory(n_traj: int, n_bins: int, snapshots: int,
 
     Per bin: the histogram and a block's, the bin edges and centres, the
     predicted masses and angle_cdf's (n_bins + 1) x M temporaries, under
-    (16 + 8 M) words.  Per trajectory: its final weights, six K-wide
-    rows of the lockstep block's working arrays, its PCG64 stream (under
-    1 kB), its uniforms and a few words of seed, row, scatter count and
-    flags.  Per chunk of _CHUNK trajectories: its K class weights at
-    each snapshot, in its block and in the concatenated sums.  And 64 kB
-    of fixed objects.
+    (16 + 8 M) words.  Per row of the largest block this process runs,
+    as if it scattered: seven K-wide rows of the event step, a (rows, K,
+    M) product of sample_angles' mean signature or _scatter_multipliers,
+    its PCG64 stream (944 bytes) and its uniforms.  Per trajectory: its
+    final weights in its block and in their concatenation, and eight
+    words of seed, row, scatter count and flags.  Per chunk of _CHUNK
+    trajectories: its K class weights at each snapshot, in its block and
+    in the concatenated sums.  And 64 kB of fixed objects.
     """
     chunks = -(-n_traj // _CHUNK)
+    b = min(n_traj, _block_size(n_traj, n_classes, 1))
     return (8 * (n_bins + 1) * (16 + 8 * M)
-            + 8 * n_classes * (7 * n_traj + 2 * snapshots * chunks)
-            + n_traj * (1024 + 8 * _UNIFORM_BLOCK + 64) + (1 << 16))
+            + 8 * n_classes * (2 * n_traj + (7 + M) * b
+                               + 2 * snapshots * chunks)
+            + b * (1024 + 8 * _UNIFORM_BLOCK) + 64 * n_traj + (1 << 16))
 
 
 def _gib(n: int) -> str:

@@ -251,9 +251,6 @@ class ManyBodyState:
         """|c_u|^2 for every basis state."""
         return np.abs(self.coeffs) ** 2
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
 
 def fock_state(basis: FockBasis, occ) -> ManyBodyState:
     """The basis vector for a single occupation tuple."""

@@ -5,8 +5,9 @@ its definition, and never reads the package's pattern table; the
 per-basis trajectory loop reads only its class densities and angle
 sampler, and evolves the complex coefficients themselves, and the mean
 fidelity reads only the table's grid quadratures and non-scatter
-amplitudes.  Tests read the table's per-class columns through
-class_columns.  The CSV
+amplitudes.  The mixture sampler reads only the non-scatter
+probabilities and the angle sampler, on one class at a time.  Tests
+read the table's per-class columns through class_columns.  The CSV
 oracle at the end builds each command's files field by field through
 csv.writer.
 """
@@ -312,6 +313,54 @@ def mean_fidelity(state: ManyBodyState, table: PatternTable,
         out[m] = p @ power @ p
         power *= lam
     return out
+
+
+def mixture_trajectories(weights: np.ndarray, table: PatternTable,
+                         n_events: int, seeds, threshold: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """First passage and scatter count of trajectories drawn as a mixture
+    over classes from class weights P, one per seed.
+
+    Every detection operator is diagonal in the class index, so the
+    class weights after m events are the posterior of a hidden class
+    given the m outcomes, and the outcomes' law is sum_k P_k prod_i
+    p_k(o_i).  Each trajectory therefore draws its class k from P on its
+    own stream, then every outcome from class k alone: a non-scatter
+    with probability |A_k|^2 (the table's ns_prob), otherwise an angle
+    from sample_angles on k's one-hot row.  Its class weights are the
+    posterior P_j prod_i p_j(o_i), normalised, with p_j(theta) taken as
+    |F_j(theta)|^2 of a member of class j: the probe's coupling and
+    envelope are common to every class and cancel.  Returns, per
+    trajectory, the first event after which a class weight exceeds
+    threshold (n_events + 1 if none does) and its scatter count.
+    """
+    n_classes = len(weights)
+    occ = table.basis.occupations[np.unique(table.class_of,
+                                            return_index=True)[1]]
+    sites = np.arange(occ.shape[1])
+    cum = np.cumsum(weights)
+    with np.errstate(divide="ignore"):
+        log_p, log_ns = np.log(weights), np.log(table.ns_prob)
+    passage, counts = [], []
+    for seed in seeds:
+        gen = np.random.Generator(np.random.PCG64(seed))
+        k = min(int(np.searchsorted(cum, gen.random() * cum[-1],
+                                    side="right")), n_classes - 1)
+        hits = np.flatnonzero(gen.random(n_events) >= table.ns_prob[k])
+        theta = sample_angles(np.eye(n_classes)[np.full(hits.size, k)],
+                              gen.random(hits.size), table)
+        phases = np.exp(-1j * table.setup.k0_a * np.outer(np.sin(theta),
+                                                          sites))
+        logs = np.tile(log_ns, (n_events, 1))
+        with np.errstate(divide="ignore"):
+            logs[hits] = np.log(np.abs(phases @ occ.T) ** 2)
+        log_w = log_p + np.cumsum(logs, axis=0)
+        # the largest weight is exp(0) = 1 before normalisation
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        past = np.flatnonzero(threshold * w.sum(axis=1) < 1.0)
+        passage.append(past[0] + 1 if past.size else n_events + 1)
+        counts.append(hits.size)
+    return np.array(passage), np.array(counts)
 
 
 # The CLI's CSV rows as it built them before its one-template-per-file

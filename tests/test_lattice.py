@@ -352,7 +352,8 @@ class TestGroundState:
         k = int(np.argmax(np.abs(state.coeffs)))
         assert state.coeffs[k].real > 0
         assert state.coeffs[k].imag == 0.0
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(state.probabilities)) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_input(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=1))
@@ -458,7 +459,8 @@ class TestSparseGroundState:
         energy, state = ground_state(H, basis)
         assert energy == pytest.approx(-2 * 9 * math.cos(math.pi / 10),
                                        abs=1e-9)
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(state.probabilities)) == \
+            pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m,U", [(7, 0.5), (7, 10.0), (8, 0.5), (9, 0.5)])
     def test_energy_matches_arpack(self, m, U):
@@ -625,7 +627,8 @@ class TestStatesAndOverlap:
     def test_normalization(self):
         basis = enumerate_basis(LatticeSpec(M=2, N=2))
         state = ManyBodyState.from_coefficients(basis, [3.0, 4.0, 0.0])
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-15)
+        assert float(np.sum(state.probabilities)) == \
+            pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(state.probabilities, [0.36, 0.64, 0.0])
         with pytest.raises(ValueError):
             ManyBodyState.from_coefficients(basis, [0.0, 0.0, 0.0])

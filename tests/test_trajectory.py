@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from oracles import (
     bisection_angles,
@@ -21,6 +22,7 @@ from oracles import (
     fidelity_multipliers,
     grid_quadrature,
     mean_fidelity,
+    mixture_trajectories,
     per_basis_trajectory,
 )
 from scatterloc import trajectory
@@ -147,7 +149,8 @@ class TestScatterBackaction:
         expected = c.copy()
         expected[basis.index_of((0, 3, 0))] *= -1.0
         np.testing.assert_allclose(out.coeffs, expected, atol=1e-12)
-        assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(out.probabilities)) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_suppresses_states_with_weak_pattern(self, table33):
         basis = table33.basis
@@ -408,7 +411,8 @@ class TestRunTrajectory:
         assert [e.index for e in rec.events] == list(range(1, 51))
         assert not rec.aborted
         assert rec.n_scatter == len(rec.scatter_angles())
-        assert rec.final_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(rec.final_state.probabilities)) == \
+            pytest.approx(1.0, abs=1e-12)
         # series carry the starting point in row 0
         assert rec.overlap_sq_series.shape == (51,)
         assert rec.overlap_sq_series[0] == 1.0
@@ -691,3 +695,46 @@ class TestMeanFidelity:
         se = f.std(axis=0, ddof=1) / math.sqrt(n_traj)
         z = (f.mean(axis=0) - mean_fidelity(psi, table, n_events)[1:]) / se
         assert np.max(np.abs(z)) <= 4.0, np.max(np.abs(z))
+
+
+class TestMixtureLaw:
+    # sqrt(n_a n_b / (n_a + n_b)) times the two-sample Kolmogorov-Smirnov
+    # distance, fixed before the first run at the 0.1% critical value
+    # (1.36 at 5%); the samplers share no stream, so only the laws agree
+    KS_LIMIT = 1.95
+
+    @pytest.mark.parametrize("settings,n_traj,n_events", [
+        (dict(M=3, N=3, U=0.0, gN=0.5), 1000, 1000),
+        (dict(M=4, N=4, U=0.5, gN=0.5), 1000, 1000),
+        (dict(M=4, N=4, U=0.5, gN=0.5, boundary="periodic",
+              envelope="gaussian", sigma_a=0.3), 1000, 1500),
+    ], ids=["M3-U0", "M4-U0.5", "M4-ring-gaussian"])
+    def test_engine_law_matches_the_mixture_sampler(self, settings, n_traj,
+                                                    n_events):
+        # the class weights are the posterior of a hidden class, so a
+        # sampler that draws the class first and then independent
+        # outcomes has the engine's law of first passage past
+        # CONVERGENCE_THRESHOLD and of scatter counts; the three points
+        # take 3-4 s
+        system = prepare_system(RunConfig(**settings))
+        table = system.table
+        p0 = table.class_weights(system.initial_state.probabilities)
+        seeds = [trajectory_seed(1, i) for i in range(n_traj)]
+        w = np.tile(p0, (n_traj, 1))
+        alive = np.ones(n_traj, dtype=bool)
+        passage = np.full(n_traj, n_events + 1)
+        counts = np.zeros(n_traj, dtype=np.int64)
+        for m, w, rows, _, _ in trajectory._lockstep_events(
+                w, seeds, alive, table, n_events):
+            counts[rows] += 1
+            passage[(passage > n_events)
+                    & (w.max(axis=1) > trajectory.CONVERGENCE_THRESHOLD)] = m
+        assert alive.all()
+        oracle = mixture_trajectories(
+            p0, table, n_events,
+            [trajectory_seed(2, i) for i in range(n_traj)],
+            trajectory.CONVERGENCE_THRESHOLD)
+        scale = math.sqrt(n_traj / 2)
+        ks = [scale * scipy.stats.ks_2samp(a, b).statistic
+              for a, b in zip((passage, counts), oracle)]
+        assert max(ks) < self.KS_LIMIT, ks
