@@ -5,9 +5,9 @@ identically, so measurement can never tell them apart: each signature
 group is an absorbing subspace of the detection dynamics.  A long
 trajectory localizes into one group, and the fraction of trajectories
 ending in group k reproduces the group's weight in the initial state.
-This module classifies, runs the ensembles through the trajectory
-module's one event loop, and aggregates the statistics that exhibit
-both facts; a float sum over trajectories adds fixed chunks of them.
+This module classifies, runs the ensembles as a mixture over classes,
+and aggregates the statistics that exhibit both facts; a float sum over
+trajectories adds fixed chunks of them.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .kernel import (
     PatternTable,
     ScatteringSetup,
+    _signature_angles,
     _state_weights,
     angle_cdf,
     build_pattern_table,
@@ -47,7 +48,8 @@ from .trajectory import (
     _PASS_EVENTS,
     _UNIFORM_BLOCK,
     CONVERGENCE_THRESHOLD,
-    _lockstep_events,
+    RngStream,
+    _scatter_multipliers,
     _snapshot_slots,
     trajectory_seed,
 )
@@ -60,6 +62,9 @@ _BLOCK_WEIGHTS = 1 << 20
 
 # trajectories whose class weights a snapshot sums as one chunk
 _CHUNK = 16
+
+# scatters x classes x sites of multiplier products a slice holds (256 kB)
+_SLICE_WEIGHTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,8 @@ class EnsembleStats:
     computed from the initial state.  mean_class_weights is the mean
     class weights at snapshot_indices: sums over chunks of _CHUNK
     trajectories, added in index order, divided by n_traj.  A scatter
-    that annihilates a trajectory's weights is not recorded: the
-    trajectory keeps the weights before it and counts as aborted.
+    at which a trajectory's own class's multiplier is 0 is not recorded:
+    the trajectory keeps the weights before it and counts as aborted.
     """
 
     n_traj: int
@@ -191,10 +196,10 @@ def run_ensemble(initial: ManyBodyState, n_traj: int, n_events: int,
     Every detection operator is diagonal in the class index and acts on
     all members of a class by the same factor, so each recorded quantity
     (event kinds, angles, class weights) depends on the state only
-    through its K class weights.  The runner therefore advances a
-    (trajectories, K) array of class weights through the trajectory
-    engine's lockstep event loop without its phases: the one-row case of
-    the lockstep batch that sweep_uj runs.  Each trajectory draws from
+    through its K class weights, which are the posterior of a hidden
+    class.  So each trajectory draws its class once and its outcomes
+    from that class (_lockstep_block): the one-row case of the lockstep
+    batch that sweep_uj runs.  Each trajectory draws from
     its own PCG64 stream and no reduction goes through BLAS, so its
     result does not depend, bit for bit, on which others share its
     block; and float sums over trajectories are taken over fixed chunks,
@@ -312,31 +317,102 @@ def _lockstep(w0, n_traj, row_seeds, table, n_events, n_bins, slots,
 
 
 def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, slots):
-    """Advance a block of trajectories, trajectory i from row row_of[i]
-    of w0, through the lockstep event loop, binning every scatter into
-    one histogram and counting each trajectory's, and at each snapshot
-    of slots sum the class weights over each _CHUNK trajectories from
-    the block's first.  A trajectory whose weights are annihilated is
-    not alive."""
+    """Run a block of trajectories, trajectory i from row row_of[i] of
+    w0, binning every scatter into one histogram and counting each
+    trajectory's, and at each snapshot of slots sum the class weights
+    over each _CHUNK trajectories from the block's first.
+
+    The weights are the posterior of a hidden class, so trajectory i
+    draws its class k from its row's P with its stream's first uniform,
+    then each event from k alone: a non-scatter where its uniform u <
+    |A_k|^2, else the angle at quantile (u - |A_k|^2) / (1 - |A_k|^2).
+    Each uniform block, cut at snapshots, is worked where it scatters
+    (_scatter_slice), and the log weights are normalised at each
+    snapshot and at the end (_posterior).
+    """
     n, k = len(seeds), w0.shape[1]
     histogram = np.zeros(n_bins, dtype=np.int64)
     starts = np.arange(0, n, _CHUNK)
     sums = np.empty((len(starts), len(slots), k))
-    scatter_counts = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    w = w0[row_of]
     if 0 in slots:
-        sums[:, 0] = np.add.reduceat(w, starts)
-    for m, w, rows, theta, _ in _lockstep_events(w, seeds, alive, table,
-                                                 n_events):
-        if rows.size:
-            histogram += bin_angles(theta, n_bins)
-            scatter_counts[rows] += 1
-        if m in slots:
-            sums[:, slots[m]] = np.add.reduceat(w, starts)
+        sums[:, 0] = np.add.reduceat(w0[row_of], starts)
+    streams = [RngStream(int(seed)) for seed in seeds]
+    u = np.array([stream.uniform() for stream in streams])
+    cum = np.cumsum(w0, axis=1)
+    cls = np.count_nonzero(cum[row_of] <= (u * cum[row_of, -1])[:, None],
+                           axis=1)
+    # where u * cum[-1] rounds up to cum[-1], the last class with P_k > 0
+    cls = np.minimum(cls, k - 1 - np.argmax(w0[:, ::-1] > 0, axis=1)[row_of])
+    with np.errstate(divide="ignore"):
+        log_sums, log_ns = np.log(w0)[row_of], np.log(table.ns_prob)
+    counts = np.zeros(n, dtype=np.int64)
+    # the events each trajectory has run: n_events unless it ended
+    end = np.full(n, n_events)
+    ns_own = table.ns_prob[cls]
+    per_slice = max(1, _SLICE_WEIGHTS // (k * table.signatures.shape[1]))
+    block = np.empty((n, _UNIFORM_BLOCK))
+    for a in range(0, n_events, _UNIFORM_BLOCK):
+        for stream, row in zip(streams, block):
+            stream.fill(row)
+        lo = a
+        for hi in sorted({min(a + _UNIFORM_BLOCK, n_events)}
+                         | {m for m in slots if a < m < a + _UNIFORM_BLOCK}):
+            uniforms = block[:, lo - a:hi - a]
+            rows, cols = ((uniforms >= ns_own[:, None])
+                          & (end > lo)[:, None]).nonzero()
+            for s in range(0, rows.size, per_slice):
+                t, col = rows[s:s + per_slice], cols[s:s + per_slice]
+                _scatter_slice(t, lo + col, uniforms[t, col], cls[t], table,
+                               log_sums, counts, end, histogram)
+            if hi in slots:
+                sums[:, slots[hi]] = np.add.reduceat(_posterior(
+                    log_sums, np.minimum(end, hi) - counts, log_ns), starts)
+            lo = hi
 
-    return {"histogram": histogram, "sums": sums, "final": w,
-            "scatter_counts": scatter_counts, "alive": alive}
+    return {"histogram": histogram, "sums": sums,
+            "final": _posterior(log_sums, end - counts, log_ns),
+            "scatter_counts": counts, "alive": end == n_events}
+
+
+def _scatter_slice(t, event, u, k, table, log_sums, counts, end,
+                   histogram):
+    """Scatters of trajectories t, in trajectory then event order, at
+    0-based events event with uniforms u in classes k: one search of
+    their class signatures for their angles, their log multipliers
+    added to log_sums, the histogram and the counts.  A scatter where
+    its own class's multiplier is 0 ends its trajectory there (end):
+    it and the later ones are dropped, and k's log weight stays finite
+    elsewhere, so no row of weights vanishes."""
+    ns = table.ns_prob[k]
+    theta = _signature_angles(table.signatures[k], (u - ns) / (1.0 - ns),
+                              table)
+    with np.errstate(divide="ignore"):
+        logs = np.log(_scatter_multipliers(theta, table))
+    fatal = logs[np.arange(t.size), k] == -np.inf
+    np.minimum.at(end, t[fatal], event[fatal])
+    keep = event < end[t]
+    if not keep.all():
+        t, theta, logs = t[keep], theta[keep], logs[keep]
+    n_classes = logs.shape[1]
+    # ufunc.at adds in index order: each sum takes its scatters in turn
+    np.add.at(log_sums.reshape(-1),
+              (t[:, None] * n_classes + np.arange(n_classes)).ravel(),
+              logs.ravel())
+    histogram += bin_angles(theta, n_bins=len(histogram))
+    counts += np.bincount(t, minlength=len(counts))
+
+
+def _posterior(log_sums, n_ns, log_ns):
+    """Class weights exp(log_sums + n_ns log_ns), the product 0 where
+    n_ns = 0, each row normalised in place after its largest entry is
+    subtracted."""
+    w = np.zeros(log_sums.shape)
+    np.multiply(n_ns[:, None], log_ns, out=w, where=n_ns[:, None] > 0)
+    w += log_sums
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def _physical_memory() -> int:
@@ -420,21 +496,27 @@ def _ensemble_memory(n_traj: int, n_bins: int, snapshots: int,
 
     Per bin: the histogram and a block's, the bin edges and centres, the
     predicted masses and angle_cdf's (n_bins + 1) x M temporaries, under
-    (16 + 8 M) words.  Per row of the largest block this process runs,
-    as if it scattered: seven K-wide rows of the event step, a (rows, K,
-    M) product of sample_angles' mean signature or _scatter_multipliers,
-    its PCG64 stream (944 bytes) and its uniforms.  Per trajectory: its
-    final weights in its block and in their concatenation, and eight
-    words of seed, row, scatter count and flags.  Per chunk of _CHUNK
-    trajectories: its K class weights at each snapshot, in its block and
-    in the concatenated sums.  And 64 kB of fixed objects.
+    (16 + 8 M) words.  Per row of the largest block this process runs:
+    K log weights and K normalised ones, a PCG64 stream (944 bytes),
+    class, count and end, and per event of a uniform block its uniform,
+    scatter flag and, as if it scattered, two indices.  Per scatter of
+    the largest slice: the (scatters, K, M) product of the multipliers,
+    four K-wide rows and the search's eight M-wide rows and 32 words.
+    Per trajectory: its final weights in its block and in their
+    concatenation, and eight words of seed, row, count and flags.  Per
+    chunk of _CHUNK trajectories: its K class weights at each snapshot,
+    in its block and in the concatenated sums.  And 64 kB of fixed
+    objects.
     """
     chunks = -(-n_traj // _CHUNK)
     b = min(n_traj, _block_size(n_traj, n_classes, 1))
+    scatters = min(max(1, _SLICE_WEIGHTS // (n_classes * M)),
+                   b * _UNIFORM_BLOCK)
     return (8 * (n_bins + 1) * (16 + 8 * M)
-            + 8 * n_classes * (2 * n_traj + (7 + M) * b
-                               + 2 * snapshots * chunks)
-            + b * (1024 + 8 * _UNIFORM_BLOCK) + 64 * n_traj + (1 << 16))
+            + 8 * n_classes * (2 * n_traj + 2 * b + 2 * snapshots * chunks)
+            + b * (1024 + 25 * _UNIFORM_BLOCK)
+            + 8 * scatters * (n_classes * (M + 4) + 8 * M + 32)
+            + 64 * n_traj + (1 << 16))
 
 
 def _gib(n: int) -> str:

@@ -8,9 +8,10 @@ Basis states with equal pattern signatures scatter identically, and
 every pattern is a sum of M basis functions b_d(theta) weighted by the
 signature, so the table holds the M basis functions on a uniform angular
 grid, once per configuration, plus each class's signature.  Both engines
-read the one table through the class weights of their state, and both
-draw scatter angles from the one inverse-CDF sampler, sample_angles,
-whose CDF (angle_cdf) is the only one: predicted bin masses difference it.
+read the one table, and both draw scatter angles from the one inverse-CDF
+sampler, _signature_angles: the trajectory engine at its state's mean
+signature (sample_angles), the ensemble at a class's own signature.  Its
+CDF (angle_cdf) is the only one: predicted bin masses difference it.
 """
 
 from __future__ import annotations
@@ -316,10 +317,19 @@ def angle_cdf(w: np.ndarray, theta: np.ndarray,
 def sample_angles(w: np.ndarray, v: np.ndarray,
                   table: PatternTable) -> np.ndarray:
     """Scatter angle of each row of class weights w, shape (rows, K), at
-    its quantile v in [0, 1] of the piecewise-linear mixture density.
+    its quantile v in [0, 1]: _signature_angles of the row's mean
+    signature."""
+    return _signature_angles(table.mean_signature(w), v, table)
 
-    The mixture CDF at grid index i is CDF(i) = c . cum[i], with c the
-    row's mean signature, and CDF(0) = 0 exactly.  The basis functions
+
+def _signature_angles(c: np.ndarray, v: np.ndarray,
+                      table: PatternTable) -> np.ndarray:
+    """Scatter angle of each row of mean signatures c, shape (rows, M),
+    at its quantile v in [0, 1] of the piecewise-linear mixture density;
+    a class's own signature row draws from that class alone.
+
+    The mixture CDF at grid index i is CDF(i) = c . cum[i], and CDF(0)
+    = 0 exactly.  The basis functions
     are signed, so where their terms cancel the rounded CDF can step
     down, and the search does not assume it is monotone.  A branchless
     search with power-of-two steps s from 2^(p-1) down to 1, where 2^p
@@ -341,7 +351,6 @@ def sample_angles(w: np.ndarray, v: np.ndarray,
     grid, cum = table.theta_grid, table.cum
     n = grid.shape[0]
     h = 2.0 * math.pi / n
-    c = table.mean_signature(w)
     target = v * (c * cum[n]).sum(axis=1)
     lo = np.zeros(len(v), dtype=np.int64)
     cand = np.empty_like(lo)

@@ -18,8 +18,8 @@ rescaled to [0, 1), is pushed through the inverse CDF of the current
 angular density (kernel.sample_angles) to give the detection angle.
 One event step, _event_step, does this for a batch of (rows, K) class
 weights and ends a trajectory before a scatter that annihilates its
-weights; one loop, _lockstep_events, drives it for both engines.
-Records add the per-basis phases; analysis needs the weights alone.
+weights; one loop, _lockstep_events, drives it for records, which add
+the per-basis phases.  Ensembles (analysis) draw from the class mixture.
 """
 
 from __future__ import annotations

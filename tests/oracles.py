@@ -6,7 +6,8 @@ per-basis trajectory loop reads only its class densities and angle
 sampler, and evolves the complex coefficients themselves, and the mean
 fidelity reads only the table's grid quadratures and non-scatter
 amplitudes.  The mixture sampler reads only the non-scatter
-probabilities and the angle sampler, on one class at a time.  Tests
+probabilities and the angle sampler, on one class at a time, and its
+posterior only those probabilities and the structure amplitudes.  Tests
 read the table's per-class columns through class_columns.  The CSV
 oracle at the end builds each command's files field by field through
 csv.writer.
@@ -315,45 +316,76 @@ def mean_fidelity(state: ManyBodyState, table: PatternTable,
     return out
 
 
-def mixture_trajectories(weights: np.ndarray, table: PatternTable,
-                         n_events: int, seeds, threshold: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """First passage and scatter count of trajectories drawn as a mixture
-    over classes from class weights P, one per seed.
+def mixture_outcomes(weights: np.ndarray, table: PatternTable,
+                     n_events: int, seed: int):
+    """Hidden class and outcomes of one trajectory drawn as a mixture
+    over classes from class weights P on seed's PCG64 stream.
 
     Every detection operator is diagonal in the class index, so the
     class weights after m events are the posterior of a hidden class
     given the m outcomes, and the outcomes' law is sum_k P_k prod_i
-    p_k(o_i).  Each trajectory therefore draws its class k from P on its
-    own stream, then every outcome from class k alone: a non-scatter
-    with probability |A_k|^2 (the table's ns_prob), otherwise an angle
-    from sample_angles on k's one-hot row.  Its class weights are the
-    posterior P_j prod_i p_j(o_i), normalised, with p_j(theta) taken as
-    |F_j(theta)|^2 of a member of class j: the probe's coupling and
-    envelope are common to every class and cancel.  Returns, per
-    trajectory, the first event after which a class weight exceeds
-    threshold (n_events + 1 if none does) and its scatter count.
+    p_k(o_i).  The trajectory draws its class k from P with its first
+    uniform (the last class with P_k > 0 where u * cum[-1] rounds up to
+    cum[-1]), then each event from class k alone with one uniform u: a
+    non-scatter where u < |A_k|^2 (the table's ns_prob), otherwise the
+    angle at quantile (u - |A_k|^2) / (1 - |A_k|^2) from sample_angles
+    on k's one-hot row.  Returns k, the 0-based events that scattered
+    and their angles.
     """
-    n_classes = len(weights)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    cum = np.cumsum(weights)
+    k = min(int(np.searchsorted(cum, gen.random() * cum[-1], side="right")),
+            int(np.flatnonzero(weights > 0)[-1]))
+    u = gen.random(n_events)
+    ns = table.ns_prob[k]
+    hits = np.flatnonzero(u >= ns)
+    theta = sample_angles(np.eye(len(weights))[np.full(hits.size, k)],
+                          (u[hits] - ns) / (1.0 - ns), table)
+    return k, hits, theta
+
+
+def mixture_log_likelihoods(table: PatternTable, theta) -> np.ndarray:
+    """log |F_j(theta)|^2 of a member of each class j at every angle:
+    shape (len(theta), K), -inf where F_j vanishes.  The probe's coupling
+    and envelope are common to every class and cancel in a posterior."""
     occ = table.basis.occupations[np.unique(table.class_of,
                                             return_index=True)[1]]
     sites = np.arange(occ.shape[1])
-    cum = np.cumsum(weights)
+    phases = np.exp(-1j * table.setup.k0_a * np.outer(np.sin(theta), sites))
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(phases @ occ.T) ** 2)
+
+
+def mixture_posterior(weights: np.ndarray, table: PatternTable,
+                      n_nonscatter: int, theta) -> np.ndarray:
+    """Class weights P_j |A_j|^(2 n_ns) prod_i |F_j(theta_i)|^2,
+    normalised: the posterior of the hidden class after n_nonscatter
+    non-scatters and scatters at the angles theta."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights) + mixture_log_likelihoods(
+            table, theta).sum(axis=0)
+        if n_nonscatter:
+            log_w += n_nonscatter * np.log(table.ns_prob)
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
+def mixture_trajectories(weights: np.ndarray, table: PatternTable,
+                         n_events: int, seeds, threshold: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """First passage and scatter count of trajectories drawn as a mixture
+    over classes (mixture_outcomes) from class weights P, one per seed:
+    per trajectory, the first event after which its posterior class
+    weight exceeds threshold (n_events + 1 if none does) and its scatter
+    count.
+    """
     with np.errstate(divide="ignore"):
         log_p, log_ns = np.log(weights), np.log(table.ns_prob)
     passage, counts = [], []
     for seed in seeds:
-        gen = np.random.Generator(np.random.PCG64(seed))
-        k = min(int(np.searchsorted(cum, gen.random() * cum[-1],
-                                    side="right")), n_classes - 1)
-        hits = np.flatnonzero(gen.random(n_events) >= table.ns_prob[k])
-        theta = sample_angles(np.eye(n_classes)[np.full(hits.size, k)],
-                              gen.random(hits.size), table)
-        phases = np.exp(-1j * table.setup.k0_a * np.outer(np.sin(theta),
-                                                          sites))
+        _, hits, theta = mixture_outcomes(weights, table, n_events, seed)
         logs = np.tile(log_ns, (n_events, 1))
-        with np.errstate(divide="ignore"):
-            logs[hits] = np.log(np.abs(phases @ occ.T) ** 2)
+        logs[hits] = mixture_log_likelihoods(table, theta)
         log_w = log_p + np.cumsum(logs, axis=0)
         # the largest weight is exp(0) = 1 before normalisation
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))

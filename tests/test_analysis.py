@@ -2,8 +2,9 @@
 
 The end-state class probabilities are checked against an independently
 recomputed multinomial oracle, ensemble means against the initial
-weights (preservation in expectation), and the ensemble runner against
-the per-basis, coefficient-evolving trajectory loop in oracles.py.
+weights (preservation in expectation), and the ensemble's weights
+against the posterior of its outcomes, replayed and recomputed from the
+structure amplitudes by the mixture oracle in oracles.py.
 """
 
 import concurrent.futures
@@ -13,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +34,12 @@ from scatterloc.analysis import (
 )
 from scatterloc import analysis, trajectory
 from scatterloc.config import RunConfig
-from oracles import class_columns, per_basis_trajectory, structure_amplitude
+from oracles import (
+    class_columns,
+    mixture_outcomes,
+    mixture_posterior,
+    structure_amplitude,
+)
 from scatterloc.kernel import (
     ScatteringSetup,
     angle_cdf,
@@ -123,6 +130,30 @@ def allow_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def assert_posterior(stats, table):
+    """Replay every trajectory of an unaborted ensemble with the mixture
+    oracle: its scatter count, the pooled histogram, and its weights at
+    the end and, averaged, at each snapshot must be those of its
+    outcomes, the weights within 1e-12 of their recomputed posterior."""
+    p0, n_events = stats.class_proportions_predicted, stats.n_events
+    hist = np.zeros(stats.n_bins, dtype=np.int64)
+    means = np.zeros(stats.mean_class_weights.shape)
+    for i, seed in enumerate(stats.seeds):
+        _, hits, theta = mixture_outcomes(p0, table, n_events, int(seed))
+        assert hits.size == stats.scatter_counts[i]
+        hist += bin_angles(theta, stats.n_bins)
+        for si, m in enumerate(stats.snapshot_indices):
+            n = np.searchsorted(hits, m)
+            means[si] += mixture_posterior(p0, table, m - n, theta[:n])
+        np.testing.assert_allclose(
+            stats.final_class_weights[i],
+            mixture_posterior(p0, table, n_events - hits.size, theta),
+            rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(stats.histogram, hist)
+    np.testing.assert_allclose(stats.mean_class_weights, means / stats.n_traj,
+                               rtol=0, atol=1e-12)
 
 
 class TestSignatures:
@@ -413,63 +444,70 @@ class TestRunEnsemble:
                                    atol=1e-14)
 
     @pytest.mark.parametrize("system", ["system33", "system55"])
-    def test_deterministic_and_worker_independent(self, system, request):
+    def test_deterministic_and_worker_independent(self, system, request,
+                                                  monkeypatch):
         _, classes, table, psi = request.getfixturevalue(system)
-        a = run_ensemble(psi, 30, 80, table, classes, master_seed=5,
-                         n_bins=20)
-        b = run_ensemble(psi, 30, 80, table, classes, master_seed=5,
-                         n_bins=20)
-        c = run_ensemble(psi, 30, 80, table, classes, master_seed=5,
-                         n_bins=20, workers=3)
+
+        def run(**kwargs):
+            return run_ensemble(psi, 30, 80, table, classes, master_seed=5,
+                                n_bins=20, **kwargs)
+
+        a, b, c = run(), run(), run(workers=3)
+        # slices of one scatter each, so no trajectory shares one: its
+        # log weights add its scatters one at a time as they always do
+        monkeypatch.setattr(analysis, "_SLICE_WEIGHTS", 1)
+        d = run()
         np.testing.assert_array_equal(a.histogram, b.histogram)
         np.testing.assert_array_equal(a.final_class_weights,
                                       b.final_class_weights)
-        np.testing.assert_array_equal(a.histogram, c.histogram)
-        np.testing.assert_array_equal(a.final_class_weights,
-                                      c.final_class_weights)
-        np.testing.assert_array_equal(a.mean_class_weights,
-                                      c.mean_class_weights)
+        for other in (c, d):
+            np.testing.assert_array_equal(a.histogram, other.histogram)
+            np.testing.assert_array_equal(a.final_class_weights,
+                                          other.final_class_weights)
+            np.testing.assert_array_equal(a.mean_class_weights,
+                                          other.mean_class_weights)
 
-    def test_reduced_runner_matches_full_trajectory_engine(self, system33):
-        # the ensemble loop drops coefficient phases; it must still draw
-        # exactly the same events as the coefficient-evolving reference
+    def test_final_weights_are_the_posterior_of_the_outcomes(self, system33):
+        # each trajectory draws its class, then its outcomes, from its own
+        # stream; replayed by the mixture oracle, its weights at every
+        # snapshot and at the end are the posterior of its outcomes
+        # recomputed from |F_j(theta)|^2, and its scatters are the counts
+        # and the histogram
         _, classes, table, psi = system33
-        master = 31
-        stats = run_ensemble(psi, 3, 500, table, classes, master_seed=master,
+        stats = run_ensemble(psi, 5, 500, table, classes, master_seed=31,
                              n_bins=40, snapshot_stride=100)
-        recs = [per_basis_trajectory(psi, table, 500,
-                                     seed=trajectory_seed(master, i))
-                for i in range(3)]
-        hist = np.zeros(40, dtype=np.int64)
-        for i, rec in enumerate(recs):
-            hist += bin_angles(rec.scatter_angles(), 40)
-            assert rec.n_scatter == stats.scatter_counts[i]
-            np.testing.assert_allclose(stats.final_class_weights[i],
-                                       rec.class_weights_final, atol=1e-9)
-        np.testing.assert_array_equal(stats.histogram, hist)
-        for si, m in enumerate(stats.snapshot_indices):
-            mean_at_m = np.mean([rec.class_weights[m] for rec in recs],
-                                axis=0)
-            np.testing.assert_allclose(stats.mean_class_weights[si],
-                                       mean_at_m, atol=1e-9)
+        assert_posterior(stats, table)
 
-    def test_shares_the_event_step_with_run_trajectories(self, system33):
-        # both engines advance through one event step, so the ensemble's
-        # class weights and angles are those of run_trajectories on the
-        # same seeds, bit for bit
+    def test_runs_no_event_step(self, system33, monkeypatch):
+        # ensembles and sweeps draw from the mixture over classes, not
+        # through the trajectory engine's event loop
+        def refuse(*args):
+            raise AssertionError("the event engine ran")
+
+        monkeypatch.setattr(trajectory, "_event_step", refuse)
+        monkeypatch.setattr(trajectory, "_lockstep_events", refuse)
         _, classes, table, psi = system33
-        master = 31
-        stats = run_ensemble(psi, 5, 400, table, classes, master_seed=master,
-                             n_bins=40)
-        recs = run_trajectories(psi, table, 400,
-                                [trajectory_seed(master, i) for i in range(5)])
-        np.testing.assert_array_equal(
-            stats.final_class_weights,
-            np.array([rec.class_weights_final for rec in recs]))
-        np.testing.assert_array_equal(stats.scatter_counts,
-                                      [rec.n_scatter for rec in recs])
-        np.testing.assert_array_equal(stats.histogram,
-                                      angle_histogram(recs, 40))
+        stats = run_ensemble(psi, 20, 100, table, classes, master_seed=1)
+        assert stats.n_scatter_total > 0
+        rows = sweep_uj([0.5, math.inf], LAT33, table.setup, n_traj=4,
+                        n_events=50, master_seed=1)
+        assert len(rows) == 2
+
+    def test_class_without_non_scatter_amplitude_vanishes(self, system55):
+        # at gN = 1 the single-site class scatters every probe, |A_0|^2 =
+        # 0, so one non-scatter leaves its weight exactly 0, with no
+        # warning and no nan from 0 log 0
+        _, classes, table, psi = system55
+        assert table.ns_prob[0] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = run_ensemble(psi, 200, 50, table, classes,
+                                 master_seed=4, snapshot_stride=10)
+        missed = stats.scatter_counts < 50
+        assert missed.any()
+        assert np.all(stats.final_class_weights[missed, 0] == 0.0)
+        assert np.all(np.isfinite(stats.final_class_weights))
+        assert np.all(np.isfinite(stats.mean_class_weights))
 
     def test_chunk_sums_are_worker_independent(self, system33, monkeypatch):
         # 70 trajectories are chunks of 16 with a ragged last one of 6;
@@ -483,13 +521,8 @@ class TestRunEnsemble:
                       for workers in (1, 3))
         np.testing.assert_array_equal(one.mean_class_weights,
                                       three.mean_class_weights)
-        # and are the records' mean to rounding
-        recs = run_trajectories(psi, table, 200, one.seeds)
-        weights = np.array([rec.class_weights for rec in recs])
-        np.testing.assert_allclose(
-            one.mean_class_weights,
-            np.mean(weights[:, one.snapshot_indices], axis=0),
-            rtol=0, atol=1e-15)
+        # and are the mean posterior of the trajectories' outcomes
+        assert_posterior(one, table)
 
     def test_memory_does_not_grow_with_snapshots(self, system55):
         # every snapshot of every trajectory was once kept to be averaged:
@@ -504,10 +537,9 @@ class TestRunEnsemble:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
-    def test_gaussian_envelope_matches_full_trajectory_engine(self):
-        # the envelope branch of the ensemble multiplier against the
-        # coefficient-evolving reference; the horizon stays short because
-        # both amplify rounding along a trajectory
+    def test_gaussian_envelope_posterior(self):
+        # the envelope is common to every class at an angle, so the
+        # multipliers leave it out; the weights are still the posterior
         lat = LatticeSpec(M=4, N=4)
         basis = enumerate_basis(lat)
         classes = build_classes(basis)
@@ -516,19 +548,10 @@ class TestRunEnsemble:
             sigma_a=0.3))
         _, psi = ground_state(
             build_hamiltonian(basis, HubbardParams(J=1.0, U=0.5)), basis)
-        master = 41
-        stats = run_ensemble(psi, 6, 300, table, classes, master_seed=master,
+        stats = run_ensemble(psi, 6, 300, table, classes, master_seed=41,
                              n_bins=40)
-        hist = np.zeros(40, dtype=np.int64)
-        for i in range(6):
-            rec = per_basis_trajectory(psi, table, 300,
-                                       seed=trajectory_seed(master, i))
-            hist += bin_angles(rec.scatter_angles(), 40)
-            assert rec.n_scatter == stats.scatter_counts[i]
-            np.testing.assert_allclose(stats.final_class_weights[i],
-                                       rec.class_weights_final, atol=1e-9)
         assert stats.n_scatter_total > 0
-        np.testing.assert_array_equal(stats.histogram, hist)
+        assert_posterior(stats, table)
 
     def test_pool_size_is_capped(self, monkeypatch):
         # the computed size only: no pool is started here
@@ -602,19 +625,21 @@ class TestRunEnsemble:
             self, system33, monkeypatch):
         # a multiplier forced to zero past theta = 3.0 annihilates the
         # weights of any trajectory that scatters there: that trajectory
-        # stops with its last healthy weights and the rest of its block
-        # runs on as if nothing happened
+        # stops with the weights before that scatter and the rest of its
+        # block runs on as if nothing happened
         _, classes, table, psi = system33
         cut = 3.0
-        real = trajectory._scatter_multipliers
+        real = analysis._scatter_multipliers
 
         def killing(theta, tables):
             return np.where((theta > cut)[:, None], 0.0, real(theta, tables))
 
-        monkeypatch.setattr(trajectory, "_scatter_multipliers", killing)
+        monkeypatch.setattr(analysis, "_scatter_multipliers", killing)
         master, n_traj, n_events = 23, 12, 150
-        stats = run_ensemble(psi, n_traj, n_events, table, classes,
-                             master_seed=master, n_bins=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = run_ensemble(psi, n_traj, n_events, table, classes,
+                                 master_seed=master, n_bins=40)
 
         # the same ensemble twice, as two rows of one lockstep batch cut
         # into blocks of 16 and 8: the second row straddles the cut
@@ -644,37 +669,26 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(split["histogram"],
                                       2 * stats.histogram)
 
+        # replayed: the fatal scatter and every later event are neither
+        # binned nor counted, and the weights are the posterior of the
+        # events before it
         n_aborted = 0
-        for i in range(n_traj):
-            rec = per_basis_trajectory(psi, table, n_events,
-                                       seed=trajectory_seed(master, i))
-            scatters = [e for e in rec.events if e.theta is not None]
-            fatal = [j for j, e in enumerate(scatters) if e.theta > cut]
-            if not fatal:
-                assert stats.scatter_counts[i] == len(scatters)
-                expected = rec.class_weights_final
-            else:
-                n_aborted += 1
-                # the fatal scatter is not counted, as in the record
-                assert stats.scatter_counts[i] == fatal[0]
-                expected = rec.class_weights[scatters[fatal[0]].index - 1]
-            np.testing.assert_allclose(stats.final_class_weights[i],
-                                       expected, atol=1e-9)
+        hist = np.zeros(40, dtype=np.int64)
+        for i, seed in enumerate(stats.seeds):
+            _, hits, theta = mixture_outcomes(w0, table, n_events, int(seed))
+            fatal = np.flatnonzero(theta > cut)
+            n = fatal[0] if fatal.size else hits.size
+            events = hits[n] if fatal.size else n_events
+            n_aborted += fatal.size > 0
+            assert stats.scatter_counts[i] == n
+            hist += bin_angles(theta[:n], 40)
+            np.testing.assert_allclose(
+                stats.final_class_weights[i],
+                mixture_posterior(w0, table, events - n, theta[:n]),
+                rtol=0, atol=1e-12)
         assert 0 < n_aborted < n_traj
         assert stats.aborted_count == n_aborted
-        assert stats.histogram.sum() == stats.scatter_counts.sum()
-
-        # one rule for both engines: the records on the same seeds end
-        # before the fatal scatter too, bit for bit
-        recs = run_trajectories(psi, table, n_events, stats.seeds)
-        assert sum(rec.aborted for rec in recs) == n_aborted
-        np.testing.assert_array_equal(stats.scatter_counts,
-                                      [rec.n_scatter for rec in recs])
-        np.testing.assert_array_equal(
-            stats.final_class_weights,
-            np.array([rec.class_weights_final for rec in recs]))
-        np.testing.assert_array_equal(stats.histogram,
-                                      angle_histogram(recs, 40))
+        np.testing.assert_array_equal(stats.histogram, hist)
 
     def test_input_validation(self, system33):
         _, classes, table, psi = system33
@@ -726,10 +740,14 @@ class TestMartingaleOffAxis:
         stats = run_ensemble(system.initial_state, n_traj, 1000,
                              system.table, system.classes, master_seed=0)
         assert stats.aborted_count == 0
-        final = stats.final_class_weights
-        se = final.std(axis=0, ddof=1) / math.sqrt(n_traj)
-        z = (final.mean(axis=0) - stats.class_proportions_predicted) / se
-        assert np.max(np.abs(z)) <= 4.0, z
+        # a [0, 1] martingale of mean P_k has Var <= P_k (1 - P_k).  The
+        # sample spread under-reads where few trajectories end in a
+        # class: about 1e-14 where none does (n P_k = 1.5), and low
+        # enough to fail at n P_k = 17.6 with 6 trajectories there
+        p = stats.class_proportions_predicted
+        se = np.sqrt(p * (1 - p) / n_traj)
+        diff = np.abs(stats.final_class_weights.mean(axis=0) - p)
+        assert np.all(diff <= 4.0 * se), (diff, se)
 
 
 # every entry point that reads a state's class weights from a table
@@ -878,19 +896,19 @@ class TestSweep:
         # lockstep block it shares, so neither does any row
         setup = ScatteringSetup(lattice=LAT33, gN=0.5, k0_a=math.pi)
         k = 4
-        steps = []
-        real_step = trajectory._event_step
+        blocks = []
+        real_block = analysis._lockstep_block
 
-        def counting(*args):
-            steps.append(len(args[0]))
-            return real_step(*args)
+        def counting(w0, row_of, seeds, *args):
+            blocks.append(len(seeds))
+            return real_block(w0, row_of, seeds, *args)
 
-        monkeypatch.setattr(trajectory, "_event_step", counting)
+        monkeypatch.setattr(analysis, "_lockstep_block", counting)
         # blocks of single trajectories, so the sizes below are the cut's
         monkeypatch.setattr(analysis, "_CHUNK", 1)
 
         def sweep(values, n_traj, workers=1):
-            steps.clear()
+            blocks.clear()
             rows = sweep_uj(values, LAT33, setup, n_traj=n_traj,
                             n_events=40, master_seed=8, n_bins=16,
                             workers=workers)
@@ -898,11 +916,13 @@ class TestSweep:
 
         three = [0.05, 1.0, math.inf]
         base = sweep(three, 7)
-        assert steps == [21] * 40
+        assert blocks == [21]
         # on 2 CPUs, 3 or 4 workers cut all 21 trajectories into 2 blocks,
-        # of 11 and 10 trajectories, inside a row
+        # of 11 and 10 trajectories, inside a row; the pool runs the
+        # module's own block function
+        monkeypatch.setattr(analysis, "_lockstep_block", real_block)
         allow_cpus(monkeypatch, 2)
-        pools, blocks = [], []
+        pools, mapped = [], []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
@@ -910,42 +930,43 @@ class TestSweep:
                 super().__init__(*args, **kwargs)
 
             def map(self, fn, *iterables, **kwargs):
-                blocks.append(len(iterables[0]))
+                mapped.append([len(seeds) for seeds in iterables[2]])
                 return super().map(fn, *iterables, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
         for workers in (3, 4):
             pools.clear()
-            blocks.clear()
+            mapped.clear()
             assert sweep(three, 7, workers=workers) == base
             assert pools == [{"max_workers": 2}]
-            assert blocks == [2]
+            assert mapped == [[11, 10]]
         # a block holds max(1, _BLOCK_WEIGHTS // K) trajectories: blocks
-        # of 10 straddle rows, and no run takes more steps than one per
-        # row and event
+        # of 10 straddle rows
+        monkeypatch.setattr(analysis, "_lockstep_block", counting)
         monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", 10 * k)
         assert sweep(three, 7) == base
-        assert steps == [10] * 40 + [10] * 40 + [1] * 40
+        assert blocks == [10, 10, 1]
         # the budget alone caps a block, at one trajectory at least, in a
         # sweep and in an ensemble alike
         monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", k)
         assert sweep(three, 7) == base
-        assert steps == [1] * (21 * 40)
+        assert blocks == [1] * 21
         _, classes, table, psi = system33
-        steps.clear()
+        blocks.clear()
         run_ensemble(psi, 9, 40, table, classes, master_seed=8)
-        assert steps == [1] * (9 * 40)
+        assert blocks == [1] * 9
 
         # one trajectory per row: blocks of 1 and of 5 against one block
         seven = [0.0, 0.05, 0.3, 1.0, 2.0, 10.0, math.inf]
         monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", 1 << 20)
         single = sweep(seven, 1)
-        assert steps == [7] * 40
+        assert blocks == [7]
         for per_block in (1, 5):
             monkeypatch.setattr(analysis, "_BLOCK_WEIGHTS", per_block * k)
             assert sweep(seven, 1) == single
-            assert len(steps) == 40 * -(-7 // per_block)
+            assert blocks == [per_block] * (7 // per_block) + \
+                [7 % per_block] * (7 % per_block > 0)
 
 
 class TestPrepareSystem:

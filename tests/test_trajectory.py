@@ -8,6 +8,7 @@ without any sampling, and over full runs at the criterion-8 working
 point.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from oracles import (
     per_basis_trajectory,
 )
 from scatterloc import trajectory
-from scatterloc.analysis import prepare_system
+from scatterloc.analysis import prepare_system, run_ensemble
 from scatterloc.config import RunConfig
 from scatterloc.kernel import (
     ScatteringSetup,
@@ -697,44 +698,88 @@ class TestMeanFidelity:
         assert np.max(np.abs(z)) <= 4.0, np.max(np.abs(z))
 
 
+MIXTURE_POINTS = {
+    "M3-U0": (dict(M=3, N=3, U=0.0, gN=0.5), 1000, 1000),
+    "M4-U0.5": (dict(M=4, N=4, U=0.5, gN=0.5), 1000, 1000),
+    "M4-ring-gaussian": (dict(M=4, N=4, U=0.5, gN=0.5, boundary="periodic",
+                              envelope="gaussian", sigma_a=0.3), 1000, 1500),
+}
+
+
+@functools.cache
+def engine_run(point):
+    """The event engine at a MIXTURE_POINTS point, 1000 trajectories on
+    master seed 1: the system, and per trajectory its first passage past
+    CONVERGENCE_THRESHOLD (n_events + 1 if none), scatter count and end
+    class."""
+    settings, n_traj, n_events = MIXTURE_POINTS[point]
+    system = prepare_system(RunConfig(**settings))
+    table = system.table
+    p0 = table.class_weights(system.initial_state.probabilities)
+    seeds = [trajectory_seed(1, i) for i in range(n_traj)]
+    w = np.tile(p0, (n_traj, 1))
+    alive = np.ones(n_traj, dtype=bool)
+    passage = np.full(n_traj, n_events + 1)
+    counts = np.zeros(n_traj, dtype=np.int64)
+    for m, w, rows, _, _ in trajectory._lockstep_events(
+            w, seeds, alive, table, n_events):
+        counts[rows] += 1
+        passage[(passage > n_events)
+                & (w.max(axis=1) > trajectory.CONVERGENCE_THRESHOLD)] = m
+    assert alive.all()
+    return system, passage, counts, np.argmax(w, axis=1)
+
+
 class TestMixtureLaw:
     # sqrt(n_a n_b / (n_a + n_b)) times the two-sample Kolmogorov-Smirnov
     # distance, fixed before the first run at the 0.1% critical value
     # (1.36 at 5%); the samplers share no stream, so only the laws agree
     KS_LIMIT = 1.95
+    # the chi-square homogeneity test of end classes, fixed before the
+    # first run at its 0.1% critical value; classes with fewer than 10
+    # trajectories in both samples together share one cell
+    CHI2_QUANTILE = 0.999
 
-    @pytest.mark.parametrize("settings,n_traj,n_events", [
-        (dict(M=3, N=3, U=0.0, gN=0.5), 1000, 1000),
-        (dict(M=4, N=4, U=0.5, gN=0.5), 1000, 1000),
-        (dict(M=4, N=4, U=0.5, gN=0.5, boundary="periodic",
-              envelope="gaussian", sigma_a=0.3), 1000, 1500),
-    ], ids=["M3-U0", "M4-U0.5", "M4-ring-gaussian"])
-    def test_engine_law_matches_the_mixture_sampler(self, settings, n_traj,
-                                                    n_events):
+    @pytest.mark.parametrize("point", MIXTURE_POINTS)
+    def test_engine_law_matches_the_mixture_sampler(self, point):
         # the class weights are the posterior of a hidden class, so a
         # sampler that draws the class first and then independent
         # outcomes has the engine's law of first passage past
         # CONVERGENCE_THRESHOLD and of scatter counts; the three points
         # take 3-4 s
-        system = prepare_system(RunConfig(**settings))
-        table = system.table
-        p0 = table.class_weights(system.initial_state.probabilities)
-        seeds = [trajectory_seed(1, i) for i in range(n_traj)]
-        w = np.tile(p0, (n_traj, 1))
-        alive = np.ones(n_traj, dtype=bool)
-        passage = np.full(n_traj, n_events + 1)
-        counts = np.zeros(n_traj, dtype=np.int64)
-        for m, w, rows, _, _ in trajectory._lockstep_events(
-                w, seeds, alive, table, n_events):
-            counts[rows] += 1
-            passage[(passage > n_events)
-                    & (w.max(axis=1) > trajectory.CONVERGENCE_THRESHOLD)] = m
-        assert alive.all()
+        system, passage, counts, _ = engine_run(point)
+        _, n_traj, n_events = MIXTURE_POINTS[point]
         oracle = mixture_trajectories(
-            p0, table, n_events,
+            system.table.class_weights(system.initial_state.probabilities),
+            system.table, n_events,
             [trajectory_seed(2, i) for i in range(n_traj)],
             trajectory.CONVERGENCE_THRESHOLD)
         scale = math.sqrt(n_traj / 2)
         ks = [scale * scipy.stats.ks_2samp(a, b).statistic
               for a, b in zip((passage, counts), oracle)]
         assert max(ks) < self.KS_LIMIT, ks
+
+    @pytest.mark.parametrize("point", MIXTURE_POINTS)
+    def test_ensemble_law_matches_the_engine(self, point):
+        # run_ensemble draws each trajectory's class once and its events
+        # from that class alone; its scatter counts and end classes must
+        # have the event engine's law
+        system, _, counts, end_class = engine_run(point)
+        _, n_traj, n_events = MIXTURE_POINTS[point]
+        stats = run_ensemble(system.initial_state, n_traj, n_events,
+                             system.table, system.classes, master_seed=2)
+        assert stats.aborted_count == 0
+        ks = math.sqrt(n_traj / 2) * scipy.stats.ks_2samp(
+            counts, stats.scatter_counts).statistic
+        assert ks < self.KS_LIMIT, ks
+        k = len(system.classes)
+        cells = np.array([np.bincount(end_class, minlength=k),
+                          np.bincount(stats.end_class_index, minlength=k)])
+        small = cells.sum(axis=0) < 10
+        cells = np.column_stack([cells[:, ~small],
+                                 cells[:, small].sum(axis=1)])
+        cells = cells[:, cells.sum(axis=0) > 0]
+        chi2, _, dof, _ = scipy.stats.chi2_contingency(cells,
+                                                       correction=False)
+        assert chi2 < scipy.stats.chi2.ppf(self.CHI2_QUANTILE, dof), \
+            (chi2, cells)
