@@ -25,7 +25,6 @@ import numpy as np
 from .kernel import (
     PatternTable,
     ScatteringSetup,
-    _signature_angles,
     _state_weights,
     angle_cdf,
     build_pattern_table,
@@ -46,10 +45,11 @@ from .lattice import (
 )
 from .trajectory import (
     _PASS_EVENTS,
-    _UNIFORM_BLOCK,
+    _SLICE_WEIGHTS,
     CONVERGENCE_THRESHOLD,
-    RngStream,
-    _scatter_multipliers,
+    _draw_classes,
+    _posterior,
+    _scatter_slices,
     _snapshot_slots,
     trajectory_seed,
 )
@@ -63,8 +63,8 @@ _BLOCK_WEIGHTS = 1 << 20
 # trajectories whose class weights a snapshot sums as one chunk
 _CHUNK = 16
 
-# scatters x classes x sites of multiplier products a slice holds (256 kB)
-_SLICE_WEIGHTS = 1 << 15
+# events of uniforms drawn per trajectory at a time
+_UNIFORM_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -323,12 +323,10 @@ def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, slots):
     over each _CHUNK trajectories from the block's first.
 
     The weights are the posterior of a hidden class, so trajectory i
-    draws its class k from its row's P with its stream's first uniform,
-    then each event from k alone: a non-scatter where its uniform u <
-    |A_k|^2, else the angle at quantile (u - |A_k|^2) / (1 - |A_k|^2).
-    Each uniform block, cut at snapshots, is worked where it scatters
-    (_scatter_slice), and the log weights are normalised at each
-    snapshot and at the end (_posterior).
+    draws its class k from its row's P (_draw_classes), then each event
+    from k alone.  Each uniform block, cut at snapshots, is worked where
+    it scatters (_scatter_slices), and the log weights are normalised at
+    each snapshot and at the end (_posterior), as a record does.
     """
     n, k = len(seeds), w0.shape[1]
     histogram = np.zeros(n_bins, dtype=np.int64)
@@ -336,20 +334,13 @@ def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, slots):
     sums = np.empty((len(starts), len(slots), k))
     if 0 in slots:
         sums[:, 0] = np.add.reduceat(w0[row_of], starts)
-    streams = [RngStream(int(seed)) for seed in seeds]
-    u = np.array([stream.uniform() for stream in streams])
-    cum = np.cumsum(w0, axis=1)
-    cls = np.count_nonzero(cum[row_of] <= (u * cum[row_of, -1])[:, None],
-                           axis=1)
-    # where u * cum[-1] rounds up to cum[-1], the last class with P_k > 0
-    cls = np.minimum(cls, k - 1 - np.argmax(w0[:, ::-1] > 0, axis=1)[row_of])
+    streams, cls = _draw_classes(w0, row_of, seeds)
     with np.errstate(divide="ignore"):
         log_sums, log_ns = np.log(w0)[row_of], np.log(table.ns_prob)
     counts = np.zeros(n, dtype=np.int64)
     # the events each trajectory has run: n_events unless it ended
     end = np.full(n, n_events)
     ns_own = table.ns_prob[cls]
-    per_slice = max(1, _SLICE_WEIGHTS // (k * table.signatures.shape[1]))
     block = np.empty((n, _UNIFORM_BLOCK))
     for a in range(0, n_events, _UNIFORM_BLOCK):
         for stream, row in zip(streams, block):
@@ -360,59 +351,30 @@ def _lockstep_block(w0, row_of, seeds, table, n_events, n_bins, slots):
             uniforms = block[:, lo - a:hi - a]
             rows, cols = ((uniforms >= ns_own[:, None])
                           & (end > lo)[:, None]).nonzero()
-            for s in range(0, rows.size, per_slice):
-                t, col = rows[s:s + per_slice], cols[s:s + per_slice]
-                _scatter_slice(t, lo + col, uniforms[t, col], cls[t], table,
-                               log_sums, counts, end, histogram)
+            for s, theta, logs in _scatter_slices(rows, cols, uniforms, lo,
+                                                  cls, table, end):
+                t = rows[s]
+                # a trajectory's scatters from its end on are dropped
+                keep = lo + cols[s] < end[t]
+                if not keep.all():
+                    t, theta, logs = t[keep], theta[keep], logs[keep]
+                # ufunc.at adds in index order: each sum takes its
+                # scatters in turn
+                np.add.at(log_sums.reshape(-1),
+                          (t[:, None] * k + np.arange(k)).ravel(),
+                          logs.ravel())
+                histogram += bin_angles(theta, n_bins=n_bins)
+                counts += np.bincount(t, minlength=n)
             if hi in slots:
                 sums[:, slots[hi]] = np.add.reduceat(_posterior(
-                    log_sums, np.minimum(end, hi) - counts, log_ns), starts)
+                    log_sums, np.minimum(end, hi) - counts, log_ns,
+                    np.empty_like(log_sums)), starts)
             lo = hi
 
     return {"histogram": histogram, "sums": sums,
-            "final": _posterior(log_sums, end - counts, log_ns),
+            "final": _posterior(log_sums, end - counts, log_ns,
+                                np.empty_like(log_sums)),
             "scatter_counts": counts, "alive": end == n_events}
-
-
-def _scatter_slice(t, event, u, k, table, log_sums, counts, end,
-                   histogram):
-    """Scatters of trajectories t, in trajectory then event order, at
-    0-based events event with uniforms u in classes k: one search of
-    their class signatures for their angles, their log multipliers
-    added to log_sums, the histogram and the counts.  A scatter where
-    its own class's multiplier is 0 ends its trajectory there (end):
-    it and the later ones are dropped, and k's log weight stays finite
-    elsewhere, so no row of weights vanishes."""
-    ns = table.ns_prob[k]
-    theta = _signature_angles(table.signatures[k], (u - ns) / (1.0 - ns),
-                              table)
-    with np.errstate(divide="ignore"):
-        logs = np.log(_scatter_multipliers(theta, table))
-    fatal = logs[np.arange(t.size), k] == -np.inf
-    np.minimum.at(end, t[fatal], event[fatal])
-    keep = event < end[t]
-    if not keep.all():
-        t, theta, logs = t[keep], theta[keep], logs[keep]
-    n_classes = logs.shape[1]
-    # ufunc.at adds in index order: each sum takes its scatters in turn
-    np.add.at(log_sums.reshape(-1),
-              (t[:, None] * n_classes + np.arange(n_classes)).ravel(),
-              logs.ravel())
-    histogram += bin_angles(theta, n_bins=len(histogram))
-    counts += np.bincount(t, minlength=len(counts))
-
-
-def _posterior(log_sums, n_ns, log_ns):
-    """Class weights exp(log_sums + n_ns log_ns), the product 0 where
-    n_ns = 0, each row normalised in place after its largest entry is
-    subtracted."""
-    w = np.zeros(log_sums.shape)
-    np.multiply(n_ns[:, None], log_ns, out=w, where=n_ns[:, None] > 0)
-    w += log_sums
-    w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
 
 
 def _physical_memory() -> int:
@@ -470,22 +432,30 @@ def _trajectory_memory(n_events: int, snapshot_stride: int, dim: int,
     """Upper bound, in bytes, of what run_trajectory holds for one record
     of n_events events over dim Fock states of M sites in n_classes classes.
 
-    The (n_events + 1) x K class weights and the overlap series, the
-    n_events angles, and per event, under 272 bytes, the shared
-    non-scatter DetectionEvent, index and two list slots and, as if it
-    scattered, the record's own DetectionEvent, index and angle and the
-    scatter-index list's entry.  The snapshots, (n_events //
-    snapshot_stride + 2) x D complex, each with its array and tuple
-    objects, under 512 bytes; the phase kicks' D x M complex products,
-    twelve D-wide complex vectors of phase factors, amplitude ratios and
-    the final state; a pass's _PASS_EVENTS x D amplitude ratios and their
-    complex products with the phases, and its two K-wide weight
-    quotients per event; and 64 kB of fixed objects.
+    Throughout: the class weights and overlaps, twelve D-wide complex
+    vectors and 64 kB of fixed objects.  Then the larger of the draw, as
+    many log sums as weights and under 80 bytes of uniform, indices and
+    angle per event as if every event scattered, with the larger of a
+    scatter slice (its multiplier products, four K-wide and two M-wide
+    rows and eight words per scatter) and a posterior pass (its gathered
+    log sums, a K-wide cast and six words per event, a 64 kB buffer); and
+    the record: the snapshots, each under 512 bytes of objects, under 304
+    bytes of DetectionEvents, angles and indices per event, a pass of
+    _PASS_EVENTS events' D-wide ratios and products and K-wide
+    quotients, and a kick slice's (scatters, D, M) complex products with
+    two complex occupation casts and five D-wide words per scatter.
     """
-    snapshots = n_events // snapshot_stride + 2
-    return (8 * (n_events + 1) * (n_classes + 1) + 280 * n_events
-            + snapshots * (16 * dim + 512) + 16 * dim * (M + 12)
-            + _PASS_EVENTS * (24 * dim + 16 * n_classes) + (1 << 16))
+    scatters = min(max(1, _SLICE_WEIGHTS // (n_classes * M)), n_events)
+    events = min(max(1, _SLICE_WEIGHTS // n_classes), n_events + 1)
+    kicks = min(max(1, _SLICE_WEIGHTS // (2 * dim * M)), n_events)
+    draw = (8 * (n_events + 1) * n_classes + 80 * n_events
+            + max(8 * scatters * (n_classes * (M + 4) + 2 * M + 8),
+                  8 * events * (2 * n_classes + 6) + (1 << 16)))
+    record = ((n_events // snapshot_stride + 2) * (16 * dim + 512)
+              + 304 * n_events + _PASS_EVENTS * (24 * dim + 16 * n_classes)
+              + 16 * dim * (kicks * (M + 5) + 2 * M))
+    return (8 * (n_events + 1) * (n_classes + 1) + 192 * dim
+            + max(draw, record) + (1 << 16))
 
 
 def _ensemble_memory(n_traj: int, n_bins: int, snapshots: int,

@@ -12,14 +12,12 @@ plus the phases Phi_u = sum_j arg F_u(theta_j) of its scatter events,
 with P = w(0): the quantum-jump unravelling (Dalibard, Castin and
 Molmer, PRL 68, 580 (1992)) restricted to the classes.
 
-One uniform draw decides each event.  If it falls below the current
-non-scatter probability the probe passed; otherwise the excess,
-rescaled to [0, 1), is pushed through the inverse CDF of the current
-angular density (kernel.sample_angles) to give the detection angle.
-One event step, _event_step, does this for a batch of (rows, K) class
-weights and ends a trajectory before a scatter that annihilates its
-weights; one loop, _lockstep_events, drives it for records, which add
-the per-basis phases.  Ensembles (analysis) draw from the class mixture.
+The class weights are the posterior of a hidden class given the
+outcomes, so records and ensembles (analysis) draw each trajectory's
+class k once from P (_draw_classes), then each event from class k alone
+(_scatter_slices), and take its weights as the _posterior of its log
+multipliers.  step applies one event to a state through _event_step,
+which draws from the state's own density.
 """
 
 from __future__ import annotations
@@ -32,17 +30,17 @@ import numpy as np
 # package, so that its import is set-up, not part of the first command
 import numpy.random
 
-from .kernel import (PatternTable, _state_weights, _structure_amplitudes,
-                     pattern_basis, sample_angles)
+from .kernel import (PatternTable, _signature_angles, _state_weights,
+                     _structure_amplitudes, pattern_basis, sample_angles)
 from .lattice import ManyBodyState
 
 CONVERGENCE_THRESHOLD = 0.99
 
-# events of uniforms drawn per trajectory at a time
-_UNIFORM_BLOCK = 32
-
 # trajectories x events of overlaps and snapshots computed per pass
 _PASS_EVENTS = 16
+
+# scatters x classes x sites of multiplier products a slice holds (256 kB)
+_SLICE_WEIGHTS = 1 << 15
 
 
 class EventKind(str, Enum):
@@ -117,6 +115,59 @@ def _scatter_multipliers(theta, table: PatternTable) -> np.ndarray:
     return np.maximum((b[:, None, :] * sig).sum(axis=2), 0.0)
 
 
+def _draw_classes(w0, row_of, seeds):
+    """Each trajectory i's stream on seeds[i], and its class drawn from
+    class weights w0[row_of[i]] with the stream's first uniform u: the
+    first whose cumulative weight exceeds u cum[-1], never one of
+    weight 0."""
+    streams = [RngStream(int(seed)) for seed in seeds]
+    u = np.array([stream.uniform() for stream in streams])
+    cum = np.cumsum(w0, axis=1)
+    cls = np.count_nonzero(cum[row_of] <= (u * cum[row_of, -1])[:, None],
+                           axis=1)
+    last = w0.shape[1] - 1 - np.argmax(w0[:, ::-1] > 0, axis=1)
+    return streams, np.minimum(cls, last[row_of])
+
+
+def _scatter_slices(rows, cols, uniforms, lo, cls, table: PatternTable,
+                    end):
+    """Angles and log multipliers of the scatters of trajectories rows,
+    in trajectory then event order, at 0-based events lo + cols with
+    uniforms uniforms[rows, cols] and classes cls[rows], in slices of
+    max(1, _SLICE_WEIGHTS // (K M)) scatters: yields each slice with its
+    angles, at quantile (u - |A_k|^2) / (1 - |A_k|^2) of class k's own
+    density, and every class's log multiplier at them.  A scatter at
+    which its own class's multiplier is 0 first lowers end, in place, to
+    its event: the trajectory ends before it."""
+    sig = table.signatures
+    per = max(1, _SLICE_WEIGHTS // sig.size)
+    for a in range(0, rows.size, per):
+        s = slice(a, a + per)
+        t, col = rows[s], cols[s]
+        k = cls[t]
+        ns = table.ns_prob[k]
+        v = (uniforms[t, col] - ns) / (1.0 - ns)
+        theta = _signature_angles(sig[k], v, table)
+        with np.errstate(divide="ignore"):
+            logs = np.log(_scatter_multipliers(theta, table))
+        fatal = logs[np.arange(t.size), k] == -np.inf
+        np.minimum.at(end, t[fatal], lo + col[fatal])
+        yield s, theta, logs
+
+
+def _posterior(log_sums, n_ns, log_ns, out) -> np.ndarray:
+    """Class weights exp(log_sums + n_ns log_ns), written to out and
+    returned, the product 0 where n_ns = 0, each row normalised after its
+    largest entry is subtracted."""
+    out[...] = 0.0
+    np.multiply(n_ns[:, None], log_ns, out=out, where=n_ns[:, None] > 0)
+    out += log_sums
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
 def _event_step(w, r, alive, table: PatternTable):
     """One detection on every row of class weights w, shape (rows, K),
     decided by the row's uniform r.
@@ -151,25 +202,6 @@ def _event_step(w, r, alive, table: PatternTable):
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(alive[:, None], q / s[:, None], w)
     return w, rows[keep], theta[keep], dying
-
-
-def _lockstep_events(w, seeds, alive, table: PatternTable, n_events: int):
-    """Advance the rows of class weights w, one per seed, n_events events
-    in lockstep through the event step, each row on its seed's stream.
-
-    Yields, for each event m = 1..n_events, m and what the event step
-    returns: the weights after it, the rows that scattered and survived,
-    their angles, and the mask of the rows that died at m.
-    """
-    streams = [RngStream(int(seed)) for seed in seeds]
-    block = np.empty((len(streams), _UNIFORM_BLOCK))
-    for m in range(n_events):
-        if m % _UNIFORM_BLOCK == 0:
-            for stream, row in zip(streams, block):
-                stream.fill(row)
-        w, *event = _event_step(w, block[:, m % _UNIFORM_BLOCK], alive,
-                                table)
-        yield m + 1, w, *event
 
 
 def _phase_kicks(theta, table: PatternTable) -> np.ndarray:
@@ -252,24 +284,68 @@ class TrajectoryRecord:
                          if e.kind == EventKind.SCATTER])
 
 
+def _mixture_weights(big_p, table: PatternTable, n_events: int, seeds):
+    """Class weights of one trajectory per seed from class weights P at
+    events 0..n_events, shape (seeds, n_events + 1, K), past a
+    trajectory's end its last; the scatters before the ends as
+    trajectory, 0-based event and angle, in trajectory then event order;
+    and the events each trajectory ran.  Trajectory b's log sums are
+    log P, then their running sum over its scatters' log multipliers."""
+    n_traj, n_classes = len(seeds), len(big_p)
+    streams, cls = _draw_classes(big_p[None, :],
+                                 np.zeros(n_traj, dtype=np.intp), seeds)
+    uniforms = np.empty((n_traj, n_events))
+    for stream, row in zip(streams, uniforms):
+        stream.fill(row)
+    rows, cols = (uniforms >= table.ns_prob[cls][:, None]).nonzero()
+    end = np.full(n_traj, n_events)
+    # trajectory b's scatters from before[b], its log sums from first[b]
+    before = np.searchsorted(rows, np.arange(n_traj + 1))
+    first = before + np.arange(n_traj + 1)
+    log_sums = np.empty((first[-1], n_classes))
+    with np.errstate(divide="ignore"):
+        log_sums[first[:-1]] = np.log(big_p)
+        log_ns = np.log(table.ns_prob)
+    thetas = np.empty(rows.size)
+    at = np.arange(rows.size) + rows + 1
+    for s, theta, logs in _scatter_slices(rows, cols, uniforms, 0, cls,
+                                          table, end):
+        thetas[s] = theta
+        log_sums[at[s]] = logs
+
+    weights = np.empty((n_traj, n_events + 1, n_classes))
+    per = max(1, _SLICE_WEIGHTS // n_classes)
+    for b in range(n_traj):
+        logs = log_sums[first[b]:first[b + 1]]
+        np.cumsum(logs, axis=0, out=logs)
+        after = cols[before[b]:before[b + 1]] + 1
+        for a in range(0, n_events + 1, per):
+            m = np.minimum(np.arange(a, min(a + per, n_events + 1)), end[b])
+            j = np.searchsorted(after, m, side="right")
+            _posterior(logs[j], m - j, log_ns, weights[b, a:a + per])
+    weights[:, 0] = big_p
+    kept = cols < end[rows]
+    return weights, rows[kept], cols[kept], thetas[kept], end
+
+
 def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
                      n_events: int, seeds,
                      snapshot_stride: int | None = None
                      ) -> list[TrajectoryRecord]:
     """Run n_events detection events from the given initial state, one
-    trajectory per seed, all in lockstep through the event step.
+    trajectory per seed: the one run_ensemble runs on that seed, drawn
+    with no loop over events.
 
-    Each trajectory keeps its class weights w and its phase factors
-    z_u = exp(i Phi_u), which only scatter events change.  Snapshots and
-    the final state are c_u(0) sqrt(w_k / P_k) z_u, so a class with
-    P_k = 0 stays exactly 0, and the overlap <psi_0|psi_m> is
-    sum_u |c_u(0)|^2 sqrt(w_k / P_k) z_u, both computed over each run of
-    events between scatters once it is in.  Row m of a record's
-    class_weights holds the summed probability in each signature class
-    of the table, in the order of build_classes, after the m-th
-    detection.  A zero-norm projection ends its record before that event
-    and sets the aborted flag.  A record does not depend, bit for bit,
-    on which other seeds share the batch.
+    Row m of a record's class_weights holds the summed probability in
+    each signature class of the table, in the order of build_classes,
+    after the m-th detection (_mixture_weights).  Snapshots and the
+    final state are c_u(0) sqrt(w_k / P_k) z_u, with phase factors z_u
+    kicked per slice of scatters, so a class with P_k = 0 stays exactly
+    0, and the overlap <psi_0|psi_m> is sum_u |c_u(0)|^2 sqrt(w_k / P_k)
+    z_u, both computed over each run of events in which no z changed.  A
+    scatter at which the record's own class's multiplier is 0 ends it
+    before that scatter, aborted.  A record does not depend, bit for
+    bit, on which other seeds share the batch.
     """
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
@@ -283,15 +359,11 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
     big_p = _state_weights(initial_state, table)
     class_of = table.class_of
 
-    w = np.tile(big_p, (n_traj, 1))
+    weights, rows, cols, thetas, end = _mixture_weights(big_p, table,
+                                                        n_events, seeds)
     z = np.ones((n_traj, len(c0)), dtype=np.complex128)
     pz = p0 * z
-    alive = np.ones(n_traj, dtype=bool)
-    end = np.full(n_traj, n_events)
-    weights = np.empty((n_traj, n_events + 1, len(big_p)))
     overlap_sq = np.empty((n_traj, n_events + 1))
-    thetas = np.full((n_traj, n_events), np.nan)
-    weights[:, 0] = w
     overlap_sq[:, 0] = 1.0
     snaps = [(0, np.tile(c0, (n_traj, 1)))] if due else []
 
@@ -309,30 +381,36 @@ def run_trajectories(initial_state: ManyBodyState, table: PatternTable,
             snaps.extend((m, c0 * ratios[:, m - a] * z)
                          for m in range(a, b) if m in due)
 
+    # the kept scatters in event then trajectory order, in slices whose
+    # (scatters, D, M) complex amplitude products hold 256 kB
+    order = np.argsort(cols, kind="stable")
+    per = max(1, _SLICE_WEIGHTS // (2 * table.basis.occupations.size))
     start = 1
-    for m, w, rows, theta, died in _lockstep_events(w, seeds, alive, table,
-                                                    n_events):
-        end[died] = m - 1
-        weights[:, m] = w
-        if rows.size:
-            flush(start, m)
-            start = m
-            thetas[rows, m - 1] = theta
-            z[rows] *= _phase_kicks(theta, table)
-            pz[rows] = p0 * z[rows]
+    for a in range(0, order.size, per):
+        s = order[a:a + per]
+        kicks = _phase_kicks(thetas[s], table)
+        m = cols[s] + 1
+        cuts = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), s.size]
+        for i, k in zip(cuts[:-1], cuts[1:]):
+            flush(start, m[i])
+            start = m[i]
+            t = rows[s[i:k]]
+            z[t] *= kicks[i:k]
+            pz[t] = p0 * z[t]
     flush(start, n_events + 1)
 
-    final = c0 * _amplitude_ratios(w, big_p)[:, class_of] * z
+    final = c0 * _amplitude_ratios(weights[:, -1], big_p)[:, class_of] * z
     # events are immutable, so the records share their non-scatter ones
     nonscatter = [DetectionEvent(m, EventKind.NONSCATTER)
                   for m in range(1, n_events + 1)]
+    bounds = np.searchsorted(rows, np.arange(n_traj + 1))
     records = []
     for b, seed in enumerate(seeds):
         n = int(end[b])
         events = nonscatter[:n]
-        for i in np.flatnonzero(~np.isnan(thetas[b, :n])).tolist():
-            events[i] = DetectionEvent(i + 1, EventKind.SCATTER,
-                                       float(thetas[b, i]))
+        own = slice(bounds[b], bounds[b + 1])
+        for i, theta in zip(cols[own].tolist(), thetas[own].tolist()):
+            events[i] = DetectionEvent(i + 1, EventKind.SCATTER, theta)
         records.append(TrajectoryRecord(
             seed=seed, events=events, initial_state=initial_state,
             final_state=ManyBodyState.from_coefficients(

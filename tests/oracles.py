@@ -3,7 +3,9 @@
 Each one computes its quantity for one input at a time, straight from
 its definition, and never reads the package's pattern table; the
 per-basis trajectory loop reads only its class densities and angle
-sampler, and evolves the complex coefficients themselves, and the mean
+sampler, and evolves the complex coefficients themselves; the lockstep
+event loop drives the package's event step on class weights, one
+uniform per event; and the mean
 fidelity reads only the table's grid quadratures and non-scatter
 amplitudes.  The mixture sampler reads only the non-scatter
 probabilities and the angle sampler, on one class at a time, and its
@@ -19,6 +21,7 @@ import math
 
 import numpy as np
 
+from scatterloc import trajectory
 from scatterloc.analysis import (
     bin_centers,
     class_weights,
@@ -273,6 +276,24 @@ def per_basis_trajectory(initial_state: ManyBodyState, table: PatternTable,
         class_weights=np.array(rows),
         snapshots=tuple(snaps) if snaps is not None else None,
         aborted=aborted)
+
+
+def lockstep_events(w, seeds, alive, table: PatternTable, n_events: int):
+    """Advance the rows of class weights w, one per seed, n_events events
+    in lockstep through trajectory._event_step, each row deciding event m
+    with the m-th uniform of its seed's PCG64 stream.
+
+    Yields, for each event m = 1..n_events, m and what the event step
+    returns: the weights after it, the rows that scattered and survived,
+    their angles, and the mask of the rows that died at m; alive is
+    cleared in place.
+    """
+    uniforms = np.empty((len(seeds), n_events))
+    for seed, row in zip(seeds, uniforms):
+        RngStream(int(seed)).fill(row)
+    for m in range(n_events):
+        w, *event = trajectory._event_step(w, uniforms[:, m], alive, table)
+        yield m + 1, w, *event
 
 
 def fidelity_multipliers(table: PatternTable) -> np.ndarray:

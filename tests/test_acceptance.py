@@ -19,8 +19,8 @@ An earlier version of the criterion required 95% of trajectories to
 reach class weight 0.99 within 5000 events, a figure nothing in the
 paper or the model supports: an independent class-space Monte Carlo
 (4000 trajectories, own grid and RNG) gives a first-passage rate of
-0.840 +- 0.006 within 5000 events and 0.946 within 7100, and the engine
-gives 174/200.  The rate is still printed for information.
+0.840 +- 0.006 within 5000 events and 0.946 within 7100, and the records
+give 169/200.  The rate is still printed for information.
 """
 
 import hashlib

@@ -455,7 +455,7 @@ class TestRunEnsemble:
         a, b, c = run(), run(), run(workers=3)
         # slices of one scatter each, so no trajectory shares one: its
         # log weights add its scatters one at a time as they always do
-        monkeypatch.setattr(analysis, "_SLICE_WEIGHTS", 1)
+        monkeypatch.setattr(trajectory, "_SLICE_WEIGHTS", 1)
         d = run()
         np.testing.assert_array_equal(a.histogram, b.histogram)
         np.testing.assert_array_equal(a.final_class_weights,
@@ -479,19 +479,20 @@ class TestRunEnsemble:
         assert_posterior(stats, table)
 
     def test_runs_no_event_step(self, system33, monkeypatch):
-        # ensembles and sweeps draw from the mixture over classes, not
-        # through the trajectory engine's event loop
+        # ensembles, sweeps and records draw from the mixture over
+        # classes, not through step's event step
         def refuse(*args):
-            raise AssertionError("the event engine ran")
+            raise AssertionError("the event step ran")
 
         monkeypatch.setattr(trajectory, "_event_step", refuse)
-        monkeypatch.setattr(trajectory, "_lockstep_events", refuse)
         _, classes, table, psi = system33
         stats = run_ensemble(psi, 20, 100, table, classes, master_seed=1)
         assert stats.n_scatter_total > 0
         rows = sweep_uj([0.5, math.inf], LAT33, table.setup, n_traj=4,
                         n_events=50, master_seed=1)
         assert len(rows) == 2
+        recs = run_trajectories(psi, table, 100, [1, 2], snapshot_stride=10)
+        assert sum(rec.n_scatter for rec in recs) > 0
 
     def test_class_without_non_scatter_amplitude_vanishes(self, system55):
         # at gN = 1 the single-site class scatters every probe, |A_0|^2 =
@@ -629,12 +630,12 @@ class TestRunEnsemble:
         # block runs on as if nothing happened
         _, classes, table, psi = system33
         cut = 3.0
-        real = analysis._scatter_multipliers
+        real = trajectory._scatter_multipliers
 
         def killing(theta, tables):
             return np.where((theta > cut)[:, None], 0.0, real(theta, tables))
 
-        monkeypatch.setattr(analysis, "_scatter_multipliers", killing)
+        monkeypatch.setattr(trajectory, "_scatter_multipliers", killing)
         master, n_traj, n_events = 23, 12, 150
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -689,6 +690,15 @@ class TestRunEnsemble:
         assert 0 < n_aborted < n_traj
         assert stats.aborted_count == n_aborted
         np.testing.assert_array_equal(stats.histogram, hist)
+
+        # the records on the same seeds end where their trajectories do
+        recs = run_trajectories(psi, table, n_events, stats.seeds)
+        assert sum(rec.aborted for rec in recs) == n_aborted
+        np.testing.assert_array_equal([rec.n_scatter for rec in recs],
+                                      stats.scatter_counts)
+        np.testing.assert_array_equal(
+            [rec.class_weights_final for rec in recs],
+            stats.final_class_weights)
 
     def test_input_validation(self, system33):
         _, classes, table, psi = system33
@@ -998,15 +1008,16 @@ class TestPrepareSystem:
         (3, 3000, 1, 0.3, 0.5), (4, 3000, 1, 0.3, 0.5),
         (6, 600, 50, 0.3, 0.5), (6, 2000, 50, 0.3, 0.5),
         (7, 200, 1, 0.3, 0.5), (3, 3000, 1, -5.0, 1.0),
-        (4, 3000, 1, -5.0, 1.0)], ids=[
+        (4, 3000, 1, -5.0, 1.0), (6, 2000, 50, -5.0, 1.0)], ids=[
         "3-3000-1", "4-3000-1", "6-600-50", "6-2000-50", "7-200-1",
-        "3-3000-1-all-scatter", "4-3000-1-all-scatter"])
+        "3-3000-1-all-scatter", "4-3000-1-all-scatter",
+        "6-2000-50-all-scatter"])
     def test_trajectory_estimate_bounds_the_traced_peak(self, m, n_events,
                                                         stride, u, gn):
-        # the tightest cases read 0.91-0.93 of the estimate: a snapshot at
-        # every event at M=N=3 and 4 while every event scatters from the
-        # U/J = -5 ground state, each scatter holding its own
-        # DetectionEvent and angle beside the shared non-scatter ones
+        # the tightest case reads 0.93 of the estimate: every event
+        # scatters from the U/J = -5 ground state at M=N=6, so the log
+        # sums are as large as the class weights; the estimate counts
+        # them so for every run
         cfg = RunConfig(M=m, N=m, U=u, J=1.0, gN=gn, k0_a=math.pi)
         system = prepare_system(cfg)
         tracemalloc.start()

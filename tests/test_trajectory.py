@@ -22,12 +22,13 @@ from oracles import (
     density_quantile,
     fidelity_multipliers,
     grid_quadrature,
+    lockstep_events,
     mean_fidelity,
     mixture_trajectories,
     per_basis_trajectory,
 )
 from scatterloc import trajectory
-from scatterloc.analysis import prepare_system, run_ensemble
+from scatterloc.analysis import bin_angles, prepare_system, run_ensemble
 from scatterloc.config import RunConfig
 from scatterloc.kernel import (
     ScatteringSetup,
@@ -619,29 +620,81 @@ class TestPasses:
                 self.assert_rebuilt(rec, table)
 
 
+ONE_ENGINE_POINTS = {
+    "M3": dict(M=3, N=3, U=0.0, gN=0.5),
+    "M5-gN1": dict(M=5, N=5, U=0.5, gN=1.0),
+    "M6": dict(M=6, N=6, U=0.05, gN=0.5),
+    "M4-ring-gaussian": dict(M=4, N=4, U=0.5, gN=0.5, boundary="periodic",
+                             envelope="gaussian", sigma_a=0.3),
+}
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("point", ONE_ENGINE_POINTS)
+    def test_records_are_the_ensemble_trajectories(self, point):
+        # a record on seed trajectory_seed(s, j) is trajectory j of the
+        # ensemble at master seed s: the same scatters, the same angles
+        # and, bit for bit, the same final class weights
+        system = prepare_system(RunConfig(**ONE_ENGINE_POINTS[point]))
+        n_traj, n_events, n_bins = 40, 300, 60
+        recs = run_trajectories(system.initial_state, system.table,
+                                n_events,
+                                [trajectory_seed(5, j) for j in range(n_traj)])
+        stats = run_ensemble(system.initial_state, n_traj, n_events,
+                             system.table, system.classes, master_seed=5,
+                             n_bins=n_bins)
+        assert stats.n_scatter_total > 0
+        np.testing.assert_array_equal([rec.n_scatter for rec in recs],
+                                      stats.scatter_counts)
+        np.testing.assert_array_equal(
+            [rec.class_weights_final for rec in recs],
+            stats.final_class_weights)
+        np.testing.assert_array_equal(
+            bin_angles(np.concatenate([rec.scatter_angles() for rec in recs]),
+                       n_bins), stats.histogram)
+        assert sum(rec.aborted for rec in recs) == stats.aborted_count
+
+
 class TestAgainstPerBasisLoop:
     def test_criterion_8_point_matches(self):
-        # criterion 8's working point: the same event kinds, and angles,
-        # class weights and overlaps within 1e-9 over 5000 events.  Event
-        # kinds are compared only here: elsewhere rounding, which both
-        # engines amplify along a trajectory, can move an angle far
+        # criterion 8's working point: step's event step, run in lockstep
+        # on class weights with per-basis phase kicks, gives the
+        # per-basis loop's event kinds, and its angles, class weights and
+        # overlaps within 1e-9, over 5000 events on the same seeds.
+        # Event kinds are compared only here: elsewhere rounding, which
+        # both engines amplify along a trajectory, can move an angle far
         # enough to flip a later event
         table, psi = ground_state_system(3, 3, U=0.05, gN=0.1)
         seeds = [trajectory_seed(0, i) for i in range(3)]
-        recs = run_trajectories(psi, table, 5000, seeds, snapshot_stride=500)
-        for seed, rec in zip(seeds, recs):
-            ref = per_basis_trajectory(psi, table, 5000, seed,
-                                       snapshot_stride=500)
-            assert [e.kind for e in rec.events] == \
-                [e.kind for e in ref.events]
-            np.testing.assert_allclose(rec.scatter_angles(),
-                                       ref.scatter_angles(), atol=1e-9)
-            np.testing.assert_allclose(rec.class_weights, ref.class_weights,
+        big_p = table.class_weights(psi.probabilities)
+        w = np.tile(big_p, (3, 1))
+        z = np.ones((3, len(psi.coeffs)), dtype=complex)
+        alive = np.ones(3, dtype=bool)
+        weights, overlap_sq = [w], [np.ones(3)]
+        scattered, angles = np.zeros((3, 5000), bool), [[], [], []]
+        for m, w, rows, theta, _ in lockstep_events(w, seeds, alive, table,
+                                                    5000):
+            weights.append(w)
+            scattered[rows, m - 1] = True
+            for b, angle in zip(rows.tolist(), theta.tolist()):
+                angles[b].append(angle)
+            z[rows] *= _phase_kicks(theta, table)
+            ratios = _amplitude_ratios(w, big_p)[:, table.class_of]
+            overlap_sq.append(
+                np.abs((psi.probabilities * ratios * z).sum(axis=1)) ** 2)
+        assert alive.all()
+        weights = np.stack(weights, axis=1)
+        overlap_sq = np.stack(overlap_sq, axis=1)
+        for b, seed in enumerate(seeds):
+            ref = per_basis_trajectory(psi, table, 5000, seed)
+            assert scattered[b].tolist() == \
+                [e.kind is EventKind.SCATTER for e in ref.events]
+            np.testing.assert_allclose(angles[b], ref.scatter_angles(),
                                        atol=1e-9)
-            np.testing.assert_allclose(rec.overlap_sq_series,
-                                       ref.overlap_sq_series, atol=1e-9)
-            for (_, a), (_, b) in zip(rec.snapshots, ref.snapshots):
-                np.testing.assert_allclose(a, b, atol=1e-9)
+            np.testing.assert_allclose(weights[b], ref.class_weights,
+                                       atol=1e-9)
+            np.testing.assert_allclose(overlap_sq[b], ref.overlap_sq_series,
+                                       atol=1e-9)
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_replay_of_recorded_events(self, index):
@@ -708,10 +761,10 @@ MIXTURE_POINTS = {
 
 @functools.cache
 def engine_run(point):
-    """The event engine at a MIXTURE_POINTS point, 1000 trajectories on
-    master seed 1: the system, and per trajectory its first passage past
-    CONVERGENCE_THRESHOLD (n_events + 1 if none), scatter count and end
-    class."""
+    """step's event step at a MIXTURE_POINTS point, 1000 trajectories in
+    lockstep on master seed 1: the system, and per trajectory its first
+    passage past CONVERGENCE_THRESHOLD (n_events + 1 if none), scatter
+    count and end class."""
     settings, n_traj, n_events = MIXTURE_POINTS[point]
     system = prepare_system(RunConfig(**settings))
     table = system.table
@@ -721,13 +774,27 @@ def engine_run(point):
     alive = np.ones(n_traj, dtype=bool)
     passage = np.full(n_traj, n_events + 1)
     counts = np.zeros(n_traj, dtype=np.int64)
-    for m, w, rows, _, _ in trajectory._lockstep_events(
-            w, seeds, alive, table, n_events):
+    for m, w, rows, _, _ in lockstep_events(w, seeds, alive, table,
+                                            n_events):
         counts[rows] += 1
         passage[(passage > n_events)
                 & (w.max(axis=1) > trajectory.CONVERGENCE_THRESHOLD)] = m
     assert alive.all()
     return system, passage, counts, np.argmax(w, axis=1)
+
+
+@functools.cache
+def mixture_run(point):
+    """The mixture sampler at a MIXTURE_POINTS point, 1000 trajectories
+    on master seed 2: per trajectory its first passage past
+    CONVERGENCE_THRESHOLD (n_events + 1 if none) and scatter count."""
+    system = engine_run(point)[0]
+    _, n_traj, n_events = MIXTURE_POINTS[point]
+    return mixture_trajectories(
+        system.table.class_weights(system.initial_state.probabilities),
+        system.table, n_events,
+        [trajectory_seed(2, i) for i in range(n_traj)],
+        trajectory.CONVERGENCE_THRESHOLD)
 
 
 class TestMixtureLaw:
@@ -747,16 +814,34 @@ class TestMixtureLaw:
         # outcomes has the engine's law of first passage past
         # CONVERGENCE_THRESHOLD and of scatter counts; the three points
         # take 3-4 s
-        system, passage, counts, _ = engine_run(point)
-        _, n_traj, n_events = MIXTURE_POINTS[point]
-        oracle = mixture_trajectories(
-            system.table.class_weights(system.initial_state.probabilities),
-            system.table, n_events,
-            [trajectory_seed(2, i) for i in range(n_traj)],
-            trajectory.CONVERGENCE_THRESHOLD)
+        _, passage, counts, _ = engine_run(point)
+        n_traj = MIXTURE_POINTS[point][1]
         scale = math.sqrt(n_traj / 2)
         ks = [scale * scipy.stats.ks_2samp(a, b).statistic
-              for a, b in zip((passage, counts), oracle)]
+              for a, b in zip((passage, counts), mixture_run(point))]
+        assert max(ks) < self.KS_LIMIT, ks
+
+    @pytest.mark.parametrize("point", MIXTURE_POINTS)
+    def test_record_law_matches_the_mixture_sampler(self, point):
+        # records draw from the mixture on their own seeds, master seed
+        # 3, so their first passage past CONVERGENCE_THRESHOLD and their
+        # scatter counts must have the sampler's law; 200 records at a
+        # time bound the class weights held
+        system = engine_run(point)[0]
+        _, n_traj, n_events = MIXTURE_POINTS[point]
+        seeds = [trajectory_seed(3, i) for i in range(n_traj)]
+        passage, counts = [], []
+        for a in range(0, n_traj, 200):
+            for rec in run_trajectories(system.initial_state, system.table,
+                                        n_events, seeds[a:a + 200]):
+                assert not rec.aborted
+                past = np.flatnonzero(rec.class_weights[1:].max(axis=1)
+                                      > trajectory.CONVERGENCE_THRESHOLD)
+                passage.append(past[0] + 1 if past.size else n_events + 1)
+                counts.append(rec.n_scatter)
+        scale = math.sqrt(n_traj / 2)
+        ks = [scale * scipy.stats.ks_2samp(a, b).statistic
+              for a, b in zip((passage, counts), mixture_run(point))]
         assert max(ks) < self.KS_LIMIT, ks
 
     @pytest.mark.parametrize("point", MIXTURE_POINTS)
